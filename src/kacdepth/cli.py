@@ -32,8 +32,8 @@ from .srcomplex import lex_shelling, order_complex, positivity_certificate, veri
 from .toric import (
     asymptotic_kac,
     asymptotic_moment,
+    census_polynomial,
     toric_kac_chain,
-    toric_kac_trees,
     toric_orbit_count,
     tree_stratum_census,
 )
@@ -68,7 +68,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_kac(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    chain = toric_kac_chain(quiver, args.alpha)
+    chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
     report = {
         "schema": SCHEMA,
         "command": "kac",
@@ -80,7 +80,7 @@ def _cmd_kac(args) -> dict:
     text = [f"A(alpha={args.alpha}) = {chain}"]
     if quiver.is_connected():
         census = tree_stratum_census(quiver, args.alpha)
-        trees = toric_kac_trees(quiver, args.alpha)
+        trees = census_polynomial(census)
         report["tree_polynomial"] = str(trees)
         report["census"] = [
             {"tree": list(t.arrows), "valuation": list(t.values), "exponent": n}
@@ -96,7 +96,9 @@ def _cmd_kac(args) -> dict:
         product = LaurentPoly.one()
         components = []
         for block in quiver.components():
-            poly = toric_kac_chain(quiver.restrict_vertices(block), args.alpha)
+            poly = toric_kac_chain(
+                quiver.restrict_vertices(block), args.alpha, guard=args.guard
+            )
             product = product * poly
             components.append({"vertices": list(block), "polynomial": str(poly)})
         report["components"] = components
@@ -271,7 +273,7 @@ def _cmd_oracle(args) -> dict:
     quiver = _load_quiver(args.quiver)
     primes = _parse_ints(args.p) if args.p else [2]
     if args.oracle == "orbit-count":
-        chain = toric_kac_chain(quiver, args.alpha)
+        chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
         rows = []
         ok = True
         for p in primes:

@@ -21,7 +21,7 @@ DEFAULT_GUARD = 2**24
 
 
 class GuardError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured guard limit."""
+    """An enumeration or subset DP would exceed the configured guard limit."""
 
 
 def _check_prime(p: int) -> None:

@@ -5,7 +5,9 @@ locally free rank-one representations over F_q[t]/(t^alpha):
 
 * ``toric_kac_chain``   -- the chain sum over nested arrow subsets
   E_1 <= ... <= E_alpha with connected top, weighted by
-  (q-1)^b(E_alpha) * q^(sum_{k<alpha} b(E_k));
+  (q-1)^b(E_alpha) * q^(sum_{k<alpha} b(E_k)), as subset zeta transforms on
+  integers that pack one W-bit field per power of q, W = bit length of
+  (alpha+1)^m for m arrows (a bound on every coefficient);
 * ``toric_kac_trees``   -- the stratification by valued spanning trees,
   where the stratum of a valued tree T contributes the monomial q^(n_T);
 * ``toric_orbit_count`` -- a brute-force orbit count over a small prime
@@ -18,8 +20,10 @@ the quiver is 2-connected.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from math import comb
 from typing import Sequence
 
 from .laurent import LaurentPoly, RatFunc
@@ -56,40 +60,52 @@ def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
     return betti, connected
 
 
-def toric_kac_chain(quiver: Quiver, alpha: int) -> LaurentPoly:
+def toric_kac_chain(
+    quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD
+) -> LaurentPoly:
     """Chain-sum formula for the depth-alpha toric count.
 
     The sum runs over nested subsets E_1 <= ... <= E_alpha of the arrow set
     whose top makes the quiver connected on all vertices.  Nested sums over
     subsets are evaluated as iterated subset (zeta) transforms; for a
     disconnected quiver no chain survives and the result is 0.
+
+    Integers pack each layer: layer[E] holds the coefficient of q^e in bits
+    [e*W, (e+1)*W).  Coefficients count chains below some E, at most
+    sum_E alpha^|E| = (alpha+1)^m < 2^W in all, so no field carries into the
+    next.  The work estimate 2^m * m * max(alpha-1, 1) must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     m = quiver.narrows
+    work = (1 << m) * m * max(alpha - 1, 1)
+    if work > guard:
+        raise GuardError(f"chain sum estimate {work} > limit {guard}; raise --guard")
     betti, connected = _mask_betti_tables(quiver)
     nmasks = 1 << m
+    width = ((alpha + 1) ** m).bit_length()
     # layer[E] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j))
-    layer: list[dict[int, int]] = [{0: 1} for _ in range(nmasks)]
+    layer = [1] * nmasks
     for _ in range(alpha - 1):
-        weighted = [
-            {e + betti[mask]: c for e, c in layer[mask].items()}
-            for mask in range(nmasks)
-        ]
+        layer = [c << b * width for c, b in zip(layer, betti)]
         for bit in range(m):
             step = 1 << bit
             for mask in range(nmasks):
                 if mask & step:
-                    acc = weighted[mask]
-                    for e, c in weighted[mask ^ step].items():
-                        acc[e] = acc.get(e, 0) + c
-        layer = weighted
-    total = LaurentPoly.zero()
-    qm1 = LaurentPoly({1: 1, 0: -1})
-    for mask in range(nmasks):
-        if connected[mask]:
-            total = total + qm1 ** betti[mask] * LaurentPoly(layer[mask])
-    return total
+                    layer[mask] += layer[mask ^ step]
+    # group the connected tops by Betti number: one (q-1)^b product each
+    groups: dict[int, int] = {}
+    for mask in compress(range(nmasks), connected):
+        groups[betti[mask]] = groups.get(betti[mask], 0) + layer[mask]
+    field = (1 << width) - 1
+    coeffs: dict[int, int] = {}
+    for b, packed in groups.items():
+        qm1 = [(-1) ** (b - j) * comb(b, j) for j in range(b + 1)]
+        for e in range(packed.bit_length() // width + 1):
+            c = packed >> (e * width) & field
+            for j, binom in enumerate(qm1):
+                coeffs[e + j] = coeffs.get(e + j, 0) + c * binom
+    return LaurentPoly(coeffs)
 
 
 def tree_stratum_census(
@@ -129,12 +145,14 @@ def tree_stratum_census(
     return census
 
 
+def census_polynomial(census: Sequence[tuple[ValuedTree, int]]) -> LaurentPoly:
+    """Sum of q^(n_T) over the strata of a tree census."""
+    return LaurentPoly(Counter(n for _, n in census))
+
+
 def toric_kac_trees(quiver: Quiver, alpha: int) -> LaurentPoly:
     """Valued-spanning-tree formula: sum of q^(n_T) over all strata."""
-    coeffs: dict[int, int] = {}
-    for _, n in tree_stratum_census(quiver, alpha):
-        coeffs[n] = coeffs.get(n, 0) + 1
-    return LaurentPoly(coeffs)
+    return census_polynomial(tree_stratum_census(quiver, alpha))
 
 
 # ----------------------------------------------------------------------

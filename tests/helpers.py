@@ -79,6 +79,42 @@ def chain_sum_naive(quiver: Quiver, alpha: int) -> LaurentPoly:
     return total
 
 
+def chain_sum_dict(quiver: Quiver, alpha: int) -> LaurentPoly:
+    """Chain sum by subset zeta transforms on dicts, one (q-1)^b product per mask.
+
+    Betti numbers and connectivity come from ``restrict_arrows`` per mask
+    rather than the library's tables; exponent dicts replace packed integers.
+    """
+    m = quiver.narrows
+    nmasks = 1 << m
+    tops = [
+        quiver.restrict_arrows([a for a in range(m) if mask >> a & 1])
+        for mask in range(nmasks)
+    ]
+    betti = [top.betti() for top in tops]
+    # layer[E] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j))
+    layer: list[dict[int, int]] = [{0: 1} for _ in range(nmasks)]
+    for _ in range(alpha - 1):
+        weighted = [
+            {e + betti[mask]: c for e, c in layer[mask].items()}
+            for mask in range(nmasks)
+        ]
+        for bit in range(m):
+            step = 1 << bit
+            for mask in range(nmasks):
+                if mask & step:
+                    acc = weighted[mask]
+                    for e, c in weighted[mask ^ step].items():
+                        acc[e] = acc.get(e, 0) + c
+        layer = weighted
+    total = LaurentPoly.zero()
+    qm1 = LaurentPoly({1: 1, 0: -1})
+    for mask in range(nmasks):
+        if tops[mask].is_connected():
+            total = total + qm1 ** betti[mask] * LaurentPoly(layer[mask])
+    return total
+
+
 def fubini(n: int) -> int:
     """Ordered Bell number: ordered set partitions of an n-set."""
     if n == 0:

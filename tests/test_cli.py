@@ -143,6 +143,11 @@ def test_guard_exits_3(kron_file):
     ) == 3
 
 
+def test_kac_chain_guard_exits_3(kron_file, capsys):
+    assert main(["kac", "--quiver", kron_file, "--guard", "3"]) == 3
+    assert "--guard" in capsys.readouterr().err
+
+
 def test_identity_failure_exits_1(kron_file, monkeypatch, capsys):
     # exit code 1 is reserved for mathematical mismatches in the report
     import kacdepth.cli as cli_mod

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from kacdepth import (
+    GuardError,
     LaurentPoly,
     OElem,
     Quiver,
@@ -21,7 +22,12 @@ from kacdepth import (
 )
 from kacdepth.oring import cached_ring
 
-from helpers import chain_sum_naive, random_connected_quiver, stratum_inequalities_hold
+from helpers import (
+    chain_sum_dict,
+    chain_sum_naive,
+    random_connected_quiver,
+    stratum_inequalities_hold,
+)
 
 Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
@@ -29,6 +35,11 @@ TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
 POINT = Quiver(1, ())
+THETA = Quiver(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
+
+
+def kronecker(k: int, loops: int = 0) -> Quiver:
+    return Quiver(2, ((0, 1),) * k + ((0, 0), (1, 1))[:loops])
 
 
 class TestChainSum:
@@ -53,6 +64,29 @@ class TestChainSum:
             q = random_connected_quiver(rng, 3, 4)
             alpha = rng.randint(1, 3)
             assert toric_kac_chain(q, alpha) == chain_sum_naive(q, alpha)
+
+    def test_packed_matches_naive_catalog(self, catalog_3v_3a):
+        extras = [POINT, Quiver(3, ((0, 1), (2, 2))), Quiver(3, ((0, 1), (0, 1)))]
+        for q in [*catalog_3v_3a, *extras]:
+            for alpha in (1, 2, 3, 4):
+                assert toric_kac_chain(q, alpha) == chain_sum_naive(q, alpha), (q, alpha)
+
+    def test_packed_matches_dict_catalog(self, catalog_4v_6a):
+        for q in catalog_4v_6a:
+            for alpha in (1, 2, 3, 4):
+                assert toric_kac_chain(q, alpha) == chain_sum_dict(q, alpha), (q, alpha)
+
+    def test_packed_matches_dict_wide_fields(self):
+        cases = [(kronecker(k), alpha) for k in (6, 7, 8) for alpha in (2, 4, 8, 12)]
+        cases += [(THETA, 6), (kronecker(4, loops=2), 6)]
+        for q, alpha in cases:
+            assert toric_kac_chain(q, alpha) == chain_sum_dict(q, alpha), (q, alpha)
+
+    def test_guard_names_estimate_limit_and_flag(self):
+        # work estimate 2^m * m * max(alpha-1, 1) = 4 * 2 * 2 = 16 for KRON at alpha 3
+        assert toric_kac_chain(KRON, 3, guard=16) == toric_kac_chain(KRON, 3)
+        with pytest.raises(GuardError, match=r"estimate 16 .*limit 15.*--guard"):
+            toric_kac_chain(KRON, 3, guard=15)
 
     def test_degree_is_alpha_betti(self, catalog_3v_3a):
         for q in catalog_3v_3a:
