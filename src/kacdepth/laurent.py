@@ -409,3 +409,7 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_triples(), "den": self.den.to_triples()}
+
+
+# 1 - q^-1 = |G_m(F_q)| / q: the classifying-space factor of one torus
+ONE_MINUS_QINV = RatFunc(LaurentPoly({0: 1, -1: -1}))

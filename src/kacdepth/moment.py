@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, GuardError, cached_ring, group_order_gl
 from .plethysm import pleth_exp
 from .quiver import Quiver
@@ -48,11 +48,14 @@ def is_generic(lam: Sequence[int], rank: Sequence[int]) -> bool:
 def generic_target(
     quiver: Quiver, rank: Sequence[int], lam: Sequence[int], p: int, alpha: int
 ) -> tuple[Matrix, ...]:
-    """Per-vertex matrix t^(alpha-1) * lam_i * Id over integer-coded entries."""
-    ring = cached_ring(p, alpha)
+    """Per-vertex matrix t^(alpha-1) * lam_i * Id over integer-coded entries.
+
+    Codes are base-p digit strings, so lam_i t^(alpha-1) has code
+    (lam_i mod p) * p^(alpha-1).
+    """
     out = []
     for i in range(quiver.nvertices):
-        scalar = ring.element(0).code() if alpha < 1 else _t_power_code(p, alpha, alpha - 1, lam[i])
+        scalar = (lam[i] % p) * p ** (alpha - 1)
         n = rank[i]
         out.append(
             tuple(
@@ -60,10 +63,6 @@ def generic_target(
             )
         )
     return tuple(out)
-
-
-def _t_power_code(p: int, alpha: int, k: int, scalar: int) -> int:
-    return (scalar % p) * p**k
 
 
 def zero_target(quiver: Quiver, rank: Sequence[int]) -> tuple[Matrix, ...]:
@@ -128,20 +127,26 @@ def moment_fiber_count(
     """Exact number of points (x, y) on the doubled quiver with mu(x, y) = target.
 
     Arrows with a zero-rank endpoint carry no coordinates; vertices of rank
-    zero impose no condition.
+    zero impose no condition.  The work estimate p^(alpha * coords) points
+    plus the ring's p^(2 alpha)-entry tables must not exceed guard.
     """
     rank = tuple(int(r) for r in rank)
     if len(rank) != quiver.nvertices or any(r < 0 for r in rank):
         raise ValueError("bad rank vector")
-    ring = cached_ring(p, alpha)
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
     active = [
         a
         for a, (s, t) in enumerate(quiver.arrows)
         if rank[s] > 0 and rank[t] > 0
     ]
     coords = sum(2 * rank[quiver.arrows[a][0]] * rank[quiver.arrows[a][1]] for a in active)
-    if p ** (alpha * coords) > guard:
-        raise GuardError("enumeration too large")
+    work = p ** (alpha * coords) + p ** (2 * alpha)
+    if work > guard:
+        raise GuardError(
+            f"fiber enumeration estimate {work} > limit {guard}; raise --guard"
+        )
+    ring = cached_ring(p, alpha)
     if target is None:
         target = zero_target(quiver, rank)
     verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
@@ -186,11 +191,9 @@ def _matrix_fiber_count(quiver, rank, ring, target, active, verts) -> int:
         _all_matrices(ring, rank[quiver.arrows[a][0]], rank[quiver.arrows[a][1]])
         for a in active
     ]
-    tgt = tuple(target[i] for i in verts)
     count = 0
     for xs in product(*x_spaces):
         for ys in product(*y_spaces):
-            mu = []
             ok = True
             for i in verts:
                 n = rank[i]
@@ -201,7 +204,6 @@ def _matrix_fiber_count(quiver, rank, ring, target, active, verts) -> int:
                         acc = _mat_add(ring, acc, _mat_mul(ring, xs[k], ys[k]))
                     if s == i:
                         acc = _mat_sub(ring, acc, _mat_mul(ring, ys[k], xs[k]))
-                mu.append(acc)
                 if acc != target[i]:
                     ok = False
                     break
@@ -212,10 +214,6 @@ def _matrix_fiber_count(quiver, rank, ring, target, active, verts) -> int:
 
 # ----------------------------------------------------------------------
 # symbolic counting series
-
-
-def _one_minus_qinv() -> RatFunc:
-    return RatFunc(LaurentPoly({0: 1, -1: -1}))
 
 
 def kac_polynomial(quiver: Quiver, rank: Sequence[int], alpha: int) -> LaurentPoly:
@@ -257,11 +255,10 @@ def verify_exp_identity(
     if any(b > 1 for b in bound) and not (quiver.nvertices == 1 and bound[0] <= 2):
         raise ValueError("rank out of implemented range")
     series = TSeries.zero(quiver.nvertices, bound)
-    scale = _one_minus_qinv()
     for r in _rank_vectors(bound):
         a_poly = kac_polynomial(quiver, r, alpha)
         series = series + TSeries.monomial(
-            quiver.nvertices, bound, r, RatFunc(a_poly) / scale
+            quiver.nvertices, bound, r, RatFunc(a_poly) / ONE_MINUS_QINV
         )
     rhs_series = pleth_exp(series)
     qp = Fraction(p)
@@ -312,7 +309,7 @@ def verify_generic_fiber(
     rhs = (
         qp ** (-alpha * quiver.euler_form(rank, rank))
         * a_poly.evaluate(qp)
-        / _one_minus_qinv().evaluate(qp)
+        / ONE_MINUS_QINV.evaluate(qp)
     )
     return {
         "prime": p,
@@ -340,48 +337,6 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-ZSeries = dict[int, Fraction]
-
-
-def _z_from_poly(poly: LaurentPoly, floor: int) -> ZSeries:
-    return {e: c for e, c in poly.items() if e >= floor}
-
-
-def _z_mul(a: ZSeries, b: ZSeries, floor: int) -> ZSeries:
-    out: ZSeries = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e < floor:
-                continue
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _z_geometric(floor: int) -> ZSeries:
-    """sum_{k >= 1} z^-k, truncated below the floor."""
-    return {e: Fraction(1) for e in range(-1, floor - 1, -1)}
-
-
-def _z_shift(a: ZSeries, k: int, floor: int) -> ZSeries:
-    return {e + k: c for e, c in a.items() if e + k >= floor}
-
-
-def _z_add(a: ZSeries, b: ZSeries) -> ZSeries:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def e_series_check(quiver: Quiver, alpha: int, mode: str, order: int) -> dict:
     """Termwise comparison of graded-dimension generating series.
 
@@ -398,55 +353,51 @@ def e_series_check(quiver: Quiver, alpha: int, mode: str, order: int) -> dict:
     rank = (1,) * quiver.nvertices
     euler = quiver.euler_form(rank, rank)
     p_g = group_order_gl(rank, alpha)
-    scale = _one_minus_qinv()
     shift = -alpha * euler
 
-    polys: list[tuple[list[list[int]] | None, list[LaurentPoly]]] = []
+    # one list of A-polynomials per summand: the blocks of a set partition
     if mode == "zero-fiber":
-        for part in _set_partitions(list(range(quiver.nvertices))):
-            polys.append(
-                (part, [toric_kac_chain(quiver.restrict_vertices(block), alpha) for block in part])
-            )
+        polys = [
+            [toric_kac_chain(quiver.restrict_vertices(block), alpha) for block in part]
+            for part in _set_partitions(list(range(quiver.nvertices)))
+        ]
     else:
-        polys.append((None, [toric_kac_chain(quiver, alpha)]))
+        polys = [[toric_kac_chain(quiver, alpha)]]
 
     # counting polynomial of the fiber, from the summed identity
     total = RatFunc.zero()
-    for _, blocks in polys:
+    for blocks in polys:
         term = RatFunc.one()
         for a_poly in blocks:
-            term = term * (RatFunc(a_poly) / scale)
+            term = term * (RatFunc(a_poly) / ONE_MINUS_QINV)
         total = total + term
     p_x = (RatFunc(p_g) * RatFunc.q(shift) * total).as_polynomial()
     lhs = RatFunc(p_x, p_g).series_at_infinity(-order)
 
-    # direct series build: each block contributes A(z) * z * sum_{k>=1} z^-k
+    # direct series build: each block contributes A(z) * z * sum_{k>=1} z^-k,
+    # with every product truncated below the floor
     max_deg = max(
-        (sum(b.max_exp() for b in blocks if not b.is_zero()) for _, blocks in polys),
+        (sum(b.max_exp() for b in blocks if not b.is_zero()) for blocks in polys),
         default=0,
     )
     floor = -order - max_deg - abs(shift) - quiver.nvertices - 2
-    geom = _z_geometric(floor)
-    rhs: ZSeries = {}
-    for _, blocks in polys:
-        term: ZSeries = {0: Fraction(1)}
-        skip = False
+    geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})  # z * sum z^-k
+    rhs = LaurentPoly.zero()
+    for blocks in polys:
+        term = LaurentPoly.one()
         for a_poly in blocks:
-            if a_poly.is_zero():
-                skip = True
-                break
-            factor = _z_mul(_z_from_poly(a_poly, floor), _z_shift(geom, 1, floor), floor)
-            term = _z_mul(term, factor, floor)
-        if not skip:
-            rhs = _z_add(rhs, _z_shift(term, shift, floor))
+            term = LaurentPoly(
+                {e: c for e, c in (term * a_poly * geom).items() if e >= floor}
+            )
+        rhs = rhs + term.shift(shift)
 
-    exponents = sorted(set(lhs) | set(rhs), reverse=True)
+    exponents = sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True)
     rows = []
     equal = True
     for e in exponents:
         if e < -order:
             continue
-        le, re = lhs.get(e, Fraction(0)), rhs.get(e, Fraction(0))
+        le, re = lhs.get(e, Fraction(0)), rhs.coeff(e)
         if le != re:
             equal = False
         rows.append({"exponent": e, "lhs": str(le), "rhs": str(re), "equal": le == re})

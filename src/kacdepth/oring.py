@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
@@ -25,7 +26,7 @@ class GuardError(RuntimeError):
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
 

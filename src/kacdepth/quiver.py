@@ -1,6 +1,7 @@
 """Quivers as ordered directed multigraphs, with the graph operations used by
 the counting machinery: restriction, contraction, deletion, Betti numbers,
-connectivity, spanning trees and tree-path bookkeeping.
+connectivity (one union-find, ``vertex_roots``), spanning trees and
+tree-path bookkeeping.
 
 The arrow order is the list order.  It is preserved by restriction and
 deletion; contraction preserves the relative order of the surviving arrows.
@@ -16,6 +17,28 @@ from typing import Iterable, Sequence
 
 class QuiverFormatError(ValueError):
     """Raised for malformed quiver descriptions (bad JSON, bad indices)."""
+
+
+def vertex_roots(nvertices: int, arrows: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over the vertices: the component root of every vertex.
+
+    Two vertices get the same root exactly when the arrows, taken
+    undirected, connect them; the number of distinct roots is the number of
+    connected components.
+    """
+    parent = list(range(nvertices))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for s, t in arrows:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[rs] = rt
+    return [find(v) for v in range(nvertices)]
 
 
 @dataclass(frozen=True)
@@ -51,21 +74,9 @@ class Quiver:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph, each sorted."""
-        parent = list(range(self.nvertices))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for s, t in self.arrows:
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rs] = rt
         groups: dict[int, list[int]] = {}
-        for v in range(self.nvertices):
-            groups.setdefault(find(v), []).append(v)
+        for v, root in enumerate(vertex_roots(self.nvertices, self.arrows)):
+            groups.setdefault(root, []).append(v)
         return tuple(tuple(g) for g in sorted(groups.values()))
 
     def is_connected(self) -> bool:

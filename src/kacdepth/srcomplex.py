@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .quiver import Quiver
 from .toric import _mask_betti_tables, asymptotic_kac
-
-_ONE_MINUS_QINV = RatFunc(LaurentPoly({0: 1, -1: -1}))
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,11 @@ def _specialized_exponents(quiver: Quiver) -> dict[int, int]:
     return {mask: b - betti[mask] for mask in range(1, full)}
 
 
-def _face_weight(face: frozenset[int], exponents: dict[int, int]) -> RatFunc:
+def _face_weight(exps: tuple[int, ...]) -> RatFunc:
+    """Product of u / (1 - u) over u = q^-c for the exponents c of a face."""
     w = RatFunc.one()
-    for mask in face:
-        u = RatFunc.q(-exponents[mask])
+    for c in exps:
+        u = RatFunc.q(-c)
         w = w * (u / (RatFunc.one() - u))
     return w
 
@@ -115,11 +114,7 @@ def hilbert_specialized(quiver: Quiver) -> RatFunc:
         counts[key] = counts.get(key, 0) + 1
     total = RatFunc.zero()
     for key, mult in sorted(counts.items()):
-        w = RatFunc.one()
-        for c in key:
-            u = RatFunc.q(-c)
-            w = w * (u / (RatFunc.one() - u))
-        total = total + w * mult
+        total = total + _face_weight(key) * mult
     return total
 
 
@@ -131,7 +126,7 @@ def verify_hilbert_identity(quiver: Quiver) -> dict:
     """
     lhs = asymptotic_kac(quiver)
     b = quiver.betti()
-    prefactor = _ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b))
+    prefactor = ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b))
     rhs = prefactor * hilbert_specialized(quiver)
     return {
         "lhs": str(lhs),

@@ -26,37 +26,21 @@ from itertools import compress, product
 from math import comb
 from typing import Sequence
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, GuardError, OElem, cached_ring
-from .quiver import Quiver, ValuedTree, tree_path
+from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
 
 
 def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
     """Betti number and spanning-connectivity for every arrow subset mask."""
-    m = quiver.narrows
-    betti = [0] * (1 << m)
-    connected = [False] * (1 << m)
-    for mask in range(1 << m):
-        parent = list(range(quiver.nvertices))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        ncomp = quiver.nvertices
-        edges = 0
-        for a in range(m):
-            if mask >> a & 1:
-                edges += 1
-                s, t = quiver.arrows[a]
-                rs, rt = find(s), find(t)
-                if rs != rt:
-                    parent[rs] = rt
-                    ncomp -= 1
-        betti[mask] = ncomp - quiver.nvertices + edges
-        connected[mask] = ncomp == 1
+    n, arrows = quiver.nvertices, quiver.arrows
+    betti: list[int] = []
+    connected: list[bool] = []
+    for mask in range(1 << len(arrows)):
+        chosen = [arrows[a] for a in range(len(arrows)) if mask >> a & 1]
+        ncomp = len(set(vertex_roots(n, chosen)))
+        betti.append(ncomp - n + len(chosen))
+        connected.append(ncomp == 1)
     return betti, connected
 
 
@@ -214,26 +198,6 @@ def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
 # brute-force orbit oracle
 
 
-def _support_connected(quiver: Quiver, assignment: Sequence[int]) -> bool:
-    parent = list(range(quiver.nvertices))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    ncomp = quiver.nvertices
-    for a, code in enumerate(assignment):
-        if code:
-            s, t = quiver.arrows[a]
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rs] = rt
-                ncomp -= 1
-    return ncomp == 1
-
-
 def toric_orbit_count(
     quiver: Quiver, p: int, alpha: int, guard: int = DEFAULT_GUARD
 ) -> int:
@@ -246,16 +210,21 @@ def toric_orbit_count(
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
-    m = quiver.narrows
-    if p ** (alpha * m) > guard:
-        raise GuardError("enumeration too large")
+    m, n = quiver.narrows, quiver.nvertices
+    # points enumerated, plus the ring's p^(2 alpha)-entry tables
+    work = p ** (alpha * m) + p ** (2 * alpha)
+    if work > guard:
+        raise GuardError(
+            f"orbit enumeration estimate {work} > limit {guard}; raise --guard"
+        )
     ring = cached_ring(p, alpha)
     mul, inv = ring.mul, ring.inv
-    torus = list(product(ring.units, repeat=quiver.nvertices))
+    torus = list(product(ring.units, repeat=n))
     arrow_ends = list(quiver.arrows)
     count = 0
     for x in product(range(ring.size), repeat=m):
-        if not _support_connected(quiver, x):
+        # the support (arrows with a nonzero code) must connect all vertices
+        if len(set(vertex_roots(n, compress(arrow_ends, x)))) != 1:
             continue
         minimal = True
         for u in torus:
@@ -304,8 +273,7 @@ def asymptotic_kac(quiver: Quiver) -> RatFunc:
         factor = RatFunc(1, LaurentPoly({b - betti[mask]: 1, 0: -1}))
         weight[mask] = upper * factor
         total = total + weight[mask]
-    prefactor = RatFunc(LaurentPoly({0: 1, -1: -1})) ** b
-    return prefactor * total
+    return ONE_MINUS_QINV**b * total
 
 
 def asymptotic_moment(quiver: Quiver) -> RatFunc:
@@ -313,5 +281,4 @@ def asymptotic_moment(quiver: Quiver) -> RatFunc:
 
     Related to the toric limit by a factor (1-q^-1)^(#vertices - 1).
     """
-    factor = RatFunc(LaurentPoly({0: 1, -1: -1})) ** (quiver.nvertices - 1)
-    return factor * asymptotic_kac(quiver)
+    return ONE_MINUS_QINV ** (quiver.nvertices - 1) * asymptotic_kac(quiver)

@@ -39,6 +39,30 @@ def matrix_tree_count(quiver: Quiver) -> int:
     return int(_det_fraction(minor))
 
 
+def dfs_components(nvertices: int, arrows) -> tuple[tuple[int, ...], ...]:
+    """Connected components by depth-first search over adjacency lists."""
+    adj: list[list[int]] = [[] for _ in range(nvertices)]
+    for s, t in arrows:
+        adj[s].append(t)
+        adj[t].append(s)
+    seen: set[int] = set()
+    comps = []
+    for start in range(nvertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 def _det_fraction(m: list[list[Fraction]]) -> Fraction:
     n = len(m)
     m = [row[:] for row in m]

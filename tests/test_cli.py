@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kacdepth.cli import main
+from kacdepth.oring import cached_ring
 
 
 @pytest.fixture()
@@ -146,6 +147,28 @@ def test_guard_exits_3(kron_file):
 def test_kac_chain_guard_exits_3(kron_file, capsys):
     assert main(["kac", "--quiver", kron_file, "--guard", "3"]) == 3
     assert "--guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", ["orbit-count", "moment-fiber"])
+def test_oracle_guard_counts_ring_tables(oracle, tmp_path, capsys):
+    # no arrows: one point to enumerate, but the ring tables hold 11^2 entries
+    path = tmp_path / "point.json"
+    path.write_text('{"vertices": 1, "arrows": []}')
+    before = cached_ring.cache_info()
+    args = ["oracle", oracle, "--quiver", str(path), "--p", "11", "--alpha", "1"]
+    assert main(args + ["--guard", "100"]) == 3
+    assert "estimate 122 > limit 100; raise --guard" in capsys.readouterr().err
+    assert cached_ring.cache_info() == before
+    assert main(args + ["--guard", "122"]) == 0
+
+
+def test_huge_prime_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text('{"vertices": 1, "arrows": []}')
+    p = str(10**309 + 1)
+    args = ["oracle", "moment-fiber", "--quiver", str(path), "--p", p, "--alpha", "1"]
+    assert main(args + ["--guard", str(10**700)]) == 2
+    assert "is not prime" in capsys.readouterr().err
 
 
 def test_identity_failure_exits_1(kron_file, monkeypatch, capsys):

@@ -21,6 +21,11 @@ class TestElements:
         assert inv == OElem(3, 2, (1, 2))
         assert e * inv == OElem.one(3, 2)
 
+    def test_huge_composite_modulus_rejected(self):
+        # 11 divides 10^309 + 1; a float square root of it would overflow
+        with pytest.raises(ValueError, match="not prime"):
+            OElem(10**309 + 1, 1, (0,))
+
     def test_inverse_of_non_unit(self):
         with pytest.raises(ValueError, match="non-unit"):
             OElem(3, 2, (0, 1)).inverse()

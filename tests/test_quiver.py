@@ -5,10 +5,11 @@ import random
 import pytest
 
 from kacdepth import Quiver, ValuedTree, push_forward, tree_path_data
+from kacdepth.catalog import quiver_catalog
 from kacdepth.quiver import QuiverFormatError, tree_path
 from kacdepth.moment import _set_partitions
 
-from helpers import matrix_tree_count, random_connected_quiver, random_quiver
+from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
@@ -26,6 +27,10 @@ class TestBasics:
         assert Quiver(2, ()).components() == ((0,), (1,))
         assert TRIANGLE.components() == ((0, 1, 2),)
         assert Quiver(4, TRIANGLE.arrows).components() == ((0, 1, 2), (3,))
+
+    def test_components_match_dfs_catalog(self):
+        for q in quiver_catalog(4, 5, connected=False):
+            assert q.components() == dfs_components(q.nvertices, q.arrows)
 
     def test_two_connected_examples(self):
         assert not A2.is_two_connected()

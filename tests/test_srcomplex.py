@@ -40,7 +40,7 @@ class TestComplex:
         cx = order_complex(Quiver(1, ((0, 0),)))
         assert cx.faces() == [frozenset()]
         # formal Hilbert series of the empty complex is 1
-        assert _face_weight(frozenset(), {}) == RatFunc.one()
+        assert _face_weight(()) == RatFunc.one()
 
     def test_face_and_facet_counts_against_recursion(self):
         for n in range(2, 6):

@@ -20,11 +20,14 @@ from kacdepth import (
     toric_orbit_count,
     tree_stratum_census,
 )
+from kacdepth.catalog import quiver_catalog
 from kacdepth.oring import cached_ring
+from kacdepth.toric import _mask_betti_tables
 
 from helpers import (
     chain_sum_dict,
     chain_sum_naive,
+    dfs_components,
     random_connected_quiver,
     stratum_inequalities_hold,
 )
@@ -87,6 +90,15 @@ class TestChainSum:
         assert toric_kac_chain(KRON, 3, guard=16) == toric_kac_chain(KRON, 3)
         with pytest.raises(GuardError, match=r"estimate 16 .*limit 15.*--guard"):
             toric_kac_chain(KRON, 3, guard=15)
+
+    def test_mask_tables_match_dfs_catalog(self):
+        for q in quiver_catalog(4, 5, connected=False):
+            betti, connected = _mask_betti_tables(q)
+            for mask in range(1 << q.narrows):
+                arrows = [q.arrows[a] for a in range(q.narrows) if mask >> a & 1]
+                ncomp = len(dfs_components(q.nvertices, arrows))
+                assert betti[mask] == ncomp - q.nvertices + len(arrows), (q, mask)
+                assert connected[mask] == (ncomp == 1), (q, mask)
 
     def test_degree_is_alpha_betti(self, catalog_3v_3a):
         for q in catalog_3v_3a:
