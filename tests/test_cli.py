@@ -16,6 +16,13 @@ def kron_file(tmp_path):
 
 
 @pytest.fixture()
+def point_file(tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text('{"vertices": 1, "arrows": []}')
+    return str(path)
+
+
+@pytest.fixture()
 def a2_file(tmp_path):
     path = tmp_path / "a2.json"
     path.write_text('{"vertices": 2, "arrows": [[0, 1]]}')
@@ -150,23 +157,19 @@ def test_kac_chain_guard_exits_3(kron_file, capsys):
 
 
 @pytest.mark.parametrize("oracle", ["orbit-count", "moment-fiber"])
-def test_oracle_guard_counts_ring_tables(oracle, tmp_path, capsys):
+def test_oracle_guard_counts_ring_tables(oracle, point_file, capsys):
     # no arrows: one point to enumerate, but the ring tables hold 11^2 entries
-    path = tmp_path / "point.json"
-    path.write_text('{"vertices": 1, "arrows": []}')
     before = cached_ring.cache_info()
-    args = ["oracle", oracle, "--quiver", str(path), "--p", "11", "--alpha", "1"]
+    args = ["oracle", oracle, "--quiver", point_file, "--p", "11", "--alpha", "1"]
     assert main(args + ["--guard", "100"]) == 3
     assert "estimate 122 > limit 100; raise --guard" in capsys.readouterr().err
     assert cached_ring.cache_info() == before
     assert main(args + ["--guard", "122"]) == 0
 
 
-def test_huge_prime_is_a_user_error(tmp_path, capsys):
-    path = tmp_path / "point.json"
-    path.write_text('{"vertices": 1, "arrows": []}')
+def test_huge_prime_is_a_user_error(point_file, capsys):
     p = str(10**309 + 1)
-    args = ["oracle", "moment-fiber", "--quiver", str(path), "--p", p, "--alpha", "1"]
+    args = ["oracle", "moment-fiber", "--quiver", point_file, "--p", p, "--alpha", "1"]
     assert main(args + ["--guard", str(10**700)]) == 2
     assert "is not prime" in capsys.readouterr().err
 
