@@ -114,8 +114,8 @@ def _cmd_kac(args) -> dict:
 
 def _cmd_asymptotic(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    a_q = asymptotic_kac(quiver)
-    b_q = asymptotic_moment(quiver)
+    a_q = asymptotic_kac(quiver, args.guard)
+    b_q = asymptotic_moment(quiver, args.guard)
     return {
         "schema": SCHEMA,
         "command": "asymptotic",
@@ -179,7 +179,7 @@ def _cmd_verify(args) -> dict:
             "text": text,
         }
     if args.identity == "thm41":
-        report = verify_hilbert_identity(quiver)
+        report = verify_hilbert_identity(quiver, guard=args.guard)
         report.update(
             {
                 "schema": SCHEMA,
@@ -198,8 +198,8 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_shelling(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    shelling = lex_shelling(order_complex(quiver))
-    cert = positivity_certificate(quiver)
+    shelling = lex_shelling(order_complex(quiver, guard=args.guard), guard=args.guard)
+    cert = positivity_certificate(quiver, guard=args.guard)
     report = {
         "schema": SCHEMA,
         "command": "shelling",

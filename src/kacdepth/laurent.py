@@ -1,11 +1,17 @@
 """Exact univariate Laurent polynomials and rational functions in q.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``).  A
-Laurent polynomial is stored sparsely as a mapping from integer exponent to
-nonzero coefficient; the zero polynomial is the empty mapping.  Rational
-functions are reduced to a canonical form (coprime after clearing q-powers,
-denominator with constant term and monic leading coefficient) so that
-equality of values is equality of representations.
+Coefficients are exact rationals stored integer-first: an integral
+coefficient is an ``int``, and only a non-integral one is a
+``fractions.Fraction`` (a ``Fraction`` with denominator 1 is stored as its
+``int``).  A Laurent polynomial is stored sparsely as a mapping from integer
+exponent to nonzero coefficient; the zero polynomial is the empty mapping.
+Rational functions are reduced to a canonical form (coprime after clearing
+q-powers, denominator with constant term and monic leading coefficient) so
+that equality of values is equality of representations.
+
+Gcds are taken fraction-free: denominators are cleared into dense integer
+coefficient lists and a primitive pseudo-remainder sequence runs on them
+(W. S. Brown, J. ACM 18, 1971).
 
 No floating point is used anywhere.
 """
@@ -13,12 +19,21 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 Rational = int | Fraction
 
 
-def _fmt_coeff(c: Fraction) -> str:
+def _exact(c: Rational) -> Rational:
+    """c as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fmt_coeff(c: Rational) -> str:
     return str(c.numerator) if c.denominator == 1 else f"({c})"
 
 
@@ -28,13 +43,23 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None) -> None:
-        data: dict[int, Fraction] = {}
+        data: dict[int, Rational] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c != 0:
                     data[int(e)] = c
         self._coeffs = data
+
+    @classmethod
+    def _settled(cls, data: dict[int, Rational]) -> "LaurentPoly":
+        """Wrap nonzero coefficients, turning integral ``Fraction`` values into ``int``."""
+        for e, c in data.items():
+            if type(c) is not int and c.denominator == 1:
+                data[e] = c.numerator
+        result = cls.__new__(cls)
+        result._coeffs = data
+        return result
 
     # ------------------------------------------------------------------
     # constructors
@@ -59,11 +84,11 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # inspection
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, Rational]]:
         return iter(sorted(self._coeffs.items()))
 
-    def coeff(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+    def coeff(self, exponent: int) -> Rational:
+        return self._coeffs.get(exponent, 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -80,7 +105,7 @@ class LaurentPoly:
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._coeffs.values())
+        return all(type(c) is int for c in self._coeffs.values())
 
     def is_nonnegative(self) -> bool:
         """True when every coefficient is >= 0."""
@@ -106,21 +131,19 @@ class LaurentPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._settled({e: -c for e, c in self._coeffs.items()})
 
     def __add__(self, other: "LaurentPoly | Rational") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.term(other)
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        result = LaurentPoly()
-        result._coeffs = out
-        return result
+        return LaurentPoly._settled(out)
 
     __radd__ = __add__
 
@@ -134,20 +157,20 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Rational") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
-        out: dict[int, Fraction] = {}
+            other = _exact(other)
+            if not other:
+                return LaurentPoly()
+            return LaurentPoly._settled({e: c * other for e, c in self._coeffs.items()})
+        out: dict[int, Rational] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        result = LaurentPoly()
-        result._coeffs = out
-        return result
+        return LaurentPoly._settled(out)
 
     __rmul__ = __mul__
 
@@ -165,13 +188,13 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q**k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._settled({e + k: c for e, c in self._coeffs.items()})
 
     def scale_exponents(self, m: int) -> "LaurentPoly":
         """Substitute q -> q**m (m >= 1), i.e. multiply all exponents by m."""
         if m < 1:
             raise ValueError("invalid Adams index")
-        return LaurentPoly({e * m: c for e, c in self._coeffs.items()})
+        return LaurentPoly._settled({e * m: c for e, c in self._coeffs.items()})
 
     def evaluate(self, x: Rational) -> Fraction:
         x = Fraction(x)
@@ -212,31 +235,114 @@ class LaurentPoly:
         ]
 
 
+# ----------------------------------------------------------------------
+# dense division and gcd of ordinary polynomials (min_exp >= 0)
+
+
+def _dense(p: LaurentPoly) -> list[Rational]:
+    """Coefficients of a nonzero ordinary polynomial, leading one first."""
+    coeffs = p._coeffs
+    if min(coeffs) < 0:
+        raise ValueError(f"not an ordinary polynomial: {p}")
+    top = max(coeffs)
+    out: list[Rational] = [0] * (top + 1)
+    for e, c in coeffs.items():
+        out[top - e] = c
+    return out
+
+
+def _sparse(dense: list[Rational], scale: Rational = 1) -> LaurentPoly:
+    """The polynomial with coefficients ``dense`` (leading first), times ``scale``."""
+    top = len(dense) - 1
+    return LaurentPoly._settled(
+        {top - i: c * scale for i, c in enumerate(dense) if c}
+    )
+
+
+def _primitive(a: list[Rational]) -> list[int]:
+    """The primitive integer multiple of ``a`` with a positive leading coefficient."""
+    d = lcm(*(c.denominator for c in a))
+    a = [c.numerator * (d // c.denominator) for c in a]
+    g = gcd(*a)
+    if a[0] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a nonzero integer, leading zeros stripped.
+
+    Each step cancels the leading term with the smallest integer multipliers,
+    so no denominator is ever formed; [] when b divides a.  Needs
+    len(a) >= len(b) >= 2.
+    """
+    r = list(a)
+    n, m = len(a), len(b)
+    lb = b[0]
+    for i in range(n - m + 1):
+        c = r[i]
+        if not c:
+            continue
+        g = gcd(c, lb)
+        f, c = lb // g, c // g
+        if f != 1:
+            for j in range(i + 1, n):
+                r[j] *= f
+        for j in range(1, m):
+            r[i + j] -= c * b[j]
+    k = n - m + 1
+    while k < n and not r[k]:
+        k += 1
+    return r[k:]
+
+
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Quotient and remainder of ordinary polynomials (min_exp >= 0)."""
+    """Quotient and remainder over Q of ordinary polynomials (min_exp >= 0).
+
+    Long division on dense coefficient lists; a quotient coefficient stays an
+    ``int`` whenever the leading coefficient of b divides it exactly, so an
+    exact division in Z[q] forms no ``Fraction``.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
-    quo = LaurentPoly.zero()
-    rem = a
-    db = b.max_exp()
-    lead = b.coeff(db)
-    while not rem.is_zero() and rem.max_exp() >= db:
-        e = rem.max_exp() - db
-        c = rem.coeff(rem.max_exp()) / lead
-        t = LaurentPoly.term(c, e)
-        quo = quo + t
-        rem = rem - t * b
-    return quo, rem
+    if a.is_zero():
+        return LaurentPoly(), LaurentPoly()
+    r, d = _dense(a), _dense(b)
+    lead, m = d[0], len(d)
+    quo: list[Rational] = []
+    for i in range(len(r) - m + 1):
+        c = r[i]
+        if type(c) is int and type(lead) is int and c % lead == 0:
+            c //= lead
+        else:
+            c = Fraction(c) / lead
+        quo.append(c)
+        if c:
+            for j in range(1, m):
+                r[i + j] -= c * d[j]
+    return _sparse(quo), _sparse(r[len(quo):])
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials over the rationals."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
+    """Monic gcd over the rationals of ordinary polynomials (min_exp >= 0).
+
+    Runs a primitive pseudo-remainder sequence on the primitive integer
+    multiples of a and b; the gcd of two zeros is zero.
+    """
     if a.is_zero():
-        return a
-    return a * (1 / a.coeff(a.max_exp()))
+        a, b = b, a
+    if a.is_zero():
+        return LaurentPoly()
+    g = _primitive(_dense(a))
+    h = [] if b.is_zero() else _primitive(_dense(b))
+    if len(g) < len(h):
+        g, h = h, g
+    while len(h) > 1:
+        r = _prem(g, h)
+        g, h = h, (_primitive(r) if r else [])
+    if h:  # a nonzero constant, [1] once primitive
+        g = h
+    return _sparse(g, 1 if g[0] == 1 else Fraction(1, g[0]))
 
 
 class RatFunc:
@@ -264,12 +370,14 @@ class RatFunc:
         a, b = num.min_exp(), den.min_exp()
         nu, de = num.shift(-a), den.shift(-b)
         g = poly_gcd(nu, de)
-        if g != LaurentPoly.one():
+        if g.max_exp() > 0:
             nu, _ = poly_divmod(nu, g)
             de, _ = poly_divmod(de, g)
+        nu = nu.shift(a - b)
         lead = de.coeff(de.max_exp())
-        self.num = nu.shift(a - b) * (1 / lead)
-        self.den = de * (1 / lead)
+        if lead != 1:
+            nu, de = nu * Fraction(1, lead), de * Fraction(1, lead)
+        self.num, self.den = nu, de
 
     # ------------------------------------------------------------------
 
@@ -364,7 +472,7 @@ class RatFunc:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return self.num.evaluate(x) / d
 
-    def series_at_infinity(self, min_exp: int) -> dict[int, Fraction]:
+    def series_at_infinity(self, min_exp: int) -> dict[int, Rational]:
         """Laurent expansion in q**-1 around q = infinity.
 
         Returns coefficients for every exponent >= ``min_exp``.
@@ -374,23 +482,23 @@ class RatFunc:
         d = self.den.max_exp()
         den_lower = [(i - d, c) for i, c in self.den.items() if i != d]
         # 1/den = q^-d * (1 + u)^-1, expanded far enough to cover min_exp
-        inv: dict[int, Fraction] = {-d: Fraction(1)}
+        inv: dict[int, Rational] = {-d: 1}
         floor = min_exp - self.num.max_exp()
         for e in range(-d - 1, floor - 1, -1):
-            s = Fraction(0)
+            s = 0
             for off, c in den_lower:
                 t = inv.get(e - off)
                 if t is not None:
                     s -= c * t
             if s:
                 inv[e] = s
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for e1, c1 in self.num.items():
             for e2, c2 in inv.items():
                 e = e1 + e2
                 if e < min_exp:
                     continue
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:

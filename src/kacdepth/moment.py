@@ -53,6 +53,11 @@ def generic_target(
     Codes are base-p digit strings, so lam_i t^(alpha-1) has code
     (lam_i mod p) * p^(alpha-1).
     """
+    for name, vec in (("lam", lam), ("rank", rank)):
+        if len(vec) != quiver.nvertices:
+            raise ValueError(
+                f"{name} has {len(vec)} entries; expected {quiver.nvertices}, one per vertex"
+            )
     out = []
     for i in range(quiver.nvertices):
         scalar = (lam[i] % p) * p ** (alpha - 1)

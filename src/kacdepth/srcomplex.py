@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb, factorial
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
+from .oring import DEFAULT_GUARD, GuardError
 from .quiver import Quiver
 from .toric import _mask_betti_tables, asymptotic_kac
 
@@ -39,9 +41,18 @@ class OrderComplex:
     def vertices(self) -> list[int]:
         return [m for m in range(1, (1 << self.narrows) - 1)]
 
-    def faces(self) -> list[frozenset[int]]:
-        """Every chain of proper nonempty subsets, including the empty chain."""
+    def faces(self, guard: int = DEFAULT_GUARD) -> list[frozenset[int]]:
+        """Every chain of proper nonempty subsets, including the empty chain.
+
+        There are Fubini(m) of them (ordered set partitions of the m
+        arrows); that count must not exceed guard.
+        """
         n = self.narrows
+        fubini = [1]
+        for k in range(1, n + 1):
+            fubini.append(sum(comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
+        if fubini[n] > guard:
+            raise GuardError(f"face list estimate {fubini[n]} > limit {guard}; raise --guard")
         masks = self.vertices()
         # chains ordered by popcount; extend chains upward
         by_count: dict[int, list[int]] = {}
@@ -63,11 +74,17 @@ class OrderComplex:
         return [frozenset(c) for c in chains]
 
 
-def order_complex(quiver: Quiver) -> OrderComplex:
-    """Build the order complex of the proper arrow-subset lattice."""
+def order_complex(quiver: Quiver, guard: int = DEFAULT_GUARD) -> OrderComplex:
+    """Build the order complex of the proper arrow-subset lattice.
+
+    The work estimate m! * m (facets times chain length) must not exceed guard.
+    """
     n = quiver.narrows
     if n < 1:
         return OrderComplex(0, (), ())
+    work = factorial(n) * n
+    if work > guard:
+        raise GuardError(f"order complex estimate {work} > limit {guard}; raise --guard")
     facets = []
     words = []
     for word in permutations(range(n)):
@@ -100,16 +117,17 @@ def _face_weight(exps: tuple[int, ...]) -> RatFunc:
     return w
 
 
-def hilbert_specialized(quiver: Quiver) -> RatFunc:
+def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """Fine Hilbert series at u_E = q^-(b(Q)-b(Q|_E)), summed over all faces.
 
     The weight of a face depends only on its multiset of exponents, so faces
-    are grouped by that multiset before the rational-function sum.
+    are grouped by that multiset before the rational-function sum.  The
+    order complex is built first: its guard also bounds the 2^m exponent table.
     """
+    complex_ = order_complex(quiver, guard)
     exponents = _specialized_exponents(quiver)
-    complex_ = order_complex(quiver)
     counts: dict[tuple[int, ...], int] = {}
-    for face in complex_.faces():
+    for face in complex_.faces(guard):
         key = tuple(sorted(exponents[m] for m in face))
         counts[key] = counts.get(key, 0) + 1
     total = RatFunc.zero()
@@ -118,16 +136,16 @@ def hilbert_specialized(quiver: Quiver) -> RatFunc:
     return total
 
 
-def verify_hilbert_identity(quiver: Quiver) -> dict:
+def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
     """Check the asymptotic toric count against the prefactored Hilbert series.
 
     Both sides are computed along independent code paths and compared as
     canonical rational functions.
     """
-    lhs = asymptotic_kac(quiver)
+    lhs = asymptotic_kac(quiver, guard)
     b = quiver.betti()
     prefactor = ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b))
-    rhs = prefactor * hilbert_specialized(quiver)
+    rhs = prefactor * hilbert_specialized(quiver, guard)
     return {
         "lhs": str(lhs),
         "rhs": str(rhs),
@@ -148,7 +166,7 @@ class ShellingOrder:
     restrictions: tuple[frozenset[int], ...]
 
 
-def lex_shelling(complex_: OrderComplex) -> ShellingOrder:
+def lex_shelling(complex_: OrderComplex, guard: int = DEFAULT_GUARD) -> ShellingOrder:
     """Order the facets by their insertion words and verify shellability.
 
     The shelling condition demands, for every i >= 2 and j < i, some k < i
@@ -157,9 +175,13 @@ def lex_shelling(complex_: OrderComplex) -> ShellingOrder:
     the condition for j holds iff some achievable missing vertex avoids F_j;
     it fails exactly when the set of achievable missing vertices is contained
     in F_j.  The restriction face of F_i is that set of missing vertices.
+    The work estimate (m!)^2 facet pairs must not exceed guard.
     """
     if complex_.narrows < 2:
         raise ValueError("shelling needs at least two arrows")
+    work = len(complex_.facets) ** 2
+    if work > guard:
+        raise GuardError(f"shelling estimate {work} > limit {guard}; raise --guard")
     order = sorted(range(len(complex_.facets)), key=lambda i: complex_.words[i])
     facets = [complex_.facets[i] for i in order]
     d = complex_.dim
@@ -184,7 +206,7 @@ def lex_shelling(complex_: OrderComplex) -> ShellingOrder:
     return ShellingOrder(tuple(facets), tuple(restrictions))
 
 
-def positivity_certificate(quiver: Quiver) -> dict:
+def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
     """Shelling decomposition of the specialized Hilbert series.
 
     Emits one term per facet: a monomial numerator q^-(sum of restriction
@@ -194,8 +216,9 @@ def positivity_certificate(quiver: Quiver) -> dict:
     """
     if quiver.narrows < 2:
         raise ValueError("certificate needs at least two arrows")
+    complex_ = order_complex(quiver, guard)
     exponents = _specialized_exponents(quiver)
-    shelling = lex_shelling(order_complex(quiver))
+    shelling = lex_shelling(complex_, guard)
     terms = []
     grouped: dict[tuple[int, ...], LaurentPoly] = {}
     for facet, restriction in zip(shelling.facets, shelling.restrictions):
@@ -213,7 +236,7 @@ def positivity_certificate(quiver: Quiver) -> dict:
         for c in fac_exps:
             den = den * (RatFunc.one() - RatFunc.q(-c))
         total = total + RatFunc(num) / den
-    direct = hilbert_specialized(quiver)
+    direct = hilbert_specialized(quiver, guard)
     report = {
         "terms": terms,
         "total": str(total),

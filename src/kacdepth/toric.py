@@ -244,16 +244,20 @@ def toric_orbit_count(
 
 
 @lru_cache(maxsize=None)
-def asymptotic_kac(quiver: Quiver) -> RatFunc:
+def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """Limit of q^(-alpha b(Q)) times the depth-alpha toric count.
 
     Exists exactly when the quiver is 2-connected, and equals
     (1-q^-1)^b(Q) times the sum over strictly increasing chains of arrow
     subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1).
+    The work estimate 3^m (subset, superset) steps must not exceed guard.
     """
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
     m = quiver.narrows
+    work = 3**m
+    if work > guard:
+        raise GuardError(f"asymptotic sum estimate {work} > limit {guard}; raise --guard")
     betti, _ = _mask_betti_tables(quiver)
     b = quiver.betti()
     full = (1 << m) - 1
@@ -276,9 +280,9 @@ def asymptotic_kac(quiver: Quiver) -> RatFunc:
     return ONE_MINUS_QINV**b * total
 
 
-def asymptotic_moment(quiver: Quiver) -> RatFunc:
+def asymptotic_moment(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """Limit of the normalised moment-map zero-fiber count.
 
     Related to the toric limit by a factor (1-q^-1)^(#vertices - 1).
     """
-    return ONE_MINUS_QINV ** (quiver.nvertices - 1) * asymptotic_kac(quiver)
+    return ONE_MINUS_QINV ** (quiver.nvertices - 1) * asymptotic_kac(quiver, guard)

@@ -252,6 +252,69 @@ def fit_polynomial(points: list[tuple[int, Fraction]]) -> LaurentPoly:
 
 
 # ----------------------------------------------------------------------
+# rational-function oracles: sparse Euclid over Q on Fraction dicts
+
+
+def _fraction_dict(poly: LaurentPoly) -> dict[int, Fraction]:
+    return {e: Fraction(c) for e, c in poly.items()}
+
+
+def _euclid_divmod(a: dict, b: dict) -> tuple[dict, dict]:
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    quo, rem = {}, dict(a)
+    db = max(b)
+    while rem and max(rem) >= db:
+        top = max(rem)
+        c, e = rem[top] / b[db], top - db
+        quo[e] = c
+        for eb, cb in b.items():
+            v = rem.get(e + eb, Fraction(0)) - c * cb
+            if v:
+                rem[e + eb] = v
+            else:
+                rem.pop(e + eb, None)
+    return quo, rem
+
+
+def _euclid_gcd(a: dict, b: dict) -> dict:
+    while b:
+        a, b = b, _euclid_divmod(a, b)[1]
+    if not a:
+        return {}
+    lead = a[max(a)]
+    return {e: c / lead for e, c in a.items()}
+
+
+def euclid_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Quotient and remainder over Q by sparse Euclidean division."""
+    quo, rem = _euclid_divmod(_fraction_dict(a), _fraction_dict(b))
+    return LaurentPoly(quo), LaurentPoly(rem)
+
+
+def euclid_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd over Q by the Euclidean algorithm; zero for two zeros."""
+    return LaurentPoly(_euclid_gcd(_fraction_dict(a), _fraction_dict(b)))
+
+
+def euclid_normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The canonical (numerator, denominator) of num/den, reduced by Euclid over Q."""
+    n, d = _fraction_dict(num), _fraction_dict(den)
+    if not n:
+        return LaurentPoly.zero(), LaurentPoly.one()
+    a, b = min(n), min(d)
+    n = {e - a: c for e, c in n.items()}
+    d = {e - b: c for e, c in d.items()}
+    g = _euclid_gcd(n, d)
+    n, d = _euclid_divmod(n, g)[0], _euclid_divmod(d, g)[0]
+    lead = d[max(d)]
+    return (
+        LaurentPoly({e + a - b: c / lead for e, c in n.items()}),
+        LaurentPoly({e: c / lead for e, c in d.items()}),
+    )
+
+
+# ----------------------------------------------------------------------
 # stratum inequalities
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -165,6 +166,38 @@ def test_oracle_guard_counts_ring_tables(oracle, point_file, capsys):
     assert "estimate 122 > limit 100; raise --guard" in capsys.readouterr().err
     assert cached_ring.cache_info() == before
     assert main(args + ["--guard", "122"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["asymptotic"], "asymptotic sum estimate 9 > limit 8"),
+        (["verify", "thm41"], "asymptotic sum estimate 9 > limit 8"),
+        (["shelling"], "order complex estimate 4 > limit 3"),
+    ],
+)
+def test_symbolic_routes_use_guard(command, message, kron_file, capsys):
+    limit = int(message.rsplit(" ", 1)[1])
+    assert main([*command, "--quiver", kron_file, "--guard", str(limit)]) == 3
+    assert f"{message}; raise --guard" in capsys.readouterr().err
+    assert main([*command, "--quiver", kron_file, "--guard", str(limit + 1)]) == 0
+
+
+@pytest.mark.parametrize("guard", [[], ["--guard", "10"]])
+def test_shelling_kronecker12_refused_fast(guard, tmp_path, capsys):
+    path = tmp_path / "kronecker12.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 12}))
+    start = time.perf_counter()
+    assert main(["shelling", "--quiver", str(path), *guard]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "order complex estimate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["1", "1,-1,0"])
+def test_moment_fiber_lam_length_is_a_user_error(lam, a2_file, capsys):
+    args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "1"]
+    assert main(args + [f"--lam={lam}"]) == 2
+    assert "expected 2, one per vertex" in capsys.readouterr().err
 
 
 def test_huge_prime_is_a_user_error(point_file, capsys):

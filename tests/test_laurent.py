@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kacdepth import LaurentPoly, RatFunc
+from kacdepth.laurent import poly_divmod, poly_gcd
 
-from helpers import random_laurent, random_nonzero_laurent, random_ratfunc
+from helpers import (
+    euclid_divmod,
+    euclid_gcd,
+    euclid_normal_form,
+    random_laurent,
+    random_nonzero_laurent,
+    random_ratfunc,
+)
 
 Q = LaurentPoly.q()
 
@@ -25,6 +33,32 @@ def laurents_st(max_terms=4):
     return st.dictionaries(
         st.integers(min_value=-3, max_value=4), st_fraction(), max_size=max_terms
     ).map(LaurentPoly)
+
+
+def integral_laurents_st(max_terms=4):
+    return st.dictionaries(
+        st.integers(min_value=-3, max_value=4),
+        st.integers(min_value=-6, max_value=6),
+        max_size=max_terms,
+    ).map(LaurentPoly)
+
+
+def factors_st():
+    """Rational or integral coefficients, any leading coefficient, negative exponents."""
+    return st.one_of(laurents_st(), integral_laurents_st())
+
+
+def nonzero_factors_st():
+    scalars = st.sampled_from([2, 3, 6, -6, Fraction(2, 3)]).map(LaurentPoly.term)
+    return st.one_of(scalars, factors_st().filter(bool))
+
+
+def ordinary(poly):
+    return poly if poly.is_zero() else poly.shift(-poly.min_exp())
+
+
+def stored_coefficients(poly):
+    return [c for _, c in poly.items()]
 
 
 class TestLaurentPoly:
@@ -168,3 +202,81 @@ class TestRatFuncArithmetic:
             prod = LaurentPoly(series) * r.den
             diff = prod - r.num
             assert diff.is_zero() or diff.max_exp() < -6 + r.den.max_exp()
+
+
+class TestFractionFreeGcd:
+    """The integer-first routes against the sparse Euclid-over-Q oracle."""
+
+    @given(factors_st(), nonzero_factors_st(), nonzero_factors_st())
+    def test_normal_form_matches_euclid_oracle(self, f, g, h):
+        r = RatFunc(f * h, g * h)
+        num, den = euclid_normal_form(f * h, g * h)
+        assert (r.num, r.den) == (num, den)
+        assert str(r) == str(RatFunc(f, g))
+
+    @given(factors_st(), factors_st(), nonzero_factors_st())
+    def test_poly_gcd_matches_euclid_oracle(self, f, g, h):
+        a, b = ordinary(f * h), ordinary(g)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        b = ordinary(g * h)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+    @given(factors_st(), nonzero_factors_st())
+    def test_poly_divmod_matches_euclid_oracle(self, f, g):
+        a, b = ordinary(f), ordinary(g)
+        assert poly_divmod(a, b) == euclid_divmod(a, b)
+
+    def test_gcd_of_zeros(self):
+        assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()
+        assert poly_gcd(LaurentPoly.zero(), 2 * Q + 1) == Q + Fraction(1, 2)
+
+    def test_laurent_input_rejected(self):
+        with pytest.raises(ValueError, match="not an ordinary polynomial"):
+            poly_gcd(LaurentPoly({-1: 1}), Q)
+
+
+class TestIntegerCoefficients:
+    """Integral values are stored as int; output formats are unaffected."""
+
+    @given(
+        integral_laurents_st(),
+        integral_laurents_st(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+    )
+    def test_ring_operations_keep_int(self, a, b, n, k):
+        for poly in (a + b, a - b, a * b, a**n, a.shift(k), -a, 3 - a, Fraction(4, 2) * a):
+            assert all(type(c) is int for c in stored_coefficients(poly))
+            assert poly.to_triples() == [[e, str(c), "1"] for e, c in poly.items()]
+
+    @given(
+        integral_laurents_st(),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+        integral_laurents_st().filter(bool),
+    )
+    def test_normalisation_keeps_int(self, f, cyclotomic, h):
+        # the reduced denominator is monic, so an integral quotient stays int
+        # even when the monic gcd has Fraction coefficients (h = 2q + 1, say)
+        den = LaurentPoly.one()
+        for c in cyclotomic:
+            den = den * (LaurentPoly({c: 1, 0: -1}))
+        r = RatFunc(f * h, den * h)
+        for poly in (r.num, r.den):
+            assert all(type(c) is int for c in stored_coefficients(poly))
+
+    def test_formats(self):
+        cube = (Q - 1) ** 3
+        assert str(cube) == "q^3-3q^2+3q-1"
+        assert cube.to_triples() == [[0, "-1", "1"], [1, "3", "1"], [2, "-3", "1"], [3, "1", "1"]]
+        mixed = LaurentPoly({1: Fraction(4, 2), 0: Fraction(1, 2)})
+        assert type(mixed.coeff(1)) is int and type(mixed.coeff(0)) is Fraction
+        assert str(mixed) == "2q+(1/2)"
+        assert mixed.to_triples() == [[0, "1", "2"], [1, "2", "1"]]
+        assert (mixed * 2).to_triples() == [[0, "1", "1"], [1, "4", "1"]]
+        assert LaurentPoly.zero().coeff(5) == 0 and type(LaurentPoly.zero().coeff(5)) is int
+
+    def test_repr_shows_int(self):
+        assert repr(LaurentPoly({0: Fraction(1, 1)})) == "LaurentPoly({0: 1})"
+        r = RatFunc((2 * Q + 1) * (Q + 1), (2 * Q + 1) * (Q - 1))
+        assert repr(r) == "RatFunc(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: -1, 1: 1}))"
+        assert str(r) == "(q+1)/(q-1)"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from kacdepth import (
+    GuardError,
     LaurentPoly,
     Quiver,
     RatFunc,
@@ -48,6 +49,28 @@ class TestComplex:
             cx = order_complex(quiver)
             assert len(cx.facets) == math.factorial(n)
             assert len(cx.faces()) == chain_face_count(n)
+
+
+class TestGuards:
+    # three arrows: 3!*3 = 18 facet entries, Fubini(3) = 13 faces, (3!)^2 = 36 pairs
+    def test_order_complex_guard(self):
+        with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
+            order_complex(TRIANGLE, guard=17)
+        with pytest.raises(GuardError, match="order complex estimate 18 > limit 17"):
+            hilbert_specialized(TRIANGLE, guard=17)
+
+    def test_face_list_guard(self):
+        cx = order_complex(TRIANGLE, guard=18)
+        with pytest.raises(GuardError, match="face list estimate 13 > limit 12; raise --guard"):
+            cx.faces(guard=12)
+        assert len(cx.faces(guard=13)) == 13
+
+    def test_shelling_guard(self):
+        with pytest.raises(GuardError, match="shelling estimate 36 > limit 35; raise --guard"):
+            lex_shelling(order_complex(TRIANGLE), guard=35)
+        with pytest.raises(GuardError, match="shelling estimate 36 > limit 35"):
+            positivity_certificate(TRIANGLE, guard=35)
+        assert positivity_certificate(TRIANGLE, guard=36)["matches_face_sum"]
 
 
 class TestHilbert:
