@@ -114,8 +114,8 @@ def _cmd_kac(args) -> dict:
 
 def _cmd_asymptotic(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    a_q = asymptotic_kac(quiver, args.guard)
-    b_q = asymptotic_moment(quiver, args.guard)
+    a_q = asymptotic_kac(quiver, guard=args.guard)
+    b_q = asymptotic_moment(quiver, guard=args.guard)
     return {
         "schema": SCHEMA,
         "command": "asymptotic",

@@ -243,21 +243,26 @@ def toric_orbit_count(
 # depth -> infinity limits
 
 
-@lru_cache(maxsize=None)
 def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """Limit of q^(-alpha b(Q)) times the depth-alpha toric count.
 
     Exists exactly when the quiver is 2-connected, and equals
     (1-q^-1)^b(Q) times the sum over strictly increasing chains of arrow
     subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1).
-    The work estimate 3^m (subset, superset) steps must not exceed guard.
+    The work estimate 3^m (subset, superset) steps must not exceed guard;
+    the limit is cached per quiver, whatever the guard.
     """
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
-    m = quiver.narrows
-    work = 3**m
+    work = 3**quiver.narrows
     if work > guard:
         raise GuardError(f"asymptotic sum estimate {work} > limit {guard}; raise --guard")
+    return _asymptotic_chain_sum(quiver)
+
+
+@lru_cache(maxsize=None)
+def _asymptotic_chain_sum(quiver: Quiver) -> RatFunc:
+    m = quiver.narrows
     betti, _ = _mask_betti_tables(quiver)
     b = quiver.betti()
     full = (1 << m) - 1
