@@ -28,7 +28,7 @@ from .rank import (
     closed_form_rank3,
     kac_from_moments,
 )
-from .srcomplex import lex_shelling, order_complex, positivity_certificate, verify_hilbert_identity
+from .srcomplex import positivity_certificate, verify_hilbert_identity
 from .toric import (
     asymptotic_kac,
     asymptotic_moment,
@@ -198,12 +198,11 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_shelling(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    shelling = lex_shelling(order_complex(quiver, guard=args.guard), guard=args.guard)
     cert = positivity_certificate(quiver, guard=args.guard)
     report = {
         "schema": SCHEMA,
         "command": "shelling",
-        "facets": len(shelling.facets),
+        "facets": len(cert["terms"]),
         "certificate": cert["terms"],
         "total": cert["total"],
         "ok": cert["matches_face_sum"],
@@ -299,7 +298,9 @@ def _cmd_oracle(args) -> dict:
         for p in primes:
             target = None
             if args.lam:
-                target = generic_target(quiver, rank, _parse_ints(args.lam), p, args.alpha)
+                target = generic_target(
+                    quiver, rank, _parse_ints(args.lam), p, args.alpha, guard=args.guard
+                )
             count = moment_fiber_count(
                 quiver, rank, p, args.alpha, target=target, guard=args.guard
             )

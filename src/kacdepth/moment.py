@@ -1,9 +1,16 @@
-"""Brute-force moment-map fiber counts over F_p[t]/(t^alpha) and the
+"""Exact moment-map fiber counts over O = F_p[t]/(t^alpha) and the
 counting identities they verify.
 
 The moment map on the doubled quiver sends (x_a, y_a) to the vertexwise
-commutator sums (sum_{t(a)=i} x_a y_a - sum_{s(a)=i} y_a x_a).  Exhaustive
-fiber counts feed three symbolic checks:
+commutator sums (sum_{t(a)=i} x_a y_a - sum_{s(a)=i} y_a x_a).  For fixed x
+it is F_p-linear in y, so a fiber count enumerates the p^(alpha h) choices
+of x (h = sum of r_s r_t over the arrows) and solves one linear system mod p
+per x, instead of enumerating every pair (x, y).  The work estimate is
+p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p), with
+R = alpha * sum r_i^2 equations, C = alpha h unknowns and isqrt(p) for the
+primality test; h counts as at least 1 because target codes run up to
+p^alpha, which bounds the cost of building and decoding them.  The fiber
+counts feed three symbolic checks:
 
 * ``verify_exp_identity``   -- the normalised zero-fiber generating series
   equals the plethystic exponential of the indecomposable-count series;
@@ -18,10 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError, cached_ring, group_order_gl
+from .oring import DEFAULT_GUARD, GuardError, _check_prime, group_order_gl, guarded_power
 from .plethysm import pleth_exp
 from .quiver import Quiver
 from .rank import closed_form_rank2
@@ -46,18 +54,25 @@ def is_generic(lam: Sequence[int], rank: Sequence[int]) -> bool:
 
 
 def generic_target(
-    quiver: Quiver, rank: Sequence[int], lam: Sequence[int], p: int, alpha: int
+    quiver: Quiver,
+    rank: Sequence[int],
+    lam: Sequence[int],
+    p: int,
+    alpha: int,
+    guard: int = DEFAULT_GUARD,
 ) -> tuple[Matrix, ...]:
     """Per-vertex matrix t^(alpha-1) * lam_i * Id over integer-coded entries.
 
     Codes are base-p digit strings, so lam_i t^(alpha-1) has code
-    (lam_i mod p) * p^(alpha-1).
+    (lam_i mod p) * p^(alpha-1).  The fiber count's work estimate is checked
+    first, so no target is built for a count the guard would refuse.
     """
     for name, vec in (("lam", lam), ("rank", rank)):
         if len(vec) != quiver.nvertices:
             raise ValueError(
                 f"{name} has {len(vec)} entries; expected {quiver.nvertices}, one per vertex"
             )
+    rank = _check_fiber_work(quiver, rank, p, alpha, guard)
     out = []
     for i in range(quiver.nvertices):
         scalar = (lam[i] % p) * p ** (alpha - 1)
@@ -70,55 +85,46 @@ def generic_target(
     return tuple(out)
 
 
-def zero_target(quiver: Quiver, rank: Sequence[int]) -> tuple[Matrix, ...]:
-    return tuple(
-        tuple(tuple(0 for _ in range(rank[i])) for _ in range(rank[i]))
-        for i in range(quiver.nvertices)
-    )
-
-
 # ----------------------------------------------------------------------
 # fiber counting
 
 
-def _all_matrices(ring, rows: int, cols: int) -> list[Matrix]:
-    codes = range(ring.size)
-    return [
-        tuple(tuple(flat[r * cols + c] for c in range(cols)) for r in range(rows))
-        for flat in product(codes, repeat=rows * cols)
-    ]
+def _check_fiber_work(
+    quiver: Quiver, rank: Sequence[int], p: int, alpha: int, guard: int
+) -> tuple[int, ...]:
+    """Validate a fiber count's inputs and check its work estimate (see the
+    module docstring) before p is tested for primality; return the rank tuple."""
+    rank = tuple(int(r) for r in rank)
+    if len(rank) != quiver.nvertices or any(r < 0 for r in rank):
+        raise ValueError("bad rank vector")
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    rows = alpha * sum(r * r for r in rank)
+    cols = alpha * sum(rank[s] * rank[t] for s, t in quiver.arrows)
+    power = guarded_power(p, max(cols, alpha), "fiber enumeration", guard)
+    work = power * rows * (cols + 1) * max(1, min(rows, cols)) + isqrt(p)
+    if work > guard:
+        raise GuardError(f"fiber enumeration estimate {work} > limit {guard}; raise --guard")
+    return rank
 
 
-def _mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
-    add, mul = ring.add, ring.mul
-    return tuple(
-        tuple(
-            _sum_codes(add, [mul[a[r][k]][b[k][c]] for k in range(len(b))])
-            for c in range(len(b[0]))
-        )
-        for r in range(len(a))
-    )
+def _reduce(vec: list[int], basis: dict[int, list[int]], p: int) -> int | None:
+    """Reduce vec mod p by the echelon basis {i: row with 1 at i, 0 before}.
 
-
-def _sum_codes(add, codes: list[int]) -> int:
-    acc = 0
-    for c in codes:
-        acc = add[acc][c]
-    return acc
-
-
-def _mat_sub(ring, a: Matrix, b: Matrix) -> Matrix:
-    sub = ring.sub
-    return tuple(
-        tuple(sub[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_add(ring, a: Matrix, b: Matrix) -> Matrix:
-    add = ring.add
-    return tuple(
-        tuple(add[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    Returns None when vec reduces to 0; otherwise vec is scaled to a leading
+    1 in place and its lead is returned.
+    """
+    for i in range(len(vec)):
+        c = vec[i] % p
+        if c and i not in basis:
+            inv = pow(c, -1, p)
+            vec[i:] = [v * inv % p for v in vec[i:]]
+            return i
+        if c:
+            vec[i:] = [(v - c * b) % p for v, b in zip(vec[i:], basis[i][i:])]
+    return None
 
 
 def moment_fiber_count(
@@ -131,89 +137,62 @@ def moment_fiber_count(
 ) -> int:
     """Exact number of points (x, y) on the doubled quiver with mu(x, y) = target.
 
-    Arrows with a zero-rank endpoint carry no coordinates; vertices of rank
-    zero impose no condition.  The work estimate p^(alpha * coords) points
-    plus the ring's p^(2 alpha)-entry tables must not exceed guard.
+    For each x the y-count is 0 or p^(C - rank) of one linear system mod p,
+    whose column for y_a[k][l] = t^d is mu(x, t^d e_kl): it adds t^d x_a[u][k]
+    to entry (u, l) at t(a) and subtracts t^d x_a[l][v] from entry (k, v) at
+    s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
+    coordinates; vertices of rank zero impose no condition; a target code
+    outside range(p^alpha) matches no point; no target means the zero fiber.
     """
-    rank = tuple(int(r) for r in rank)
-    if len(rank) != quiver.nvertices or any(r < 0 for r in rank):
-        raise ValueError("bad rank vector")
-    if alpha < 1:
-        raise ValueError("depth must be >= 1")
-    active = [
-        a
-        for a, (s, t) in enumerate(quiver.arrows)
-        if rank[s] > 0 and rank[t] > 0
-    ]
-    coords = sum(2 * rank[quiver.arrows[a][0]] * rank[quiver.arrows[a][1]] for a in active)
-    work = p ** (alpha * coords) + p ** (2 * alpha)
-    if work > guard:
-        raise GuardError(
-            f"fiber enumeration estimate {work} > limit {guard}; raise --guard"
-        )
-    ring = cached_ring(p, alpha)
-    if target is None:
-        target = zero_target(quiver, rank)
+    rank = _check_fiber_work(quiver, rank, p, alpha, guard)
+    _check_prime(p)
     verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
-    for i in range(quiver.nvertices):
-        if rank[i] == 0:
-            continue
-        if len(target[i]) != rank[i] or any(len(row) != rank[i] for row in target[i]):
-            raise ValueError("target shape mismatch")
-    if all(rank[i] <= 1 for i in range(quiver.nvertices)):
-        return _scalar_fiber_count(quiver, rank, ring, target, active, verts)
-    return _matrix_fiber_count(quiver, rank, ring, target, active, verts)
-
-
-def _scalar_fiber_count(quiver, rank, ring, target, active, verts) -> int:
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    tgt = tuple(target[i][0][0] for i in verts)
-    slot = {i: k for k, i in enumerate(verts)}
-    nonloop = [a for a in active if not quiver.is_loop(a)]
-    # loops contribute nothing to the commutator in rank one
-    free = len(active) - len(nonloop)
-    ends = [(slot[quiver.arrows[a][0]], slot[quiver.arrows[a][1]]) for a in nonloop]
+    if target is not None and any(
+        len(target[i]) != rank[i] or any(len(row) != rank[i] for row in target[i])
+        for i in verts
+    ):
+        raise ValueError("target shape mismatch")
+    # one block of alpha rows (the base-p digits) per target entry (i, u, v)
+    block: dict[tuple[int, int, int], int] = {}
+    rhs: list[int] = []
+    for i in verts:
+        for u, v in product(range(rank[i]), repeat=2):
+            block[i, u, v] = len(block)
+            code = 0 if target is None else target[i][u][v]
+            for _ in range(alpha):
+                code, digit = divmod(code, p)
+                rhs.append(digit)
+            if code:
+                return 0
+    # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier arrows
+    columns: list[list[tuple[int, int, int]]] = []
+    nx = 0
+    for a, (s, t) in enumerate(quiver.arrows):
+        rs, rt = rank[s], rank[t]
+        for k, l in product(range(rs), range(rt)):
+            terms = [(block[t, u, l], nx + u * rs + k, 1) for u in range(rt)]
+            terms += [(block[s, k, v], nx + l * rs + v, -1) for v in range(rs)]
+            columns += [
+                [
+                    (rb * alpha + e, xi * alpha + e - d, sign)
+                    for rb, xi, sign in terms
+                    for e in range(d, alpha)
+                ]
+                for d in range(alpha)
+            ]
+        nx += rs * rt
     count = 0
-    codes = range(ring.size)
-    m = len(nonloop)
-    for xy in product(codes, repeat=2 * m):
-        acc = [0] * len(verts)
-        for k, (s, t) in enumerate(ends):
-            prod_code = mul[xy[2 * k]][xy[2 * k + 1]]
-            acc[t] = add[acc[t]][prod_code]
-            acc[s] = sub[acc[s]][prod_code]
-        if tuple(acc) == tgt:
-            count += 1
-    return count * ring.size ** (2 * free)
-
-
-def _matrix_fiber_count(quiver, rank, ring, target, active, verts) -> int:
-    x_spaces = [
-        _all_matrices(ring, rank[quiver.arrows[a][1]], rank[quiver.arrows[a][0]])
-        for a in active
-    ]
-    y_spaces = [
-        _all_matrices(ring, rank[quiver.arrows[a][0]], rank[quiver.arrows[a][1]])
-        for a in active
-    ]
-    count = 0
-    for xs in product(*x_spaces):
-        for ys in product(*y_spaces):
-            ok = True
-            for i in verts:
-                n = rank[i]
-                acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-                for k, a in enumerate(active):
-                    s, t = quiver.arrows[a]
-                    if t == i:
-                        acc = _mat_add(ring, acc, _mat_mul(ring, xs[k], ys[k]))
-                    if s == i:
-                        acc = _mat_sub(ring, acc, _mat_mul(ring, ys[k], xs[k]))
-                if acc != target[i]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
+    for x in product(range(p), repeat=alpha * nx):
+        basis: dict[int, list[int]] = {}
+        for entries in columns:
+            col = [0] * len(rhs)
+            for r, f, sign in entries:
+                col[r] += sign * x[f]
+            lead = _reduce(col, basis, p)
+            if lead is not None:
+                basis[lead] = col
+        if _reduce(rhs[:], basis, p) is None:
+            count += p ** (len(columns) - len(basis))
     return count
 
 
@@ -305,7 +284,7 @@ def verify_generic_fiber(
         raise ValueError("lambda not generic")
     if p <= sum(abs(x) * r for x, r in zip(lam, rank)):
         raise ValueError("characteristic bound violated")
-    target = generic_target(quiver, rank, lam, p, alpha)
+    target = generic_target(quiver, rank, lam, p, alpha, guard)
     fiber = moment_fiber_count(quiver, rank, p, alpha, target=target, guard=guard)
     qp = Fraction(p)
     gl = group_order_gl(rank, alpha).evaluate(qp)

@@ -30,6 +30,14 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def guarded_power(base: int, exp: int, label: str, guard: int) -> int:
+    """base**exp for a work estimate; GuardError, before the power is formed,
+    when |base|^exp >= 2^(exp * (bit_length(base) - 1)) has more bits than guard."""
+    if exp * (base.bit_length() - 1) > guard.bit_length():
+        raise GuardError(f"{label} estimate >= {base}^{exp} > limit {guard}; raise --guard")
+    return base**exp
+
+
 @dataclass(frozen=True)
 class OElem:
     """Element of F_p[t]/(t^alpha): coeffs[k] is the coefficient of t^k."""
@@ -156,7 +164,7 @@ class OElem:
 
 
 class ORing:
-    """Integer-coded arithmetic tables for F_p[t]/(t^alpha)."""
+    """Integer-coded arithmetic tables for F_p[t]/(t^alpha), built on base-p digits."""
 
     def __init__(self, p: int, alpha: int) -> None:
         _check_prime(p)
@@ -165,14 +173,20 @@ class ORing:
         self.p = p
         self.alpha = alpha
         self.size = p**alpha
-        elems = [OElem.from_code(p, alpha, c) for c in range(self.size)]
-        self.add = [[(a + b).code() for b in elems] for a in elems]
-        self.sub = [[(a - b).code() for b in elems] for a in elems]
-        self.mul = [[(a * b).code() for b in elems] for a in elems]
-        self.neg = [(-a).code() for a in elems]
-        self.val = [a.valuation() for a in elems]
-        self.inv = [a.inverse().code() if a.is_unit() else None for a in elems]
-        self.units = tuple(c for c in range(self.size) if elems[c].is_unit())
+        weights = [p**k for k in range(alpha)]
+        digits = [[c // w % p for w in weights] for c in range(self.size)]
+
+        def code(coeffs) -> int:
+            return sum(c % p * w for c, w in zip(coeffs, weights))
+
+        def times(a, b) -> list[int]:
+            return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(alpha)]
+
+        self.add = [[code(map(int.__add__, a, b)) for b in digits] for a in digits]
+        self.sub = [[code(map(int.__sub__, a, b)) for b in digits] for a in digits]
+        self.mul = [[code(times(a, b)) for b in digits] for a in digits]
+        self.units = tuple(c for c in range(self.size) if c % p)
+        self.inv = [row.index(1) if c % p else None for c, row in enumerate(self.mul)]
 
     def element(self, code: int) -> OElem:
         return OElem.from_code(self.p, self.alpha, code)

@@ -27,7 +27,7 @@ from math import comb
 from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError, OElem, cached_ring
+from .oring import DEFAULT_GUARD, GuardError, OElem, cached_ring, guarded_power
 from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
 
 
@@ -57,12 +57,13 @@ def toric_kac_chain(
     Integers pack each layer: layer[E] holds the coefficient of q^e in bits
     [e*W, (e+1)*W).  Coefficients count chains below some E, at most
     sum_E alpha^|E| = (alpha+1)^m < 2^W in all, so no field carries into the
-    next.  The work estimate 2^m * m * max(alpha-1, 1) must not exceed guard.
+    next.  The work estimate 2^m * max(m, 1) * max(alpha-1, 1) must not
+    exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     m = quiver.narrows
-    work = (1 << m) * m * max(alpha - 1, 1)
+    work = (1 << m) * max(m, 1) * max(alpha - 1, 1)
     if work > guard:
         raise GuardError(f"chain sum estimate {work} > limit {guard}; raise --guard")
     betti, connected = _mask_betti_tables(quiver)
@@ -206,20 +207,23 @@ def toric_orbit_count(
     Enumerates every arrow assignment over F_p[t]/(t^alpha), keeps those
     whose support connects all vertices, and counts orbits of the action
     x_a -> u_target * x_a * u_source^-1 by counting assignments that are the
-    lexicographically minimal element of their own orbit.
+    lexicographically minimal element of their own orbit.  The diagonal
+    scalars act trivially (the ring is commutative), so u runs over the
+    torus with u_0 = 1.  The work estimate p^(alpha m) points times
+    ((p-1) p^(alpha-1))^(n-1) torus elements, plus the ring's p^(2 alpha)
+    table entries, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     m, n = quiver.narrows, quiver.nvertices
-    # points enumerated, plus the ring's p^(2 alpha)-entry tables
-    work = p ** (alpha * m) + p ** (2 * alpha)
+    k = max(n - 1, 0)
+    guarded_power(p, max(alpha * m + (alpha - 1) * k, 2 * alpha), "orbit enumeration", guard)
+    work = p ** (alpha * m) * ((p - 1) * p ** (alpha - 1)) ** k + p ** (2 * alpha)
     if work > guard:
-        raise GuardError(
-            f"orbit enumeration estimate {work} > limit {guard}; raise --guard"
-        )
+        raise GuardError(f"orbit enumeration estimate {work} > limit {guard}; raise --guard")
     ring = cached_ring(p, alpha)
     mul, inv = ring.mul, ring.inv
-    torus = list(product(ring.units, repeat=n))
+    torus = [(1,) + u for u in product(ring.units, repeat=k)]
     arrow_ends = list(quiver.arrows)
     count = 0
     for x in product(range(ring.size), repeat=m):

@@ -14,8 +14,109 @@ from fractions import Fraction
 from itertools import product
 
 from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries
-from kacdepth.oring import OElem
+from kacdepth.oring import OElem, cached_ring
 from kacdepth.quiver import ValuedTree, tree_path_data
+
+
+# ----------------------------------------------------------------------
+# moment-map fiber oracles
+
+
+def brute_fiber_count(quiver: Quiver, rank, p: int, alpha: int, target=None) -> int:
+    """#mu^-1(target) by enumerating every pair (x, y) over the ring tables."""
+    rank = tuple(rank)
+    ring = cached_ring(p, alpha)
+    if target is None:
+        target = zero_target(rank)
+    active = [
+        a for a, (s, t) in enumerate(quiver.arrows) if rank[s] > 0 and rank[t] > 0
+    ]
+    verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
+    if all(r <= 1 for r in rank):
+        return scalar_fiber_count(quiver, rank, ring, target, active, verts)
+    return matrix_fiber_count(quiver, rank, ring, target, active, verts)
+
+
+def zero_target(rank):
+    """The zero matrix of size r_i at every vertex, as integer codes."""
+    return tuple(tuple((0,) * r for _ in range(r)) for r in rank)
+
+
+def scalar_fiber_count(quiver, rank, ring, target, active, verts) -> int:
+    """Rank <= 1 everywhere: the commutator of 1 x 1 matrices is a product."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    tgt = tuple(target[i][0][0] for i in verts)
+    slot = {i: k for k, i in enumerate(verts)}
+    nonloop = [a for a in active if not quiver.is_loop(a)]
+    # loops contribute nothing to the commutator in rank one
+    free = len(active) - len(nonloop)
+    ends = [(slot[quiver.arrows[a][0]], slot[quiver.arrows[a][1]]) for a in nonloop]
+    count = 0
+    for xy in product(range(ring.size), repeat=2 * len(nonloop)):
+        acc = [0] * len(verts)
+        for k, (s, t) in enumerate(ends):
+            prod_code = mul[xy[2 * k]][xy[2 * k + 1]]
+            acc[t] = add[acc[t]][prod_code]
+            acc[s] = sub[acc[s]][prod_code]
+        if tuple(acc) == tgt:
+            count += 1
+    return count * ring.size ** (2 * free)
+
+
+def matrix_fiber_count(quiver, rank, ring, target, active, verts) -> int:
+    """Any rank: matrix products of every pair (x, y) over the ring tables."""
+    x_spaces = [
+        _all_matrices(ring, rank[quiver.arrows[a][1]], rank[quiver.arrows[a][0]])
+        for a in active
+    ]
+    y_spaces = [
+        _all_matrices(ring, rank[quiver.arrows[a][0]], rank[quiver.arrows[a][1]])
+        for a in active
+    ]
+    count = 0
+    for xs in product(*x_spaces):
+        for ys in product(*y_spaces):
+            ok = True
+            for i in verts:
+                n = rank[i]
+                acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+                for k, a in enumerate(active):
+                    s, t = quiver.arrows[a]
+                    if t == i:
+                        acc = _mat_combine(ring.add, acc, _mat_mul(ring, xs[k], ys[k]))
+                    if s == i:
+                        acc = _mat_combine(ring.sub, acc, _mat_mul(ring, ys[k], xs[k]))
+                if acc != target[i]:
+                    ok = False
+                    break
+            if ok:
+                count += 1
+    return count
+
+
+def _all_matrices(ring, rows: int, cols: int):
+    return [
+        tuple(tuple(flat[r * cols + c] for c in range(cols)) for r in range(rows))
+        for flat in product(range(ring.size), repeat=rows * cols)
+    ]
+
+
+def _mat_mul(ring, a, b):
+    add, mul = ring.add, ring.mul
+    out = []
+    for r in range(len(a)):
+        row = []
+        for c in range(len(b[0])):
+            acc = 0
+            for k in range(len(b)):
+                acc = add[acc][mul[a[r][k]][b[k][c]]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_combine(table, a, b):
+    return tuple(tuple(table[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command-line driver: subcommands, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kacdepth.cli import main
 from kacdepth.oring import cached_ring
@@ -157,7 +160,7 @@ def test_kac_chain_guard_exits_3(kron_file, capsys):
     assert "--guard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("oracle", ["orbit-count", "moment-fiber"])
+@pytest.mark.parametrize("oracle", ["orbit-count"])
 def test_oracle_guard_counts_ring_tables(oracle, point_file, capsys):
     # no arrows: one point to enumerate, but the ring tables hold 11^2 entries
     before = cached_ring.cache_info()
@@ -166,6 +169,31 @@ def test_oracle_guard_counts_ring_tables(oracle, point_file, capsys):
     assert "estimate 122 > limit 100; raise --guard" in capsys.readouterr().err
     assert cached_ring.cache_info() == before
     assert main(args + ["--guard", "122"]) == 0
+
+
+def test_moment_fiber_guard_estimate(a2_file, capsys):
+    # A2 at rank (1,1): h = 1, R = 2 alpha = 4, C = alpha h = 2, so the estimate
+    # is 3^2 * 4 * 3 * 2 + isqrt(3) = 217; the route builds no ring tables
+    before = cached_ring.cache_info()
+    args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "2"]
+    assert main(args + ["--guard", "216"]) == 3
+    assert "fiber enumeration estimate 217 > limit 216; raise --guard" in capsys.readouterr().err
+    assert main(args + ["--guard", "217"]) == 0
+    assert "fiber size 21" in capsys.readouterr().out
+    assert cached_ring.cache_info() == before
+
+
+def test_arrowless_generic_fiber_refused_fast(tmp_path, capsys):
+    # no y unknowns, but the target codes (lam_i mod p) * p^(alpha-1) have
+    # millions of digits: the estimate counts p^alpha for them
+    path = tmp_path / "two_points.json"
+    path.write_text('{"vertices": 2, "arrows": []}')
+    args = ["verify", "generic-fiber", "--quiver", str(path), "--lam=1,-1"]
+    start = time.perf_counter()
+    assert main(args + ["--p", "100000007", "--alpha", "300000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "fiber enumeration estimate >= 100000007^300000" in capsys.readouterr().err
+    assert main(args + ["--p", "3", "--alpha", "2"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -226,3 +254,59 @@ def test_deterministic_output(kron_file, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["seed"] == 5
+
+
+@pytest.fixture(scope="module")
+def fuzz_quivers(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    shapes = {
+        "point": {"vertices": 1, "arrows": []},
+        "two_points": {"vertices": 2, "arrows": []},
+        "a2": {"vertices": 2, "arrows": [[0, 1]]},
+        "loop": {"vertices": 1, "arrows": [[0, 0]]},
+        "kron2": {"vertices": 2, "arrows": [[0, 1], [0, 1]]},
+    }
+    paths = []
+    for name, data in shapes.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return paths
+
+
+VECTORS = st.sampled_from(
+    ["", "1", "0", "-1", "1,-1", "-1,1", "1,1", "2,1", "-2,-3", "a,b", "1,,1", "x"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(
+        [["oracle", "moment-fiber"], ["oracle", "orbit-count"], ["verify", "generic-fiber"]]
+    ),
+    index=st.integers(0, 4),
+    p=st.sampled_from([0, 1, 4, 10**309 + 1, 2**61 - 1, 2, 3, 5, 7, 13]),
+    alpha=st.sampled_from([-1, 0, 1, 10**6]),
+    rank=st.none() | VECTORS,
+    lam=st.none() | VECTORS,
+    guard=st.integers(-1, 10**4),
+)
+def test_oracle_commands_fuzz(fuzz_quivers, command, index, p, alpha, rank, lam, guard):
+    # extreme p and alpha, malformed vectors: a clean exit code, no traceback,
+    # and no enumeration past the small guard
+    argv = [*command, "--quiver", fuzz_quivers[index], f"--p={p}", f"--alpha={alpha}"]
+    argv += [f"--guard={guard}"]
+    if rank is not None:
+        argv.append(f"--rank={rank}")
+    if lam is not None:
+        argv.append(f"--lam={lam}")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

@@ -18,11 +18,19 @@ from kacdepth import (
 )
 from kacdepth.moment import generic_target
 
-from helpers import random_connected_quiver
+from helpers import (
+    brute_fiber_count,
+    matrix_fiber_count,
+    random_connected_quiver,
+    scalar_fiber_count,
+    zero_target,
+)
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
+A2_LOOP = Quiver(2, ((0, 1), (1, 1)))
+TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 
 
 class TestGenericity:
@@ -58,7 +66,6 @@ class TestFiberCounts:
     def test_matrix_and_scalar_paths_agree(self):
         # drive the generic matrix path with an artificial rank-2 bound of 1
         # by comparing against the scalar fast path on rank-one vectors
-        from kacdepth.moment import _matrix_fiber_count, _scalar_fiber_count, zero_target
         from kacdepth.oring import cached_ring
 
         rng = random.Random(3)
@@ -70,10 +77,58 @@ class TestFiberCounts:
             ring = cached_ring(p, alpha)
             active = list(range(q.narrows))
             verts = list(range(q.nvertices))
-            target = zero_target(q, rank)
-            scalar = _scalar_fiber_count(q, rank, ring, target, active, verts)
-            matrix = _matrix_fiber_count(q, rank, ring, target, active, verts)
+            target = zero_target(rank)
+            scalar = scalar_fiber_count(q, rank, ring, target, active, verts)
+            matrix = matrix_fiber_count(q, rank, ring, target, active, verts)
             assert scalar == matrix
+
+    def test_matches_brute_force(self, catalog_3v_3a):
+        # (quiver, rank, p, alpha, lam): lam None is the zero fiber
+        cases = [
+            (q, (1,) * q.nvertices, p, alpha, None)
+            for q in catalog_3v_3a
+            for p, alpha in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3))
+        ]
+        cases += [(LOOP1, (2,), p, alpha, None) for p, alpha in ((2, 1), (2, 2), (3, 1))]
+        for rank in ((1, 2), (2, 1)):
+            cases += [(A2, rank, p, alpha, None) for p, alpha in ((2, 1), (3, 1), (2, 2))]
+            cases.append((A2_LOOP, rank, 2, 1, None))
+        cases += [
+            (A2, (1, 1), 13, 1, (1, -1)),
+            (A2, (1, 1), 13, 2, (1, -1)),
+            (TRIANGLE, (1, 1, 1), 3, 1, (1, 1, -2)),
+            (TRIANGLE, (1, 1, 1), 3, 2, (1, 1, -2)),
+            (KRON, (1, 1), 3, 2, (1, -1)),
+            (KRON, (1, 1), 5, 1, (1, -1)),
+            (Quiver(2, KRON.arrows + ((0, 0),)), (1, 1), 3, 1, (1, -1)),
+        ]
+        for q, rank, p, alpha, lam in cases:
+            target = None if lam is None else generic_target(q, rank, lam, p, alpha)
+            expected = brute_fiber_count(q, rank, p, alpha, target)
+            assert moment_fiber_count(q, rank, p, alpha, target=target) == expected, (
+                q, rank, p, alpha, lam
+            )
+
+    def test_zero_rank_and_out_of_range_targets(self):
+        for q, rank, p, alpha in (
+            (A2, (1, 0), 2, 2),
+            (A2, (0, 0), 3, 1),
+            (A2_LOOP, (0, 2), 2, 1),
+            (KRON, (0, 1), 3, 2),
+        ):
+            assert moment_fiber_count(q, rank, p, alpha) == brute_fiber_count(
+                q, rank, p, alpha
+            )
+        # entries are codes in range(p^alpha); any other integer is no ring element
+        for bad in (-1, 9, 10**30):
+            target = ((), ((bad,),))
+            assert moment_fiber_count(A2, (0, 1), 3, 2, target=target) == 0
+            target = (((0,),), ((bad,),))
+            assert moment_fiber_count(A2, (1, 1), 3, 2, target=target) == 0
+        # 1 + 2t (code 7) is reached with -(1 + 2t) = 2 + t (code 5); a code
+        # with the same low digits plus 9 = 3^2 is out of range
+        assert moment_fiber_count(A2, (1, 1), 3, 2, target=(((5,),), ((7,),))) == 6
+        assert moment_fiber_count(A2, (1, 1), 3, 2, target=(((5,),), ((16,),))) == 0
 
     def test_arrow_permutation_and_reversal_invariance(self):
         rng = random.Random(21)

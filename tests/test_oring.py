@@ -63,12 +63,16 @@ class TestElements:
             assert OElem.from_code(3, 3, code).code() == code
 
     def test_tables_match_elements(self):
-        ring = ORing(3, 2)
-        for a in range(ring.size):
-            for b in range(ring.size):
-                ea, eb = ring.element(a), ring.element(b)
-                assert ring.mul[a][b] == (ea * eb).code()
-                assert ring.add[a][b] == (ea + eb).code()
+        # the digit-built tables against OElem arithmetic, entry by entry
+        for p, alpha in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
+            ring = ORing(p, alpha)
+            elems = [OElem.from_code(p, alpha, c) for c in range(p**alpha)]
+            assert ring.add == [[(a + b).code() for b in elems] for a in elems]
+            assert ring.sub == [[(a - b).code() for b in elems] for a in elems]
+            assert ring.mul == [[(a * b).code() for b in elems] for a in elems]
+            assert ring.inv == [a.inverse().code() if a.is_unit() else None for a in elems]
+            assert ring.units == tuple(c for c, a in enumerate(elems) if a.is_unit())
+            assert all(ring.element(c) == a for c, a in enumerate(elems))
 
 
 class TestMatrices:
