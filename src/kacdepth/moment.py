@@ -162,7 +162,7 @@ def moment_fiber_count(
             for _ in range(alpha):
                 code, digit = divmod(code, p)
                 rhs.append(digit)
-            if code:
+            if code:  # outside range(p^alpha): no ring element
                 return 0
     # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier arrows
     columns: list[list[tuple[int, int, int]]] = []

@@ -217,6 +217,7 @@ def toric_orbit_count(
         raise ValueError("depth must be >= 1")
     m, n = quiver.narrows, quiver.nvertices
     k = max(n - 1, 0)
+    # refuse before forming the powers when the largest one alone is past the guard
     guarded_power(p, max(alpha * m + (alpha - 1) * k, 2 * alpha), "orbit enumeration", guard)
     work = p ** (alpha * m) * ((p - 1) * p ** (alpha - 1)) ** k + p ** (2 * alpha)
     if work > guard:
