@@ -111,11 +111,8 @@ def _check_fiber_work(
 
 
 def _reduce(vec: list[int], basis: dict[int, list[int]], p: int) -> int | None:
-    """Reduce vec mod p by the echelon basis {i: row with 1 at i, 0 before}.
-
-    Returns None when vec reduces to 0; otherwise vec is scaled to a leading
-    1 in place and its lead is returned.
-    """
+    """Reduce vec mod p by the echelon basis {i: row with 1 at i, 0 before}; unless
+    it reduces to 0 (None), scale it in place to a leading 1 and return its lead."""
     for i in range(len(vec)):
         c = vec[i] % p
         if c and i not in basis:
@@ -143,6 +140,8 @@ def moment_fiber_count(
     s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
     coordinates; vertices of rank zero impose no condition; a target code
     outside range(p^alpha) matches no point; no target means the zero fiber.
+    The work estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C))
+    + isqrt(p) must not exceed guard (see the module docstring).
     """
     rank = _check_fiber_work(quiver, rank, p, alpha, guard)
     _check_prime(p)
