@@ -9,22 +9,12 @@ and positivity identities tying the counts to quiver moment maps.
 from .laurent import LaurentPoly, RatFunc
 from .series import TSeries
 from .plethysm import adams, pleth_exp, pleth_log
-from .quiver import Quiver, ValuedTree, push_forward, tree_path_data
-from .oring import (
-    DEFAULT_GUARD,
-    GuardError,
-    OElem,
-    OMatrix,
-    ORing,
-    enumerate_gl,
-    group_order_gl,
-)
+from .quiver import Quiver, ValuedTree
+from .oring import DEFAULT_GUARD, GuardError, ORing, group_order_gl
 from .toric import (
-    assign_valued_tree,
     asymptotic_kac,
     asymptotic_moment,
     toric_kac_chain,
-    toric_kac_trees,
     toric_orbit_count,
     tree_stratum_census,
 )
@@ -46,7 +36,6 @@ from .moment import (
     verify_generic_fiber,
 )
 from .rank import (
-    check_reference_tables,
     closed_form_rank2,
     closed_form_rank3,
     kac_from_moments,
@@ -54,7 +43,6 @@ from .rank import (
     rank2_class_sums,
     rank3_class_sums,
 )
-from .catalog import quiver_catalog
 
 __version__ = "0.1.0"
 
@@ -67,20 +55,13 @@ __all__ = [
     "pleth_log",
     "Quiver",
     "ValuedTree",
-    "push_forward",
-    "tree_path_data",
     "DEFAULT_GUARD",
     "GuardError",
-    "OElem",
-    "OMatrix",
     "ORing",
-    "enumerate_gl",
     "group_order_gl",
-    "assign_valued_tree",
     "asymptotic_kac",
     "asymptotic_moment",
     "toric_kac_chain",
-    "toric_kac_trees",
     "toric_orbit_count",
     "tree_stratum_census",
     "OrderComplex",
@@ -96,13 +77,11 @@ __all__ = [
     "moment_fiber_count",
     "verify_exp_identity",
     "verify_generic_fiber",
-    "check_reference_tables",
     "closed_form_rank2",
     "closed_form_rank3",
     "kac_from_moments",
     "moment_total",
     "rank2_class_sums",
     "rank3_class_sums",
-    "quiver_catalog",
     "__version__",
 ]

@@ -199,14 +199,17 @@ def moment_fiber_count(
 # symbolic counting series
 
 
-def kac_polynomial(quiver: Quiver, rank: Sequence[int], alpha: int) -> LaurentPoly:
-    """Indecomposable count A for ranks <= 1 everywhere, or rank 2 at one vertex."""
+def kac_polynomial(
+    quiver: Quiver, rank: Sequence[int], alpha: int, guard: int = DEFAULT_GUARD
+) -> LaurentPoly:
+    """Indecomposable count A for ranks <= 1 everywhere, or rank 2 at one vertex;
+    the chain sum of the toric case checks its work estimate against guard."""
     rank = tuple(rank)
     if all(r <= 1 for r in rank):
         support = [i for i, r in enumerate(rank) if r == 1]
         if not support:
             raise ValueError("rank must be nonzero")
-        return toric_kac_chain(quiver.restrict_vertices(support), alpha)
+        return toric_kac_chain(quiver.restrict_vertices(support), alpha, guard)
     if quiver.nvertices == 1 and rank == (2,):
         return closed_form_rank2(len(quiver.loops()), alpha).as_polynomial()
     raise ValueError("rank out of implemented range")
@@ -230,16 +233,19 @@ def verify_exp_identity(
     The left side divides brute-force fiber counts by the group order and
     rescales by q^(alpha <r, r>); the right side is the plethystic
     exponential of sum_r A_r / (1 - q^-1) t^r evaluated at q = p.  Both are
-    exact rationals, compared coefficientwise for every r <= bound.
+    exact rationals, compared coefficientwise for every r <= bound.  Every
+    fiber count's work estimate is checked before any A-polynomial is built.
     """
     bound = tuple(int(b) for b in bound)
     if len(bound) != quiver.nvertices:
         raise ValueError("bound length must match the vertex count")
     if any(b > 1 for b in bound) and not (quiver.nvertices == 1 and bound[0] <= 2):
         raise ValueError("rank out of implemented range")
+    for r in _rank_vectors(bound):
+        _check_fiber_work(quiver, r, p, alpha, guard)
     series = TSeries.zero(quiver.nvertices, bound)
     for r in _rank_vectors(bound):
-        a_poly = kac_polynomial(quiver, r, alpha)
+        a_poly = kac_polynomial(quiver, r, alpha, guard)
         series = series + TSeries.monomial(
             quiver.nvertices, bound, r, RatFunc(a_poly) / ONE_MINUS_QINV
         )
@@ -288,7 +294,7 @@ def verify_generic_fiber(
     qp = Fraction(p)
     gl = group_order_gl(rank, alpha).evaluate(qp)
     lhs = Fraction(fiber) / gl
-    a_poly = kac_polynomial(quiver, rank, alpha)
+    a_poly = kac_polynomial(quiver, rank, alpha, guard)
     rhs = (
         qp ** (-alpha * quiver.euler_form(rank, rank))
         * a_poly.evaluate(qp)

@@ -1,10 +1,8 @@
 """Quivers as ordered directed multigraphs, with the graph operations used by
-the counting machinery: restriction, contraction, deletion, Betti numbers,
-connectivity (one union-find, ``vertex_roots``), spanning trees and
-tree-path bookkeeping.
+the counting machinery: restriction, deletion, Betti numbers, connectivity
+(one union-find, ``vertex_roots``), spanning trees and tree paths.
 
-The arrow order is the list order.  It is preserved by restriction and
-deletion; contraction preserves the relative order of the surviving arrows.
+The arrow order is the list order; restriction and deletion preserve it.
 Loops and parallel arrows are allowed.
 """
 
@@ -108,7 +106,7 @@ class Quiver:
         return total
 
     # ------------------------------------------------------------------
-    # restriction / deletion / contraction
+    # restriction / deletion
 
     def restrict_vertices(self, vertices: Iterable[int]) -> "Quiver":
         """Full subquiver on the given vertices (renumbered in sorted order)."""
@@ -134,34 +132,6 @@ class Quiver:
         return Quiver(
             self.nvertices, self.arrows[:a] + self.arrows[a + 1 :]
         )
-
-    def contract_arrow(self, a: int) -> tuple["Quiver", tuple[int, ...]]:
-        """Contract a non-loop arrow; merge its endpoints.
-
-        Returns the contracted quiver together with the vertex relabeling
-        (old index -> new index).  The merged class sits at the smaller of the
-        two old endpoint positions; the relative arrow order is preserved.
-        """
-        if not 0 <= a < self.narrows:
-            raise QuiverFormatError("arrow index out of range")
-        s, t = self.arrows[a]
-        if s == t:
-            raise ValueError("cannot contract loop")
-        lo, hi = min(s, t), max(s, t)
-        relabel = []
-        for v in range(self.nvertices):
-            if v == hi:
-                relabel.append(lo)
-            elif v > hi:
-                relabel.append(v - 1)
-            else:
-                relabel.append(v)
-        arrows = tuple(
-            (relabel[x], relabel[y])
-            for i, (x, y) in enumerate(self.arrows)
-            if i != a
-        )
-        return Quiver(self.nvertices - 1, arrows), tuple(relabel)
 
     # ------------------------------------------------------------------
     # spanning trees
@@ -203,35 +173,12 @@ class Quiver:
         return cls(nvertices, tuple(arrows))
 
 
-def push_forward(vec: Sequence[int], relabel: Sequence[int], nnew: int) -> tuple[int, ...]:
-    """Push an integer vertex vector through a contraction relabeling.
-
-    Entries mapping to the same new vertex are summed (so a parameter vector
-    lambda becomes lambda/a under contraction of the arrow a).
-    """
-    out = [0] * nnew
-    for old, value in enumerate(vec):
-        out[relabel[old]] += value
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ValuedTree:
-    """A spanning tree with an integer valuation label on each tree arrow."""
+    """A spanning tree (sorted arrow indices) with a valuation label on each arrow."""
 
     arrows: tuple[int, ...]
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.arrows) != len(self.values):
-            raise ValueError("one valuation per tree arrow required")
-        if tuple(sorted(self.arrows)) != self.arrows:
-            order = sorted(range(len(self.arrows)), key=lambda i: self.arrows[i])
-            object.__setattr__(self, "arrows", tuple(self.arrows[i] for i in order))
-            object.__setattr__(self, "values", tuple(self.values[i] for i in order))
-
-    def value_of(self, arrow: int) -> int:
-        return self.values[self.arrows.index(arrow)]
 
     def items(self) -> list[tuple[int, int]]:
         return list(zip(self.arrows, self.values))
@@ -265,14 +212,3 @@ def tree_path(quiver: Quiver, tree_arrows: Sequence[int], a: int) -> tuple[int, 
                 stack.append((w, path + [idx]))
     raise ValueError("tree does not span the endpoints")
 
-
-def tree_path_data(quiver: Quiver, tree: ValuedTree, a: int) -> tuple[tuple[int, ...], int, int]:
-    """Path arrows, their largest valuation, and the critical edge for a.
-
-    The critical edge is the smallest-index path arrow achieving the largest
-    valuation (the tie-break that decides the order of contraction).
-    """
-    path = tree_path(quiver, tree.arrows, a)
-    vmax = max(tree.value_of(e) for e in path)
-    critical = min(e for e in path if tree.value_of(e) == vmax)
-    return path, vmax, critical

@@ -276,35 +276,3 @@ REFERENCE_RANK3: dict[tuple[int, int], LaurentPoly] = {
     ),
 }
 
-
-def check_reference_tables() -> dict:
-    """Regression: recompute the rank-3 table two ways and diff against it.
-
-    Also checks that the rank-2 closed form matches the recursion route for
-    g <= 3 and that its coefficients stay nonnegative for g <= 4, alpha <= 6.
-    """
-    entries = []
-    ok = True
-    for (g, alpha), expected in sorted(REFERENCE_RANK3.items()):
-        via_moments = kac_from_moments(g, alpha, 3)[2]
-        via_closed = closed_form_rank3(g, alpha).as_polynomial()
-        nonneg = expected.is_nonnegative()
-        good = via_moments == expected and via_closed == expected and nonneg
-        ok = ok and good
-        entry = {"g": g, "alpha": alpha, "match": good}
-        if not good:
-            entry["expected"] = str(expected)
-            entry["via_moments"] = str(via_moments)
-            entry["via_closed"] = str(via_closed)
-        entries.append(entry)
-    rank2_ok = True
-    for g in range(1, 5):
-        for alpha in range(1, 7):
-            closed = closed_form_rank2(g, alpha).as_polynomial()
-            if not closed.is_nonnegative():
-                rank2_ok = False
-            if g <= 3 and alpha <= 5:
-                if kac_from_moments(g, alpha, 2)[1] != closed:
-                    rank2_ok = False
-    ok = ok and rank2_ok
-    return {"entries": entries, "rank2_consistent": rank2_ok, "equal": ok}

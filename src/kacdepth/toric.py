@@ -27,7 +27,7 @@ from math import comb
 from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError, OElem, cached_ring, guarded_power
+from .oring import DEFAULT_GUARD, GuardError, cached_ring, guarded_power
 from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
 
 
@@ -138,61 +138,6 @@ def census_polynomial(census: Sequence[tuple[ValuedTree, int]]) -> LaurentPoly:
 def toric_kac_trees(quiver: Quiver, alpha: int) -> LaurentPoly:
     """Valued-spanning-tree formula: sum of q^(n_T) over all strata."""
     return census_polynomial(tree_stratum_census(quiver, alpha))
-
-
-# ----------------------------------------------------------------------
-# contraction-deletion on an explicit representation
-
-
-def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
-    """Run the contraction-deletion algorithm on a rank-one representation.
-
-    Step 1 contracts the largest non-loop arrow carrying a unit, step 2
-    deletes the largest loop, step 3 divides every coordinate by t and drops
-    the depth.  The result is the valued spanning tree indexing the stratum
-    of x; tree labels are the valuations of the original coordinates.
-
-    Requires the support {a : x_a != 0} to span and connect all vertices
-    (the indecomposability criterion in rank one).
-    """
-    if len(x) != quiver.narrows:
-        raise ValueError("one ring element per arrow required")
-    support = [a for a in range(quiver.narrows) if not x[a].is_zero()]
-    if not quiver.restrict_arrows(support).is_connected():
-        raise ValueError("decomposable representation")
-
-    arrows = {a: quiver.arrows[a] for a in range(quiver.narrows)}
-    values = {a: x[a] for a in range(quiver.narrows)}
-    depth_drop = 0
-    tree: list[int] = []
-    labels: list[int] = []
-    while arrows:
-        units = [
-            a for a, (s, t) in arrows.items() if s != t and values[a].valuation() == 0
-        ]
-        if units:
-            a0 = max(units)
-            s, t = arrows.pop(a0)
-            values.pop(a0)
-            lo, hi = min(s, t), max(s, t)
-            arrows = {
-                a: (lo if u == hi else u, lo if v == hi else v)
-                for a, (u, v) in arrows.items()
-            }
-            tree.append(a0)
-            labels.append(x[a0].valuation())
-            continue
-        loops = [a for a, (s, t) in arrows.items() if s == t]
-        if loops:
-            a0 = max(loops)
-            arrows.pop(a0)
-            values.pop(a0)
-            continue
-        # step 3: every remaining coordinate has positive valuation
-        values = {a: v.shift_down() for a, v in values.items()}
-        depth_drop += 1
-    assert depth_drop < max((e.alpha for e in x), default=1)
-    return ValuedTree(tuple(tree), tuple(labels))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from kacdepth import quiver_catalog
+from oracles import quiver_catalog
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
-from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries
-from kacdepth.oring import OElem, cached_ring
-from kacdepth.quiver import ValuedTree, tree_path_data
+from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree
+from kacdepth.oring import cached_ring
+
+from oracles import OElem, tree_path_data
 
 
 # ----------------------------------------------------------------------
@@ -25,7 +28,7 @@ from kacdepth.quiver import ValuedTree, tree_path_data
 def brute_fiber_count(quiver: Quiver, rank, p: int, alpha: int, target=None) -> int:
     """#mu^-1(target) by enumerating every pair (x, y) over the ring tables."""
     rank = tuple(rank)
-    ring = cached_ring(p, alpha)
+    ring = ring_tables(p, alpha)
     if target is None:
         target = zero_target(rank)
     active = [
@@ -35,6 +38,18 @@ def brute_fiber_count(quiver: Quiver, rank, p: int, alpha: int, target=None) -> 
     if all(r <= 1 for r in rank):
         return scalar_fiber_count(quiver, rank, ring, target, active, verts)
     return matrix_fiber_count(quiver, rank, ring, target, active, verts)
+
+
+@lru_cache(maxsize=None)
+def ring_tables(p: int, alpha: int) -> SimpleNamespace:
+    """The library's mul table with add and sub tables from OElem arithmetic."""
+    elems = [OElem.from_code(p, alpha, c) for c in range(p**alpha)]
+    return SimpleNamespace(
+        size=len(elems),
+        mul=cached_ring(p, alpha).mul,
+        add=[[(a + b).code() for b in elems] for a in elems],
+        sub=[[(a - b).code() for b in elems] for a in elems],
+    )
 
 
 def zero_target(rank):
@@ -421,11 +436,11 @@ def euclid_normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly,
 
 def stratum_inequalities_hold(quiver: Quiver, tree: ValuedTree, x: list[OElem]) -> bool:
     """Membership conditions of the valued-tree stratum, checked literally."""
-    tree_set = set(tree.arrows)
+    values = dict(tree.items())
     for a in range(quiver.narrows):
         val = x[a].valuation()
-        if a in tree_set:
-            if val != tree.value_of(a):
+        if a in values:
+            if val != values[a]:
                 return False
         elif not quiver.is_loop(a):
             _, vmax, critical = tree_path_data(quiver, tree, a)

@@ -14,8 +14,9 @@ from kacdepth import (
     RatFunc,
     asymptotic_kac,
     asymptotic_moment,
-    check_reference_tables,
+    closed_form_rank3,
     e_series_check,
+    kac_from_moments,
     lex_shelling,
     moment_fiber_count,
     order_complex,
@@ -23,7 +24,6 @@ from kacdepth import (
     pleth_log,
     positivity_certificate,
     toric_kac_chain,
-    toric_kac_trees,
     toric_orbit_count,
     tree_stratum_census,
     verify_exp_identity,
@@ -31,6 +31,8 @@ from kacdepth import (
     verify_hilbert_identity,
 )
 from kacdepth.plethysm import adams
+from kacdepth.rank import REFERENCE_RANK3
+from kacdepth.toric import toric_kac_trees
 
 from helpers import (
     matrix_tree_count,
@@ -146,12 +148,13 @@ def test_criterion_6_asymptotic_relation(catalog_4v_6a):
 
 
 def test_criterion_7_rank_tables():
-    report = check_reference_tables()
-    assert report["equal"], [e for e in report["entries"] if not e["match"]]
-    assert report["rank2_consistent"]
+    for (g, alpha), expected in sorted(REFERENCE_RANK3.items()):
+        assert expected.is_nonnegative(), (g, alpha)
+        assert kac_from_moments(g, alpha, 3)[2] == expected, (g, alpha)
+        assert closed_form_rank3(g, alpha).as_polynomial() == expected, (g, alpha)
     print(
-        "\n[PASS] criterion 7: all 15 rank-3 table entries reproduced by both "
-        "routes; rank-2 closed form consistent and nonnegative"
+        f"\n[PASS] criterion 7: all {len(REFERENCE_RANK3)} rank-3 table entries "
+        "reproduced by the recursion and the closed form"
     )
 
 

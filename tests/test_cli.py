@@ -221,6 +221,21 @@ def test_shelling_kronecker12_refused_fast(guard, tmp_path, capsys):
     assert "order complex estimate" in capsys.readouterr().err
 
 
+def test_exp_identity_refused_before_chain_sum(tmp_path, capsys):
+    # the chain sum of one loop at alpha 10^5 takes seconds; the fiber
+    # estimate 2^(10^5) is refused before any A-polynomial is built
+    path = tmp_path / "loop.json"
+    path.write_text('{"vertices": 1, "arrows": [[0, 0]]}')
+    args = ["verify", "exp-identity", "--quiver", str(path), "--bound", "1"]
+    start = time.perf_counter()
+    assert main(args + ["--alpha", "100000", "--guard", "10"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "fiber enumeration estimate >= 2^100000" in capsys.readouterr().err
+    assert main(args + ["--alpha", "2", "--guard", "48"]) == 3
+    assert "fiber enumeration estimate 49 > limit 48" in capsys.readouterr().err
+    assert main(args + ["--alpha", "2", "--guard", "49"]) == 0
+
+
 @pytest.mark.parametrize("lam", ["1", "1,-1,0"])
 def test_moment_fiber_lam_length_is_a_user_error(lam, a2_file, capsys):
     args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "1"]

@@ -22,6 +22,7 @@ from helpers import (
     brute_fiber_count,
     matrix_fiber_count,
     random_connected_quiver,
+    ring_tables,
     scalar_fiber_count,
     zero_target,
 )
@@ -66,15 +67,13 @@ class TestFiberCounts:
     def test_matrix_and_scalar_paths_agree(self):
         # drive the generic matrix path with an artificial rank-2 bound of 1
         # by comparing against the scalar fast path on rank-one vectors
-        from kacdepth.oring import cached_ring
-
         rng = random.Random(3)
         for _ in range(20):
             q = random_connected_quiver(rng, 2, 2)
             p, alpha = rng.choice(((2, 1), (2, 2), (3, 1))), None
             p, alpha = p
             rank = (1,) * q.nvertices
-            ring = cached_ring(p, alpha)
+            ring = ring_tables(p, alpha)
             active = list(range(q.narrows))
             verts = list(range(q.nvertices))
             target = zero_target(rank)

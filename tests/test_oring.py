@@ -1,11 +1,14 @@
-"""Truncated polynomial ring arithmetic and GL enumeration."""
+"""Truncated polynomial ring tables, element arithmetic and GL orders."""
 
 import random
 from itertools import product
 
 import pytest
 
-from kacdepth import GuardError, LaurentPoly, OElem, OMatrix, ORing, enumerate_gl, group_order_gl
+from kacdepth import LaurentPoly, ORing, group_order_gl
+from kacdepth.oring import cached_ring
+
+from oracles import OElem
 
 Q = LaurentPoly.q()
 
@@ -32,7 +35,7 @@ class TestElements:
 
     def test_valuation(self):
         unit = OElem(5, 3, (2, 1, 0))
-        t = OElem.t_power(5, 3, 1)
+        t = OElem(5, 3, (0, 1, 0))
         assert (t * unit).valuation() == 1
         assert OElem.zero(5, 3).valuation() == 3
         assert unit.valuation() == 0
@@ -67,75 +70,10 @@ class TestElements:
         for p, alpha in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
             ring = ORing(p, alpha)
             elems = [OElem.from_code(p, alpha, c) for c in range(p**alpha)]
-            assert ring.add == [[(a + b).code() for b in elems] for a in elems]
-            assert ring.sub == [[(a - b).code() for b in elems] for a in elems]
+            assert ring.size == len(elems)
             assert ring.mul == [[(a * b).code() for b in elems] for a in elems]
             assert ring.inv == [a.inverse().code() if a.is_unit() else None for a in elems]
             assert ring.units == tuple(c for c, a in enumerate(elems) if a.is_unit())
-            assert all(ring.element(c) == a for c, a in enumerate(elems))
-
-
-class TestMatrices:
-    def test_identity_and_commutator(self):
-        ring_p, alpha = 2, 2
-        ident = OMatrix.identity(2, ring_p, alpha)
-        elems = [OElem.from_code(ring_p, alpha, c) for c in range(4)]
-        mat = OMatrix(((elems[1], elems[2]), (elems[3], elems[0])))
-        assert mat * ident == mat
-        zero_mat = mat.commutator(mat)
-        assert all(e.is_zero() for row in zero_mat.entries for e in row)
-
-    def test_shape_mismatch(self):
-        a = OMatrix.identity(2, 2, 1)
-        b = OMatrix(((OElem.one(2, 1),),))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            a * b
-
-    def test_commuting_pair_census(self):
-        # exhaust all 2^8 pairs of 2x2 matrices over F_2 via the matrix ops
-        elems = [OElem.from_code(2, 1, c) for c in range(2)]
-        mats = [
-            OMatrix((flat[:2], flat[2:]))
-            for flat in product(elems, repeat=4)
-        ]
-        count = sum(
-            1
-            for a in mats
-            for b in mats
-            if all(e.is_zero() for row in a.commutator(b).entries for e in row)
-        )
-        assert count == 88
-
-    def test_invertibility_matches_reduction(self):
-        # exhaustive: invertible over the ring iff invertible mod t
-        elems = [OElem.from_code(2, 2, c) for c in range(4)]
-        for flat in product(elems, repeat=4):
-            mat = OMatrix((flat[:2], flat[2:]))
-            red = mat.reduction()
-            det_mod = (red[0][0] * red[1][1] - red[0][1] * red[1][0]) % 2
-            assert mat.is_invertible() == (det_mod != 0)
-
-
-class TestEnumerateGL:
-    def test_rank1_units(self):
-        mats = list(enumerate_gl(1, 2, 2))
-        codes = sorted(m.entries[0][0].coeffs for m in mats)
-        assert codes == [(1, 0), (1, 1)]
-
-    def test_counts_match_group_order(self):
-        for r in (1, 2):
-            for p in (2, 3):
-                for alpha in (1, 2):
-                    count = sum(1 for _ in enumerate_gl(r, p, alpha))
-                    assert count == group_order_gl((r,), alpha).evaluate(p)
-
-    def test_specific_counts(self):
-        assert sum(1 for _ in enumerate_gl(2, 2, 1)) == 6
-        assert sum(1 for _ in enumerate_gl(2, 2, 2)) == 96
-
-    def test_guard(self):
-        with pytest.raises(GuardError, match="enumeration too large"):
-            list(enumerate_gl(3, 5, 4))
 
 
 class TestGroupOrder:
@@ -154,3 +92,20 @@ class TestGroupOrder:
 
     def test_zero_rank_factor(self):
         assert group_order_gl((0, 1), 1) == Q - 1
+
+    def test_gl_counts_over_ring_tables(self):
+        # GL_1 is the units; GL_2 the matrices whose ad - bc is a unit, i.e.
+        # whose products ad and bc differ mod t (codes are base-p digits)
+        counts = {}
+        for p, alpha in product((2, 3), (1, 2)):
+            ring = cached_ring(p, alpha)
+            mul, codes = ring.mul, range(ring.size)
+            gl2 = sum(
+                1
+                for a, b, c, d in product(codes, repeat=4)
+                if (mul[a][d] - mul[b][c]) % p
+            )
+            counts[p, alpha] = gl2
+            assert len(ring.units) == group_order_gl((1,), alpha).evaluate(p)
+            assert gl2 == group_order_gl((2,), alpha).evaluate(p)
+        assert counts[2, 1] == 6 and counts[2, 2] == 96
