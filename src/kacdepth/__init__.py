@@ -20,7 +20,6 @@ from .toric import (
 )
 from .srcomplex import (
     OrderComplex,
-    ShellingOrder,
     hilbert_specialized,
     lex_shelling,
     order_complex,
@@ -65,7 +64,6 @@ __all__ = [
     "toric_orbit_count",
     "tree_stratum_census",
     "OrderComplex",
-    "ShellingOrder",
     "hilbert_specialized",
     "lex_shelling",
     "order_complex",

@@ -79,7 +79,7 @@ def _cmd_kac(args) -> dict:
     }
     text = [f"A(alpha={args.alpha}) = {chain}"]
     if quiver.is_connected():
-        census = tree_stratum_census(quiver, args.alpha)
+        census = tree_stratum_census(quiver, args.alpha, guard=args.guard)
         trees = census_polynomial(census)
         report["tree_polynomial"] = str(trees)
         report["census"] = [

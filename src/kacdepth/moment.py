@@ -29,7 +29,7 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError, _check_prime, group_order_gl, guarded_power
+from .oring import DEFAULT_GUARD, _check_prime, check_work, group_order_gl, guarded_power
 from .plethysm import pleth_exp
 from .quiver import Quiver
 from .rank import closed_form_rank2
@@ -105,8 +105,7 @@ def _check_fiber_work(
     cols = alpha * sum(rank[s] * rank[t] for s, t in quiver.arrows)
     power = guarded_power(p, max(cols, alpha), "fiber enumeration", guard)
     work = power * rows * (cols + 1) * max(1, min(rows, cols)) + isqrt(p)
-    if work > guard:
-        raise GuardError(f"fiber enumeration estimate {work} > limit {guard}; raise --guard")
+    check_work("fiber enumeration", work, guard)
     return rank
 
 

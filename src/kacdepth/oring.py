@@ -3,8 +3,8 @@
 ``ORing`` holds the multiplication, inverse and unit tables that the
 brute-force orbit oracle enumerates over; elements are integer codes whose
 base-p digits are the coefficients, so code 0 is the zero element and a code
-is a unit exactly when it is nonzero mod p.  ``GuardError`` and
-``guarded_power`` let every exponential route refuse its work estimate
+is a unit exactly when it is nonzero mod p.  ``GuardError``, ``check_work``
+and ``guarded_power`` let every exponential route refuse its work estimate
 before it allocates anything; ``group_order_gl`` is the order of the
 automorphism group as a polynomial in q.
 """
@@ -27,6 +27,12 @@ class GuardError(RuntimeError):
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
+
+
+def check_work(label: str, work: int, guard: int) -> None:
+    """GuardError when the work estimate exceeds guard."""
+    if work > guard:
+        raise GuardError(f"{label} estimate {work} > limit {guard}; raise --guard")
 
 
 def guarded_power(base: int, exp: int, label: str, guard: int) -> int:

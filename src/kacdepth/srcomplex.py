@@ -15,7 +15,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError
+from .oring import DEFAULT_GUARD, check_work
 from .quiver import Quiver
 from .toric import _mask_betti_tables, asymptotic_kac
 
@@ -34,10 +34,6 @@ class OrderComplex:
     facets: tuple[frozenset[int], ...]
     words: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return self.narrows - 2
-
     def vertices(self) -> list[int]:
         return [m for m in range(1, (1 << self.narrows) - 1)]
 
@@ -51,8 +47,7 @@ class OrderComplex:
         fubini = [1]
         for k in range(1, n + 1):
             fubini.append(sum(comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
-        if fubini[n] > guard:
-            raise GuardError(f"face list estimate {fubini[n]} > limit {guard}; raise --guard")
+        check_work("face list", fubini[n], guard)
         masks = self.vertices()
         # chains ordered by popcount; extend chains upward
         by_count: dict[int, list[int]] = {}
@@ -82,9 +77,7 @@ def order_complex(quiver: Quiver, guard: int = DEFAULT_GUARD) -> OrderComplex:
     n = quiver.narrows
     if n < 1:
         return OrderComplex(0, (), ())
-    work = factorial(n) * n
-    if work > guard:
-        raise GuardError(f"order complex estimate {work} > limit {guard}; raise --guard")
+    check_work("order complex", factorial(n) * n, guard)
     facets = []
     words = []
     for word in permutations(range(n)):
@@ -158,52 +151,28 @@ def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
 # shelling
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
-    """Facets in shelling order together with their restriction faces."""
+def lex_shelling(complex_: OrderComplex) -> tuple[frozenset[int], ...]:
+    """Restriction faces of the lex shelling, aligned with ``complex_.facets``.
 
-    facets: tuple[frozenset[int], ...]
-    restrictions: tuple[frozenset[int], ...]
-
-
-def lex_shelling(complex_: OrderComplex, guard: int = DEFAULT_GUARD) -> ShellingOrder:
-    """Order the facets by their insertion words and verify shellability.
-
-    The shelling condition demands, for every i >= 2 and j < i, some k < i
-    with |F_i & F_k| = dim+1 and F_i & F_j <= F_i & F_k.  The codimension-one
-    intersections with earlier facets are the sets F_i minus one vertex, so
-    the condition for j holds iff some achievable missing vertex avoids F_j;
-    it fails exactly when the set of achievable missing vertices is contained
-    in F_j.  The restriction face of F_i is that set of missing vertices.
-    The work estimate (m!)^2 facet pairs must not exceed guard.
+    The facets come in lex order of their words, a shelling of the order
+    complex of the Boolean lattice (Bjorner-Wachs, On lexicographically
+    shellable posets, Trans. AMS 277, 1983).  The restriction face of the
+    facet with word w is the set of prefixes {w_1, ..., w_i} at the descents
+    w_i > w_{i+1}: swapping w_i and w_{i+1} drops exactly that prefix, and
+    gives an earlier word exactly at a descent.
     """
     if complex_.narrows < 2:
         raise ValueError("shelling needs at least two arrows")
-    work = len(complex_.facets) ** 2
-    if work > guard:
-        raise GuardError(f"shelling estimate {work} > limit {guard}; raise --guard")
-    order = sorted(range(len(complex_.facets)), key=lambda i: complex_.words[i])
-    facets = [complex_.facets[i] for i in order]
-    d = complex_.dim
-    restrictions: list[frozenset[int]] = [frozenset()]
-    for i in range(1, len(facets)):
-        fi = facets[i]
-        missing = set()
-        for k in range(i):
-            inter = fi & facets[k]
-            if len(inter) == d:
-                (v,) = fi - inter
-                missing.add(v)
-        if d >= 1:
-            # condition for j holds iff some achievable missing vertex
-            # avoids F_j; dimension-0 complexes pass by convention
-            if not missing:
-                raise RuntimeError("order is not a shelling")
-            for j in range(i):
-                if missing <= facets[j]:
-                    raise RuntimeError("order is not a shelling")
-        restrictions.append(frozenset(missing))
-    return ShellingOrder(tuple(facets), tuple(restrictions))
+    restrictions = []
+    for word in complex_.words:
+        mask = 0
+        face = []
+        for a, b in zip(word, word[1:]):
+            mask |= 1 << a
+            if a > b:
+                face.append(mask)
+        restrictions.append(frozenset(face))
+    return tuple(restrictions)
 
 
 def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
@@ -218,10 +187,9 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
         raise ValueError("certificate needs at least two arrows")
     complex_ = order_complex(quiver, guard)
     exponents = _specialized_exponents(quiver)
-    shelling = lex_shelling(complex_, guard)
     terms = []
     grouped: dict[tuple[int, ...], LaurentPoly] = {}
-    for facet, restriction in zip(shelling.facets, shelling.restrictions):
+    for facet, restriction in zip(complex_.facets, lex_shelling(complex_)):
         res_exps = sorted(exponents[m] for m in restriction)
         fac_exps = tuple(sorted(exponents[m] for m in facet))
         grouped[fac_exps] = grouped.get(fac_exps, LaurentPoly.zero()) + LaurentPoly.q(

@@ -27,7 +27,7 @@ from math import comb
 from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, GuardError, cached_ring, guarded_power
+from .oring import DEFAULT_GUARD, cached_ring, check_work, guarded_power
 from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
 
 
@@ -57,18 +57,19 @@ def toric_kac_chain(
     Integers pack each layer: layer[E] holds the coefficient of q^e in bits
     [e*W, (e+1)*W).  Coefficients count chains below some E, at most
     sum_E alpha^|E| = (alpha+1)^m < 2^W in all, so no field carries into the
-    next.  The work estimate 2^m * max(m, 1) * max(alpha-1, 1) must not
-    exceed guard.
+    next.  Each step adds up to W * b(Q) bits, so the top layer holds
+    ceil(W * (b(Q) * (alpha-1) + 1) / 64) machine words per entry.  The
+    work estimate 2^m * max(m, 1) * max(alpha-1, 1) times those words must
+    not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     m = quiver.narrows
-    work = (1 << m) * max(m, 1) * max(alpha - 1, 1)
-    if work > guard:
-        raise GuardError(f"chain sum estimate {work} > limit {guard}; raise --guard")
+    width = ((alpha + 1) ** m).bit_length()
+    words = -(-width * (quiver.betti() * (alpha - 1) + 1) // 64)
+    check_work("chain sum", (1 << m) * max(m, 1) * max(alpha - 1, 1) * words, guard)
     betti, connected = _mask_betti_tables(quiver)
     nmasks = 1 << m
-    width = ((alpha + 1) ** m).bit_length()
     # layer[E] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j))
     layer = [1] * nmasks
     for _ in range(alpha - 1):
@@ -94,20 +95,25 @@ def toric_kac_chain(
 
 
 def tree_stratum_census(
-    quiver: Quiver, alpha: int
+    quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD
 ) -> list[tuple[ValuedTree, int]]:
     """Valued spanning trees with their stratum exponents n_T.
 
     Each valuation label ranges over [0, alpha-1].  A loop contributes alpha
     to n_T (its coordinate ranges over the whole ring inside a stratum); a
     non-loop arrow outside the tree contributes
-    alpha - v_max(path) - [a > critical edge].
+    alpha - v_max(path) - [a > critical edge].  The work estimate
+    C(k, n-1) * alpha^(n-1) * max(m, 1), for k non-loop arrows (a bound on
+    the spanning trees) and n vertices, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     if not quiver.is_connected():
         raise ValueError("toric indecomposables require connected quiver")
     nloops = len(quiver.loops())
+    n, m = quiver.nvertices, quiver.narrows
+    strata = guarded_power(alpha, n - 1, "tree census", guard)
+    check_work("tree census", comb(m - nloops, n - 1) * strata * max(m, 1), guard)
     census: list[tuple[ValuedTree, int]] = []
     for tree in quiver.spanning_trees():
         pos = {a: i for i, a in enumerate(tree)}
@@ -165,8 +171,7 @@ def toric_orbit_count(
     # refuse before forming the powers when the largest one alone is past the guard
     guarded_power(p, max(alpha * m + (alpha - 1) * k, 2 * alpha), "orbit enumeration", guard)
     work = p ** (alpha * m) * ((p - 1) * p ** (alpha - 1)) ** k + p ** (2 * alpha)
-    if work > guard:
-        raise GuardError(f"orbit enumeration estimate {work} > limit {guard}; raise --guard")
+    check_work("orbit enumeration", work, guard)
     ring = cached_ring(p, alpha)
     mul, inv = ring.mul, ring.inv
     torus = [(1,) + u for u in product(ring.units, repeat=k)]
@@ -204,9 +209,7 @@ def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
-    work = 3**quiver.narrows
-    if work > guard:
-        raise GuardError(f"asymptotic sum estimate {work} > limit {guard}; raise --guard")
+    check_work("asymptotic sum", 3**quiver.narrows, guard)
     return _asymptotic_chain_sum(quiver)
 
 

@@ -6,6 +6,8 @@ tuples, checked against the library's integer-coded ring tables.
 ``assign_valued_tree`` runs the contraction-deletion algorithm of
 Abdelgadir-Mellit-Rodriguez-Villegas on an explicit rank-one representation,
 and its strata are checked against the library's valued-tree census.
+``shelling_restrictions_oracle`` finds the restriction faces of a shelling
+by facet-pair search, checked against the library's descent rule.
 ``quiver_catalog`` lists small quivers up to isomorphism of the underlying
 multigraph for the exhaustive suites.
 """
@@ -13,7 +15,7 @@ multigraph for the exhaustive suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
 from kacdepth import Quiver, ValuedTree
@@ -205,15 +207,72 @@ def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
 
 
 # ----------------------------------------------------------------------
+# shelling by facet-pair search
+
+
+def shelling_restrictions_oracle(
+    facets: Sequence[frozenset[int]],
+) -> tuple[frozenset[int], ...]:
+    """Restriction faces of the facet order, or RuntimeError if it is no shelling.
+
+    The shelling condition demands, for every i >= 2 and j < i, some k < i
+    with |F_i & F_k| = dim+1 and F_i & F_j <= F_i & F_k.  The codimension-one
+    intersections with earlier facets are the sets F_i minus one vertex, so
+    the condition for j holds iff some achievable missing vertex avoids F_j;
+    it fails exactly when the set of achievable missing vertices is contained
+    in F_j.  The restriction face of F_i is that set of missing vertices.
+    The search visits every pair of facets.
+    """
+    d = len(facets[0]) - 1
+    restrictions: list[frozenset[int]] = [frozenset()]
+    for i in range(1, len(facets)):
+        fi = facets[i]
+        missing = set()
+        for k in range(i):
+            inter = fi & facets[k]
+            if len(inter) == d:
+                (v,) = fi - inter
+                missing.add(v)
+        if d >= 1:
+            # dimension-0 complexes pass by convention
+            if not missing:
+                raise RuntimeError("order is not a shelling")
+            for j in range(i):
+                if missing <= facets[j]:
+                    raise RuntimeError("order is not a shelling")
+        restrictions.append(frozenset(missing))
+    return tuple(restrictions)
+
+
+# ----------------------------------------------------------------------
 # small-quiver catalogs
 
 
 def canonical_edges(nvertices: int, edges: EdgeList) -> EdgeList:
-    """Lexicographically smallest sorted edge list over all vertex relabelings."""
-    return min(
-        tuple(sorted(tuple(sorted((perm[s], perm[t]))) for s, t in edges))
-        for perm in permutations(range(nvertices))
-    )
+    """Lexicographically smallest sorted edge list over the vertex relabelings
+    that keep the vertices grouped by (loop count, non-loop degree), the
+    groups in sorted order.  Isomorphisms preserve both counts, so this is
+    still a canonical form, found over far fewer than n! relabelings."""
+    loops = [0] * nvertices
+    degree = [0] * nvertices
+    for s, t in edges:
+        if s == t:
+            loops[s] += 1
+        else:
+            degree[s] += 1
+            degree[t] += 1
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(nvertices):
+        groups.setdefault((loops[v], degree[v]), []).append(v)
+    best = None
+    for blocks in product(*(permutations(groups[key]) for key in sorted(groups))):
+        perm = [0] * nvertices
+        for new, old in enumerate(v for block in blocks for v in block):
+            perm[old] = new
+        key = tuple(sorted(tuple(sorted((perm[s], perm[t]))) for s, t in edges))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def quiver_catalog(

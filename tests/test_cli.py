@@ -221,6 +221,39 @@ def test_shelling_kronecker12_refused_fast(guard, tmp_path, capsys):
     assert "order complex estimate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "quiver, alpha, message",
+    [
+        # one loop: 2 * 1 * 99999 subset steps, each on a top layer of
+        # ceil(17 * (99999 + 1) / 64) = 26563 words; unguarded it runs for seconds
+        ({"vertices": 1, "arrows": [[0, 0]]}, "100000", "chain sum estimate 5312546874"),
+        # K4 passes the chain sum, but its census has up to C(6, 3) * 100^3
+        # = 2 * 10^7 strata; the estimate is that times 6 arrows
+        (
+            {"vertices": 4, "arrows": [[i, j] for i in range(4) for j in range(i + 1, 4)]},
+            "100",
+            "tree census estimate 120000000",
+        ),
+    ],
+)
+def test_kac_refused_fast(quiver, alpha, message, tmp_path, capsys):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    start = time.perf_counter()
+    assert main(["kac", "--quiver", str(path), "--alpha", alpha]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"{message} > limit 16777216; raise --guard" in capsys.readouterr().err
+
+
+def test_shelling_kronecker7_at_default_guard(tmp_path, capsys):
+    path = tmp_path / "kronecker7.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 7}))
+    assert main(["shelling", "--quiver", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["facets"] == 5040
+    assert report["ok"]
+
+
 def test_exp_identity_refused_before_chain_sum(tmp_path, capsys):
     # the chain sum of one loop at alpha 10^5 takes seconds; the fiber
     # estimate 2^(10^5) is refused before any A-polynomial is built

@@ -18,6 +18,7 @@ from kacdepth import (
 from kacdepth.srcomplex import _face_weight, _specialized_exponents
 
 from helpers import chain_face_count, literal_shelling_check
+from oracles import shelling_restrictions_oracle
 
 Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
@@ -52,7 +53,7 @@ class TestComplex:
 
 
 class TestGuards:
-    # three arrows: 3!*3 = 18 facet entries, Fubini(3) = 13 faces, (3!)^2 = 36 pairs
+    # three arrows: 3!*3 = 18 facet entries, Fubini(3) = 13 faces
     def test_order_complex_guard(self):
         with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
             order_complex(TRIANGLE, guard=17)
@@ -65,12 +66,11 @@ class TestGuards:
             cx.faces(guard=12)
         assert len(cx.faces(guard=13)) == 13
 
-    def test_shelling_guard(self):
-        with pytest.raises(GuardError, match="shelling estimate 36 > limit 35; raise --guard"):
-            lex_shelling(order_complex(TRIANGLE), guard=35)
-        with pytest.raises(GuardError, match="shelling estimate 36 > limit 35"):
-            positivity_certificate(TRIANGLE, guard=35)
-        assert positivity_certificate(TRIANGLE, guard=36)["matches_face_sum"]
+    def test_certificate_needs_only_complex_guards(self):
+        # the shelling itself reads the facet words and has no guard of its own
+        with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
+            positivity_certificate(TRIANGLE, guard=17)
+        assert positivity_certificate(TRIANGLE, guard=18)["matches_face_sum"]
 
 
 class TestHilbert:
@@ -106,30 +106,29 @@ class TestIdentity:
 
 class TestShelling:
     def test_two_points_any_order(self):
-        shelling = lex_shelling(order_complex(KRON))
-        assert shelling.restrictions[0] == frozenset()
-        assert len(shelling.restrictions[1]) == 1
+        restrictions = lex_shelling(order_complex(KRON))
+        assert restrictions[0] == frozenset()
+        assert len(restrictions[1]) == 1
 
-    def test_lex_order_is_shelling_small(self):
-        for n in range(2, 6):
-            quiver = Quiver(1, ((0, 0),) * n)
-            shelling = lex_shelling(order_complex(quiver))
-            assert len(shelling.facets) == math.factorial(n)
+    def test_descents_match_search_oracle(self):
+        for n in range(2, 7):
+            cx = order_complex(Quiver(1, ((0, 0),) * n))
+            restrictions = lex_shelling(cx)
+            assert len(restrictions) == len(cx.facets) == math.factorial(n)
+            assert restrictions == shelling_restrictions_oracle(cx.facets), n
 
     def test_matches_literal_condition(self):
         for n in range(2, 5):
             quiver = Quiver(1, ((0, 0),) * n)
-            shelling = lex_shelling(order_complex(quiver))
-            assert literal_shelling_check(list(shelling.facets))
+            assert literal_shelling_check(list(order_complex(quiver).facets))
 
     def test_interval_partition(self):
         # the intervals [restriction, facet] partition the nonempty faces
         for n in (3, 4):
             quiver = Quiver(1, ((0, 0),) * n)
             cx = order_complex(quiver)
-            shelling = lex_shelling(cx)
             seen = set()
-            for facet, restriction in zip(shelling.facets, shelling.restrictions):
+            for facet, restriction in zip(cx.facets, lex_shelling(cx)):
                 extra = facet - restriction
                 for bits in range(1 << len(extra)):
                     members = [v for i, v in enumerate(sorted(extra)) if bits >> i & 1]

@@ -83,7 +83,8 @@ class TestChainSum:
             assert toric_kac_chain(q, alpha) == chain_sum_dict(q, alpha), (q, alpha)
 
     def test_guard_names_estimate_limit_and_flag(self):
-        # work estimate 2^m * m * max(alpha-1, 1) = 4 * 2 * 2 = 16 for KRON at alpha 3
+        # work estimate 2^m * m * max(alpha-1, 1) * words = 4 * 2 * 2 * 1 = 16 for
+        # KRON at alpha 3: W = 5 bits per field, 5 * (1 * 2 + 1) = 15 bits in the top layer
         assert toric_kac_chain(KRON, 3, guard=16) == toric_kac_chain(KRON, 3)
         with pytest.raises(GuardError, match=r"estimate 16 .*limit 15.*--guard"):
             toric_kac_chain(KRON, 3, guard=15)
@@ -128,6 +129,14 @@ class TestTreeStrata:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             toric_kac_trees(Quiver(2, ()), 2)
+
+    def test_guard_bounds_trees_times_strata(self):
+        # TRIANGLE at alpha 3: C(3, 2) trees * 3^2 valuations * 3 arrows = 81
+        assert len(tree_stratum_census(TRIANGLE, 3, guard=81)) == 27
+        with pytest.raises(GuardError, match="tree census estimate 81 > limit 80; raise --guard"):
+            tree_stratum_census(TRIANGLE, 3, guard=80)
+        with pytest.raises(GuardError, match="tree census estimate >= 1024\\^3"):
+            tree_stratum_census(THETA, 1024, guard=100)
 
     def test_routes_agree_small(self, catalog_3v_3a):
         for q in catalog_3v_3a:
