@@ -54,24 +54,18 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-        return
-    for line in report.get("text", []):
-        print(line)
-
-
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, quiver) -> (body, ok, text).  They call the
+# library through module globals, so rebinding a global reaches them all.
 
 
-def _cmd_kac(args) -> dict:
-    quiver = _load_quiver(args.quiver)
+def _primes(args) -> list[int]:
+    return _parse_ints(args.p) if args.p else [2]
+
+
+def _kac(args, quiver: Quiver):
     chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
-    report = {
-        "schema": SCHEMA,
-        "command": "kac",
+    body = {
         "alpha": args.alpha,
         "quiver": quiver.to_json(),
         "polynomial": str(chain),
@@ -81,148 +75,109 @@ def _cmd_kac(args) -> dict:
     if quiver.is_connected():
         census = tree_stratum_census(quiver, args.alpha, guard=args.guard)
         trees = census_polynomial(census)
-        report["tree_polynomial"] = str(trees)
-        report["census"] = [
+        body["tree_polynomial"] = str(trees)
+        body["census"] = [
             {"tree": list(t.arrows), "valuation": list(t.values), "exponent": n}
             for t, n in census
         ]
-        report["ok"] = chain == trees
+        ok = chain == trees
         text.append(f"tree route        = {trees}")
         text.append(f"strata            = {len(census)}")
-        text.append(f"routes agree      = {report['ok']}")
-    else:
-        # no indecomposables; expose the per-component counts whose product
-        # enters the partition sums of the fiber identities
-        product = LaurentPoly.one()
-        components = []
-        for block in quiver.components():
-            poly = toric_kac_chain(
-                quiver.restrict_vertices(block), args.alpha, guard=args.guard
-            )
-            product = product * poly
-            components.append({"vertices": list(block), "polynomial": str(poly)})
-        report["components"] = components
-        report["component_product"] = str(product)
-        report["ok"] = chain.is_zero()
-        text.append("(disconnected quiver: no indecomposables, tree route skipped)")
-        for entry in components:
-            text.append(f"component {entry['vertices']}: {entry['polynomial']}")
-        text.append(f"component product  = {product}")
-    report["text"] = text
-    return report
+        text.append(f"routes agree      = {ok}")
+        return body, ok, text
+    # no indecomposables; expose the per-component counts whose product
+    # enters the partition sums of the fiber identities
+    product = LaurentPoly.one()
+    components = []
+    for block in quiver.components():
+        poly = toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
+        product = product * poly
+        components.append({"vertices": list(block), "polynomial": str(poly)})
+    body["components"] = components
+    body["component_product"] = str(product)
+    text.append("(disconnected quiver: no indecomposables, tree route skipped)")
+    for entry in components:
+        text.append(f"component {entry['vertices']}: {entry['polynomial']}")
+    text.append(f"component product  = {product}")
+    return body, chain.is_zero(), text
 
 
-def _cmd_asymptotic(args) -> dict:
-    quiver = _load_quiver(args.quiver)
+def _asymptotic(args, quiver: Quiver):
     a_q = asymptotic_kac(quiver, guard=args.guard)
     b_q = asymptotic_moment(quiver, guard=args.guard)
-    return {
-        "schema": SCHEMA,
-        "command": "asymptotic",
+    body = {
         "quiver": quiver.to_json(),
         "A": str(a_q),
         "A_json": a_q.to_json(),
         "B": str(b_q),
         "B_json": b_q.to_json(),
-        "ok": True,
-        "text": [f"A_Q = {a_q}", f"B_mu = {b_q}"],
     }
+    return body, True, [f"A_Q = {a_q}", f"B_mu = {b_q}"]
 
 
-def _cmd_verify(args) -> dict:
-    quiver = _load_quiver(args.quiver)
-    primes = _parse_ints(args.p) if args.p else [2]
-    if args.identity == "exp-identity":
-        bound = tuple(_parse_ints(args.bound)) if args.bound else (1,) * quiver.nvertices
-        reports = [
-            verify_exp_identity(quiver, p, args.alpha, bound, guard=args.guard)
-            for p in primes
-        ]
-        ok = all(r["equal"] for r in reports)
-        text = [
-            f"exp-identity p={r['prime']} alpha={r['alpha']}: "
-            + ("ok" if r["equal"] else "FAILED")
-            for r in reports
-        ]
-        for r in reports:
-            for row in r["rows"]:
-                if not row["equal"]:
-                    text.append(
-                        f"  rank {row['rank']}: lhs={row['lhs']} rhs={row['rhs']}"
-                    )
-        return {
-            "schema": SCHEMA,
-            "command": "verify exp-identity",
-            "reports": reports,
-            "ok": ok,
-            "text": text,
-        }
-    if args.identity == "generic-fiber":
-        lam = _parse_ints(args.lam) if args.lam else None
-        if lam is None:
-            raise QuiverFormatError("generic-fiber requires --lam")
-        reports = [
-            verify_generic_fiber(quiver, lam, p, args.alpha, guard=args.guard)
-            for p in primes
-        ]
-        ok = all(r["equal"] for r in reports)
-        text = [
-            f"generic-fiber p={r['prime']} alpha={r['alpha']}: lhs={r['lhs']} rhs={r['rhs']} "
-            + ("ok" if r["equal"] else "FAILED")
-            for r in reports
-        ]
-        return {
-            "schema": SCHEMA,
-            "command": "verify generic-fiber",
-            "reports": reports,
-            "ok": ok,
-            "text": text,
-        }
-    if args.identity == "thm41":
-        report = verify_hilbert_identity(quiver, guard=args.guard)
-        report.update(
-            {
-                "schema": SCHEMA,
-                "command": "verify thm41",
-                "ok": report["equal"],
-                "text": [
-                    f"asymptotic count   = {report['lhs']}",
-                    f"Hilbert route      = {report['rhs']}",
-                    f"equal              = {report['equal']}",
-                ],
-            }
-        )
-        return report
-    raise QuiverFormatError(f"unknown verify target {args.identity!r}")
+def _exp_identity(args, quiver: Quiver):
+    bound = tuple(_parse_ints(args.bound)) if args.bound else (1,) * quiver.nvertices
+    reports = [
+        verify_exp_identity(quiver, p, args.alpha, bound, guard=args.guard)
+        for p in _primes(args)
+    ]
+    text = [
+        f"exp-identity p={r['prime']} alpha={r['alpha']}: "
+        + ("ok" if r["equal"] else "FAILED")
+        for r in reports
+    ]
+    for r in reports:
+        for row in r["rows"]:
+            if not row["equal"]:
+                text.append(f"  rank {row['rank']}: lhs={row['lhs']} rhs={row['rhs']}")
+    return {"reports": reports}, all(r["equal"] for r in reports), text
 
 
-def _cmd_shelling(args) -> dict:
-    quiver = _load_quiver(args.quiver)
+def _generic_fiber(args, quiver: Quiver):
+    if not args.lam:
+        raise QuiverFormatError("generic-fiber requires --lam")
+    lam = _parse_ints(args.lam)
+    reports = [
+        verify_generic_fiber(quiver, lam, p, args.alpha, guard=args.guard)
+        for p in _primes(args)
+    ]
+    text = [
+        f"generic-fiber p={r['prime']} alpha={r['alpha']}: lhs={r['lhs']} rhs={r['rhs']} "
+        + ("ok" if r["equal"] else "FAILED")
+        for r in reports
+    ]
+    return {"reports": reports}, all(r["equal"] for r in reports), text
+
+
+def _thm41(args, quiver: Quiver):
+    report = verify_hilbert_identity(quiver, guard=args.guard)
+    text = [
+        f"asymptotic count   = {report['lhs']}",
+        f"Hilbert route      = {report['rhs']}",
+        f"equal              = {report['equal']}",
+    ]
+    return report, report["equal"], text
+
+
+def _shelling(args, quiver: Quiver):
     cert = positivity_certificate(quiver, guard=args.guard)
-    report = {
-        "schema": SCHEMA,
-        "command": "shelling",
-        "facets": len(cert["terms"]),
-        "certificate": cert["terms"],
-        "total": cert["total"],
-        "ok": cert["matches_face_sum"],
-    }
+    body = {"facets": len(cert["terms"]), "certificate": cert["terms"], "total": cert["total"]}
     if "single_denominator" in cert:
-        report["single_denominator"] = cert["single_denominator"]
-    report["text"] = [
-        f"facets              = {report['facets']}",
+        body["single_denominator"] = cert["single_denominator"]
+    text = [
+        f"facets              = {body['facets']}",
         f"certificate terms   = {len(cert['terms'])}",
         f"sum matches faces   = {cert['matches_face_sum']}",
         f"total               = {cert['total']}",
     ]
-    return report
+    return body, cert["matches_face_sum"], text
 
 
-def _cmd_rank_table(args) -> dict:
+def _rank_table(args, quiver: None):
     g, alpha = args.g, args.alpha
-    rows = []
-    text = []
-    ok = True
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
+    rows, text, ok = [], [], True
     for a in range(1, alpha + 1):
         polys = kac_from_moments(g, a, 3)
         for r, poly in enumerate(polys, start=1):
@@ -237,87 +192,61 @@ def _cmd_rank_table(args) -> dict:
             match = REFERENCE_RANK3[(g, a)] == polys[2]
             ok = ok and match
             text.append(f"  reference table match (r=3): {match}")
-    return {
-        "schema": SCHEMA,
-        "command": "rank-table",
-        "rows": rows,
-        "ok": ok,
-        "text": text,
-    }
+    return {"rows": rows}, ok, text
 
 
-def _cmd_e_series(args) -> dict:
-    quiver = _load_quiver(args.quiver)
-    report = e_series_check(quiver, args.alpha, args.mode, args.order)
-    report.update(
-        {
-            "schema": SCHEMA,
-            "command": "e-series",
-            "ok": report["equal"],
-            "text": [
-                f"mode={args.mode} alpha={args.alpha} order={args.order}: "
-                + ("ok" if report["equal"] else "FAILED")
-            ]
-            + [
-                f"  z^{row['exponent']}: lhs={row['lhs']} rhs={row['rhs']}"
-                for row in report["rows"]
-                if not row["equal"]
-            ],
-        }
-    )
-    return report
+def _e_series(args, quiver: Quiver):
+    report = e_series_check(quiver, args.alpha, args.mode, args.order, guard=args.guard)
+    text = [
+        f"mode={args.mode} alpha={args.alpha} order={args.order}: "
+        + ("ok" if report["equal"] else "FAILED")
+    ] + [
+        f"  z^{row['exponent']}: lhs={row['lhs']} rhs={row['rhs']}"
+        for row in report["rows"] if not row["equal"]
+    ]
+    return report, report["equal"], text
 
 
-def _cmd_oracle(args) -> dict:
-    quiver = _load_quiver(args.quiver)
-    primes = _parse_ints(args.p) if args.p else [2]
-    if args.oracle == "orbit-count":
-        chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
-        rows = []
-        ok = True
-        for p in primes:
-            count = toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
-            expected = int(chain.evaluate(p))
-            rows.append({"p": p, "count": count, "polynomial_at_p": expected})
-            ok = ok and count == expected
-        return {
-            "schema": SCHEMA,
-            "command": "oracle orbit-count",
-            "alpha": args.alpha,
-            "polynomial": str(chain),
-            "rows": rows,
-            "ok": ok,
-            "text": [
-                f"p={r['p']}: orbits={r['count']} polynomial={r['polynomial_at_p']}"
-                for r in rows
-            ],
-        }
-    if args.oracle == "moment-fiber":
-        rank = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
-        rows = []
-        for p in primes:
-            target = None
-            if args.lam:
-                target = generic_target(
-                    quiver, rank, _parse_ints(args.lam), p, args.alpha, guard=args.guard
-                )
-            count = moment_fiber_count(
-                quiver, rank, p, args.alpha, target=target, guard=args.guard
+def _orbit_count(args, quiver: Quiver):
+    primes = _primes(args)  # a malformed --p is reported before any guard error
+    chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
+    rows = []
+    for p in primes:
+        count = toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
+        rows.append({"p": p, "count": count, "polynomial_at_p": int(chain.evaluate(p))})
+    body = {"alpha": args.alpha, "polynomial": str(chain), "rows": rows}
+    text = [f"p={r['p']}: orbits={r['count']} polynomial={r['polynomial_at_p']}" for r in rows]
+    return body, all(r["count"] == r["polynomial_at_p"] for r in rows), text
+
+
+def _moment_fiber(args, quiver: Quiver):
+    rank = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
+    rows = []
+    for p in _primes(args):
+        target = None
+        if args.lam:
+            target = generic_target(
+                quiver, rank, _parse_ints(args.lam), p, args.alpha, guard=args.guard
             )
-            rows.append({"p": p, "count": count})
-        return {
-            "schema": SCHEMA,
-            "command": "oracle moment-fiber",
-            "alpha": args.alpha,
-            "rank": list(rank),
-            "rows": rows,
-            "ok": True,
-            "text": [f"p={r['p']}: fiber size {r['count']}" for r in rows],
-        }
-    raise QuiverFormatError(f"unknown oracle {args.oracle!r}")
+        count = moment_fiber_count(quiver, rank, p, args.alpha, target=target, guard=args.guard)
+        rows.append({"p": p, "count": count})
+    body = {"alpha": args.alpha, "rank": list(rank), "rows": rows}
+    return body, True, [f"p={r['p']}: fiber size {r['count']}" for r in rows]
 
 
-# ----------------------------------------------------------------------
+# keyed by the report's "command": the subcommand and its positional target
+HANDLERS = {
+    "kac": _kac,
+    "asymptotic": _asymptotic,
+    "verify exp-identity": _exp_identity,
+    "verify generic-fiber": _generic_fiber,
+    "verify thm41": _thm41,
+    "shelling": _shelling,
+    "rank-table": _rank_table,
+    "e-series": _e_series,
+    "oracle orbit-count": _orbit_count,
+    "oracle moment-fiber": _moment_fiber,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,18 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=int, default=1, help="depth (>= 1)")
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
         # accepted after the subcommand as well
-        p.add_argument(
-            "--format", choices=("text", "json"), default=argparse.SUPPRESS
-        )
+        p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("kac", help="toric count by chain and tree routes")
     add_common(p)
-    p.set_defaults(handler=_cmd_kac)
 
     p = sub.add_parser("asymptotic", help="depth limits A_Q and B_mu")
     add_common(p, alpha=False)
-    p.set_defaults(handler=_cmd_asymptotic)
 
     p = sub.add_parser("verify", help="identity verification suites")
     p.add_argument("identity", choices=("exp-identity", "generic-fiber", "thm41"))
@@ -356,22 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None, help="comma-separated primes")
     p.add_argument("--bound", default=None, help="rank truncation r1,r2,...")
     p.add_argument("--lam", default=None, help="generic parameter l1,l2,...")
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("shelling", help="shelling order and positivity certificate")
     add_common(p, alpha=False)
-    p.set_defaults(handler=_cmd_shelling)
 
     p = sub.add_parser("rank-table", help="one-vertex ranks 1..3 for g loops")
     p.add_argument("--g", type=int, required=True)
     add_common(p, quiver=False)
-    p.set_defaults(handler=_cmd_rank_table)
 
     p = sub.add_parser("e-series", help="graded-dimension series bookkeeping")
     add_common(p)
     p.add_argument("--mode", choices=("zero-fiber", "generic-fiber"), default="zero-fiber")
     p.add_argument("--order", type=int, default=10)
-    p.set_defaults(handler=_cmd_e_series)
 
     p = sub.add_parser("oracle", help="brute-force enumeration oracles")
     p.add_argument("oracle", choices=("orbit-count", "moment-fiber"))
@@ -379,25 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None, help="comma-separated primes")
     p.add_argument("--rank", default=None, help="rank vector r1,r2,...")
     p.add_argument("--lam", default=None, help="generic parameter l1,l2,...")
-    p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    target = getattr(args, "identity", None) or getattr(args, "oracle", None)
+    command = f"{args.command} {target}" if target else args.command
     try:
-        report = args.handler(args)
+        quiver = _load_quiver(args.quiver) if "quiver" in args else None
+        body, ok, text = HANDLERS[command](args, quiver)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (QuiverFormatError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.setdefault("seed", args.seed)
-    _emit(report, args.format)
-    return 0 if report.get("ok", True) else 1
+    if args.format == "json":
+        report = {"schema": SCHEMA, "command": command, **body, "ok": ok, "text": text}
+        print(json.dumps({**report, "seed": args.seed}, indent=2))
+    else:
+        for line in text:
+            print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ counts feed three symbolic checks:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -325,14 +325,26 @@ def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def e_series_check(quiver: Quiver, alpha: int, mode: str, order: int) -> dict:
+def _bell(n: int) -> int:
+    """Number of set partitions of n items (Bell triangle)."""
+    row = [1]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
+
+
+def e_series_check(
+    quiver: Quiver, alpha: int, mode: str, order: int, guard: int = DEFAULT_GUARD
+) -> dict:
     """Termwise comparison of graded-dimension generating series.
 
     One side expands P_X / P_G at infinity, with P_X the counting polynomial
     of the fiber assembled from the verified identities; the other side is
     built directly from shifted A-polynomials and classifying-space factors
     (one geometric series sum_{k>=1} z^-k per torus factor).  Equality is
-    asserted for every exponent >= -order.
+    asserted for every exponent >= -order.  The zero-fiber sum runs over the
+    Bell(n) set partitions of the n vertices, at most n chain sums each; the
+    estimate Bell(n) * max(n, 1) must not exceed guard.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -345,12 +357,15 @@ def e_series_check(quiver: Quiver, alpha: int, mode: str, order: int) -> dict:
 
     # one list of A-polynomials per summand: the blocks of a set partition
     if mode == "zero-fiber":
+        n = quiver.nvertices
+        guarded_power(2, max(n - 1, 0), "set partitions", guard)  # Bell(n) >= 2^(n-1)
+        check_work("set partitions", _bell(n) * max(n, 1), guard)
         polys = [
-            [toric_kac_chain(quiver.restrict_vertices(block), alpha) for block in part]
-            for part in _set_partitions(list(range(quiver.nvertices)))
+            [toric_kac_chain(quiver.restrict_vertices(b), alpha, guard=guard) for b in part]
+            for part in _set_partitions(list(range(n)))
         ]
     else:
-        polys = [[toric_kac_chain(quiver, alpha)]]
+        polys = [[toric_kac_chain(quiver, alpha, guard=guard)]]
 
     # counting polynomial of the fiber, from the summed identity
     total = RatFunc.zero()

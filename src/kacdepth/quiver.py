@@ -159,18 +159,19 @@ class Quiver:
         if not isinstance(data, dict):
             raise QuiverFormatError("quiver JSON must be an object")
         try:
-            nvertices = int(data["vertices"])
-            raw = data["arrows"]
-        except (KeyError, TypeError, ValueError) as exc:
+            nvertices, raw = data["vertices"], data["arrows"]
+        except KeyError as exc:
             raise QuiverFormatError(f"quiver JSON missing fields: {exc}") from exc
+        # type() is int, not int(): int() truncates floats, parses strings, takes bools
+        if type(nvertices) is not int:
+            raise QuiverFormatError(f"vertex count {nvertices!r} is not an integer")
         if not isinstance(raw, list):
             raise QuiverFormatError("arrows must be an array")
-        arrows = []
         for item in raw:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(type(v) is int for v in item)):
                 raise QuiverFormatError(f"bad arrow entry {item!r}")
-            arrows.append((int(item[0]), int(item[1])))
-        return cls(nvertices, tuple(arrows))
+        return cls(nvertices, tuple((s, t) for s, t in raw))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, output formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacdepth.cli import main
+from kacdepth import cli
+from kacdepth.cli import build_parser, main
 from kacdepth.oring import cached_ring
 
 
@@ -285,14 +287,62 @@ def test_huge_prime_is_a_user_error(point_file, capsys):
 
 def test_identity_failure_exits_1(kron_file, monkeypatch, capsys):
     # exit code 1 is reserved for mathematical mismatches in the report
-    import kacdepth.cli as cli_mod
-
-    def failing_handler(args):
-        return {"ok": False, "text": ["forced diff"]}
-
-    monkeypatch.setattr(cli_mod, "_cmd_kac", failing_handler)
+    monkeypatch.setitem(cli.HANDLERS, "kac", lambda args, quiver: ({}, False, ["forced diff"]))
     assert main(["kac", "--quiver", kron_file]) == 1
     assert "forced diff" in capsys.readouterr().out
+
+
+def _parser_commands() -> set[str]:
+    """Every subcommand the parser accepts, joined with each positional target."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = set()
+    for name, parser in sub.choices.items():
+        positional = [a for a in parser._actions if not a.option_strings]
+        assert len(positional) <= 1, name
+        targets = positional[0].choices if positional else [None]
+        commands |= {f"{name} {t}" if t else name for t in targets}
+    return commands
+
+
+def test_handlers_cover_the_parser():
+    assert set(cli.HANDLERS) == _parser_commands()
+
+
+def test_report_envelope(kron_file, capsys):
+    args = ["--format", "json", "--seed", "7", "verify", "thm41", "--quiver", kron_file]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    keys = list(report)
+    assert keys[:2] == ["schema", "command"] and keys[-3:] == ["ok", "text", "seed"]
+    assert report["command"] == "verify thm41" and report["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "quiver, mode, guard, message",
+    [
+        # Bell(2) = 2 set partitions, 2 chain sums each
+        ({"vertices": 2, "arrows": [[0, 1]] * 2}, "zero-fiber", 3, "set partitions estimate 4"),
+        ({"vertices": 2, "arrows": [[0, 1]] * 2}, "generic-fiber", 3, "chain sum estimate 8"),
+        # Bell(10) = 115975 set partitions; unguarded this ran for about a minute
+        ({"vertices": 10, "arrows": []}, "zero-fiber", 100000, "set partitions estimate 1159750"),
+        # Bell(n) >= 2^(n-1): 40 points are refused before Bell(40) is formed
+        ({"vertices": 40, "arrows": []}, "zero-fiber", 2**24, "set partitions estimate >= 2^39"),
+    ],
+)
+def test_e_series_refused_fast(quiver, mode, guard, message, tmp_path, capsys):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    args = ["e-series", "--quiver", str(path), "--alpha", "2", "--mode", mode]
+    start = time.perf_counter()
+    assert main(args + ["--guard", str(guard)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"{message} > limit {guard}; raise --guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_rank_table_depth_is_a_user_error(alpha, capsys):
+    assert main(["rank-table", "--g", "1", "--alpha", alpha]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
 
 
 def test_deterministic_output(kron_file, capsys):
@@ -358,3 +408,74 @@ def test_oracle_commands_fuzz(fuzz_quivers, command, index, p, alpha, rank, lam,
     assert time.perf_counter() - start < 5.0, argv
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def quiver_data(draw):
+    """Quiver JSON: valid with at most 6 vertices, or flawed in one place.
+
+    The flaws: zero, negative, string and float vertex counts; out-of-range,
+    null, list, float, string and 1e400 endpoints (1e400 parses to an
+    infinite float); missing fields and a non-object top level.  All but a
+    zero count without arrows are user errors.
+    """
+    n = draw(st.integers(1, 6))
+    arrows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=3))
+    data = {"vertices": n, "arrows": arrows}
+    flaw = draw(st.sampled_from([None, None, "vertices", "endpoint", "shape"]))
+    if flaw == "vertices":
+        data["vertices"] = draw(st.sampled_from([0, -1, "3", 2.0, None, float("inf")]))
+    elif flaw == "endpoint":
+        bad = draw(st.sampled_from([-1, n, None, [1], 1.7, "1", float("inf")]))
+        data["arrows"] = [*arrows, [0, bad]]
+    elif flaw == "shape":
+        data = draw(st.sampled_from(
+            [[], "kac", None, {"vertices": n}, {"arrows": arrows},
+             {"vertices": n, "arrows": {}}, {"vertices": n, "arrows": [[0]]}]
+        ))
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("handler_fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli.HANDLERS)),
+    data=quiver_data(),
+    alpha=st.sampled_from([1, 2, 3, 0, -1]),
+    order=st.sampled_from([1, 4, 0, -1]),
+    g=st.sampled_from([1, 2, 0, -1, -2]),
+    mode=st.sampled_from(["zero-fiber", "generic-fiber"]),
+    lam=st.none() | st.sampled_from(["1,-1", "1,-2,1", "1", "x"]),
+)
+def test_every_handler_fuzz(fuzz_dir, command, data, alpha, order, g, mode, lam):
+    # malformed quivers and small or negative flags: a clean exit code, no
+    # traceback, a well-formed envelope, and no call past a few seconds
+    argv = ["--format", "json", *command.split()]
+    if command == "rank-table":
+        argv += [f"--g={g}", f"--alpha={alpha}"]
+    else:
+        path = fuzz_dir / "quiver.json"
+        path.write_text(json.dumps(data).replace("Infinity", "1e400"))
+        argv += ["--quiver", str(path)]
+        if command not in ("asymptotic", "shelling", "verify thm41"):
+            argv.append(f"--alpha={alpha}")
+    if command == "e-series":
+        argv += [f"--order={order}", f"--mode={mode}"]
+    if lam is not None and command in ("verify generic-fiber", "oracle moment-fiber"):
+        argv.append(f"--lam={lam}")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert list(report)[:2] == ["schema", "command"], argv
+        assert list(report)[-3:] == ["ok", "text", "seed"], argv
+        assert report["command"] == command and report["ok"] is (code == 0)

@@ -1,5 +1,6 @@
 """Graph layer: Betti numbers, connectivity, contraction/deletion, trees."""
 
+import json
 import random
 
 import pytest
@@ -218,3 +219,13 @@ def test_json_round_trip():
         Quiver.from_json({"vertices": 1})
     with pytest.raises(QuiverFormatError):
         Quiver.from_json({"vertices": 2, "arrows": [[0, 5]]})
+    # only JSON integers: nulls, lists, floats (1e400 is inf), strings and
+    # booleans are refused, not coerced or left to raise TypeError
+    for bad in (None, [1], 1.7, 1.0, float("inf"), "1", True):
+        with pytest.raises(QuiverFormatError):
+            Quiver.from_json({"vertices": 2, "arrows": [[0, bad]]})
+        with pytest.raises(QuiverFormatError):
+            Quiver.from_json({"vertices": bad, "arrows": []})
+    for text in ('{"vertices": 2, "arrows": [[0, 1e400]]}', '{"vertices": 1e400, "arrows": []}'):
+        with pytest.raises(QuiverFormatError):
+            Quiver.from_json(json.loads(text))
