@@ -20,7 +20,7 @@ from .moment import (
     verify_generic_fiber,
 )
 from .laurent import LaurentPoly
-from .oring import DEFAULT_GUARD, GuardError
+from .oring import DEFAULT_GUARD, GuardError, check_work
 from .quiver import Quiver, QuiverFormatError
 from .rank import (
     REFERENCE_RANK3,
@@ -39,6 +39,28 @@ from .toric import (
 )
 
 SCHEMA = "kacdepth/1"
+
+# C-backed: _encode for scalars and empty containers, _encode_key for str
+# keys (it raises TypeError on any other key)
+_encode = json.JSONEncoder().encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, without the pure-Python
+    encoder that ``json`` runs whenever ``indent`` is set.  Unlike
+    ``json.dumps``, a dict key that is not a ``str`` raises ``TypeError``."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [
+            _encode_key(key) + ": " + (repr(value) if type(value) is int else _dumps(value, inner))
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [repr(item) if type(item) is int else _dumps(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return repr(obj) if type(obj) is int else _encode(obj)
 
 
 def _load_quiver(path: str) -> Quiver:
@@ -310,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     command = f"{args.command} {target}" if target else args.command
     try:
         quiver = _load_quiver(args.quiver) if "quiver" in args else None
+        if quiver is not None:
+            # every route builds per-vertex lists; refuse a count past the guard first
+            check_work("vertex count", quiver.nvertices, args.guard)
         body, ok, text = HANDLERS[command](args, quiver)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -319,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.format == "json":
         report = {"schema": SCHEMA, "command": command, **body, "ok": ok, "text": text}
-        print(json.dumps({**report, "seed": args.seed}, indent=2))
+        print(_dumps({**report, "seed": args.seed}))
     else:
         for line in text:
             print(line)

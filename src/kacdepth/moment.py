@@ -232,14 +232,22 @@ def verify_exp_identity(
     The left side divides brute-force fiber counts by the group order and
     rescales by q^(alpha <r, r>); the right side is the plethystic
     exponential of sum_r A_r / (1 - q^-1) t^r evaluated at q = p.  Both are
-    exact rationals, compared coefficientwise for every r <= bound.  Every
-    fiber count's work estimate is checked before any A-polynomial is built.
+    exact rationals, compared coefficientwise for every r <= bound.  The
+    count prod(b_i + 1) - 1 of rank vectors, then every fiber count's work
+    estimate, is checked before any A-polynomial is built.
     """
     bound = tuple(int(b) for b in bound)
     if len(bound) != quiver.nvertices:
         raise ValueError("bound length must match the vertex count")
     if any(b > 1 for b in bound) and not (quiver.nvertices == 1 and bound[0] <= 2):
         raise ValueError("rank out of implemented range")
+    # multiplied out only while the partial count is within the guard
+    count = 0 if any(b < 0 for b in bound) else 1
+    for b in bound:
+        if count - 1 > guard:
+            break
+        count *= b + 1
+    check_work("rank vectors", count - 1, guard)
     for r in _rank_vectors(bound):
         _check_fiber_work(quiver, r, p, alpha, guard)
     series = TSeries.zero(quiver.nvertices, bound)

@@ -24,6 +24,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, product
 from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
@@ -32,15 +33,43 @@ from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
 
 
 def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
-    """Betti number and spanning-connectivity for every arrow subset mask."""
+    """Betti number and spanning-connectivity for every arrow subset mask.
+
+    Masks run in increasing order, so rest = mask ^ lowbit comes first: the
+    vertex partition of mask is that of rest with the ends of the lowest
+    arrow merged.  The Betti number rises by one exactly when that arrow
+    leaves the number of blocks unchanged.  Partitions are interned by their
+    canonical labelling (each vertex labelled by the smallest vertex of its
+    block), and the merge (partition, arrow) -> partition is memoised, so a
+    mask costs one dict lookup; a memo miss merges with ``vertex_roots``.
+    """
     n, arrows = quiver.nvertices, quiver.arrows
-    betti: list[int] = []
-    connected: list[bool] = []
-    for mask in range(1 << len(arrows)):
-        chosen = [arrows[a] for a in range(len(arrows)) if mask >> a & 1]
-        ncomp = len(set(vertex_roots(n, chosen)))
-        betti.append(ncomp - n + len(chosen))
-        connected.append(ncomp == 1)
+    m = len(arrows)
+    labellings: list[tuple[int, ...]] = [tuple(range(n))]
+    ids = {labellings[0]: 0}
+    ncomp = [n]
+    merged: dict[int, int] = {}
+    part = [0] * (1 << m)
+    betti = [0] * (1 << m)
+    connected = [n == 1] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        rest = mask ^ low
+        a = low.bit_length() - 1
+        key = part[rest] * m + a
+        pid = merged.get(key)
+        if pid is None:
+            roots = vertex_roots(n, [*enumerate(labellings[part[rest]]), arrows[a]])
+            first: dict[int, int] = {}
+            labelling = tuple(first.setdefault(r, v) for v, r in enumerate(roots))
+            if labelling not in ids:
+                ids[labelling] = len(labellings)
+                labellings.append(labelling)
+                ncomp.append(len(first))
+            pid = merged[key] = ids[labelling]
+        part[mask] = pid
+        betti[mask] = betti[rest] + (ncomp[pid] == ncomp[part[rest]])
+        connected[mask] = ncomp[pid] == 1
     return betti, connected
 
 
@@ -117,22 +146,30 @@ def tree_stratum_census(
     census: list[tuple[ValuedTree, int]] = []
     for tree in quiver.spanning_trees():
         pos = {a: i for i, a in enumerate(tree)}
-        outside = [
-            a
-            for a in range(quiver.narrows)
-            if a not in pos and not quiver.is_loop(a)
-        ]
-        paths = {a: tree_path(quiver, tree, a) for a in outside}
+        # per outside non-loop arrow a: the valuations along its tree path in
+        # arrow order, and [a > e] for each path arrow e; the first maximum
+        # in arrow order is the critical edge
+        outside = []
+        for a in range(m):
+            if a in pos or quiver.is_loop(a):
+                continue
+            path = sorted(tree_path(quiver, tree, a))
+            index = [pos[e] for e in path]
+            if len(index) > 1:
+                get = itemgetter(*index)
+            else:  # a one-arrow path still needs a tuple
+                get = itemgetter(slice(index[0], index[0] + 1))
+            outside.append((get, [int(a > e) for e in path]))
         for values in product(range(alpha), repeat=len(tree)):
-            n = alpha * nloops
-            for a, path in paths.items():
-                vmax = max(values[pos[e]] for e in path)
-                critical = min(e for e in path if values[pos[e]] == vmax)
-                term = alpha - vmax - (1 if a > critical else 0)
+            exponent = alpha * nloops
+            for get, flags in outside:
+                vals = get(values)
+                vmax = max(vals)
+                term = alpha - vmax - flags[vals.index(vmax)]
                 if term < 0:
                     raise AssertionError("negative stratum exponent")
-                n += term
-            census.append((ValuedTree(tree, values), n))
+                exponent += term
+            census.append((ValuedTree(tree, values), exponent))
     return census
 
 

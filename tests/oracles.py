@@ -5,7 +5,8 @@ independent routes.  ``OElem`` is F_p[t]/(t^alpha) arithmetic on coefficient
 tuples, checked against the library's integer-coded ring tables.
 ``assign_valued_tree`` runs the contraction-deletion algorithm of
 Abdelgadir-Mellit-Rodriguez-Villegas on an explicit rank-one representation,
-and its strata are checked against the library's valued-tree census.
+and its strata are checked against the library's valued-tree census;
+``tree_stratum_census_oracle`` lists that census by direct path scans.
 ``shelling_restrictions_oracle`` finds the restriction faces of a shelling
 by facet-pair search, checked against the library's descent rule.
 ``quiver_catalog`` lists small quivers up to isomorphism of the underlying
@@ -148,6 +149,31 @@ def tree_path_data(
     vmax = max(values[e] for e in path)
     critical = min(e for e in path if values[e] == vmax)
     return path, vmax, critical
+
+
+def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedTree, int]]:
+    """The valued-tree census by direct scans, in the library's order.
+
+    For every spanning tree and valuation, each non-loop arrow outside the
+    tree scans its path twice: once for the largest valuation, once for the
+    smallest-index arrow achieving it (the critical edge).  Loops add alpha.
+    """
+    nloops = len(quiver.loops())
+    census: list[tuple[ValuedTree, int]] = []
+    for tree in quiver.spanning_trees():
+        pos = {a: i for i, a in enumerate(tree)}
+        outside = [
+            a for a in range(quiver.narrows) if a not in pos and not quiver.is_loop(a)
+        ]
+        paths = {a: tree_path(quiver, tree, a) for a in outside}
+        for values in product(range(alpha), repeat=len(tree)):
+            exponent = alpha * nloops
+            for a, path in paths.items():
+                vmax = max(values[pos[e]] for e in path)
+                critical = min(e for e in path if values[pos[e]] == vmax)
+                exponent += alpha - vmax - (1 if a > critical else 0)
+            census.append((ValuedTree(tree, values), exponent))
+    return census
 
 
 # ----------------------------------------------------------------------

@@ -271,6 +271,31 @@ def test_exp_identity_refused_before_chain_sum(tmp_path, capsys):
     assert main(args + ["--alpha", "2", "--guard", "49"]) == 0
 
 
+@pytest.mark.parametrize("nvertices, guard, estimate", [(22, 100, 127), (4, 7, 15)])
+def test_exp_identity_counts_rank_vectors_first(nvertices, guard, estimate, tmp_path, capsys):
+    # n isolated vertices have 2^n - 1 rank vectors at the default bound; the
+    # count is refused before any is walked, multiplied out only until it
+    # passes the guard (22 vertices ran past 65 s when it was not counted)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"vertices": nvertices, "arrows": []}))
+    start = time.perf_counter()
+    assert main(["verify", "exp-identity", "--quiver", str(path), f"--guard={guard}"]) == 3
+    assert time.perf_counter() - start < 1.0
+    message = f"rank vectors estimate {estimate} > limit {guard}; raise --guard"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nvertices", [10**400, 10**9], ids=["1e400", "1e9"])
+@pytest.mark.parametrize("command", [["kac"], ["verify", "exp-identity"], ["e-series"]])
+def test_huge_vertex_count_exits_3(nvertices, command, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": nvertices, "arrows": []}))
+    start = time.perf_counter()
+    assert main([*command, "--quiver", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"vertex count estimate {nvertices} > limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lam", ["1", "1,-1,0"])
 def test_moment_fiber_lam_length_is_a_user_error(lam, a2_file, capsys):
     args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "1"]
@@ -410,21 +435,52 @@ def test_oracle_commands_fuzz(fuzz_quivers, command, index, p, alpha, rank, lam,
     assert "Traceback" not in err.getvalue()
 
 
+STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "\U0001f4a1"])
+JSON_VALUES = st.recursive(
+    st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_json_indent(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": [{"b": 1, 2: 3}]}])
+def test_dumps_refuses_non_str_key(obj):
+    # json.dumps would turn the key into "1"; no report has such a key
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
 @st.composite
 def quiver_data(draw):
     """Quiver JSON: valid with at most 6 vertices, or flawed in one place.
 
-    The flaws: zero, negative, string and float vertex counts; out-of-range,
-    null, list, float, string and 1e400 endpoints (1e400 parses to an
-    infinite float); missing fields and a non-object top level.  All but a
-    zero count without arrows are user errors.
+    The flaws: zero, negative, string and float vertex counts; vertex counts
+    of 10^400 and 10^9 (past the guard, exit 3); out-of-range, null, list,
+    float, string and 1e400 endpoints (1e400 parses to an infinite float);
+    missing fields and a non-object top level.  All but a zero count without
+    arrows and the huge counts are user errors.
     """
     n = draw(st.integers(1, 6))
     arrows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=3))
     data = {"vertices": n, "arrows": arrows}
     flaw = draw(st.sampled_from([None, None, "vertices", "endpoint", "shape"]))
     if flaw == "vertices":
-        data["vertices"] = draw(st.sampled_from([0, -1, "3", 2.0, None, float("inf")]))
+        data["vertices"] = draw(
+            st.sampled_from([0, -1, "3", 2.0, None, float("inf"), 10**400, 10**9])
+        )
     elif flaw == "endpoint":
         bad = draw(st.sampled_from([-1, n, None, [1], 1.7, "1", float("inf")]))
         data["arrows"] = [*arrows, [0, bad]]

@@ -27,7 +27,7 @@ from helpers import (
     random_connected_quiver,
     stratum_inequalities_hold,
 )
-from oracles import OElem, assign_valued_tree, quiver_catalog
+from oracles import OElem, assign_valued_tree, quiver_catalog, tree_stratum_census_oracle
 
 Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
@@ -36,10 +36,23 @@ A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
 POINT = Quiver(1, ())
 THETA = Quiver(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
+K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+DOUBLED_K4 = Quiver(4, K4_EDGES * 2)
 
 
 def kronecker(k: int, loops: int = 0) -> Quiver:
     return Quiver(2, ((0, 1),) * k + ((0, 0), (1, 1))[:loops])
+
+
+def permuted_sample():
+    """80 random connected quivers, each with an arrow-permuted copy and a depth."""
+    rng = random.Random(4242)
+    for _ in range(80):
+        q = random_connected_quiver(rng, 4, 5)
+        alpha = rng.randint(1, 3)
+        perm = list(range(q.narrows))
+        rng.shuffle(perm)
+        yield q, Quiver(q.nvertices, tuple(q.arrows[i] for i in perm)), alpha
 
 
 class TestChainSum:
@@ -144,14 +157,25 @@ class TestTreeStrata:
                 assert toric_kac_trees(q, alpha) == toric_kac_chain(q, alpha)
 
     def test_order_invariance_sample(self):
-        rng = random.Random(4242)
-        for _ in range(80):
-            q = random_connected_quiver(rng, 4, 5)
-            alpha = rng.randint(1, 3)
-            perm = list(range(q.narrows))
-            rng.shuffle(perm)
-            permuted = Quiver(q.nvertices, tuple(q.arrows[i] for i in perm))
+        for q, permuted, alpha in permuted_sample():
             assert toric_kac_trees(q, alpha) == toric_kac_trees(permuted, alpha)
+
+    def test_census_matches_oracle_catalog(self):
+        for q in quiver_catalog(3, 4):
+            for alpha in (1, 2, 3):
+                census = tree_stratum_census(q, alpha)
+                assert census == tree_stratum_census_oracle(q, alpha), (q, alpha)
+
+    def test_census_matches_oracle_permuted_sample(self):
+        for q, permuted, alpha in permuted_sample():
+            for quiver in (q, permuted):
+                census = tree_stratum_census(quiver, alpha)
+                assert census == tree_stratum_census_oracle(quiver, alpha), (quiver, alpha)
+
+    def test_census_matches_oracle_doubled_k4(self):
+        census = tree_stratum_census(DOUBLED_K4, 3)
+        assert len(census) == 3456
+        assert census == tree_stratum_census_oracle(DOUBLED_K4, 3)
 
 
 class TestAlgorithmOnRepresentations:
