@@ -36,8 +36,7 @@ A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
 POINT = Quiver(1, ())
 THETA = Quiver(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
-K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-DOUBLED_K4 = Quiver(4, K4_EDGES * 2)
+DOUBLED_K4 = Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)) * 2)
 
 
 def kronecker(k: int, loops: int = 0) -> Quiver:
