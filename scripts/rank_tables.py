@@ -9,8 +9,7 @@ printed as a diff.
 
 import argparse
 
-from kacdepth import closed_form_rank2, closed_form_rank3, kac_from_moments
-from kacdepth.rank import REFERENCE_RANK3
+from kacdepth.rank import rank_table
 
 
 def main() -> None:
@@ -22,23 +21,13 @@ def main() -> None:
     failures = 0
     for g in range(1, args.max_g + 1):
         print(f"g = {g}:")
-        for alpha in range(1, args.max_alpha + 1):
-            a1, a2, a3 = kac_from_moments(g, alpha, 3)
-            print(f"  A_{{{g},1,{alpha}}} = {a1}")
-            print(f"  A_{{{g},2,{alpha}}} = {a2}")
-            print(f"  A_{{{g},3,{alpha}}} = {a3}")
-            closed2 = closed_form_rank2(g, alpha).as_polynomial()
-            closed3 = closed_form_rank3(g, alpha).as_polynomial()
-            if closed2 != a2:
-                failures += 1
-                print(f"    !! closed rank-2 route differs: {closed2}")
-            if closed3 != a3:
-                failures += 1
-                print(f"    !! closed rank-3 route differs: {closed3}")
-            ref = REFERENCE_RANK3.get((g, alpha))
-            if ref is not None and ref != a3:
-                failures += 1
-                print(f"    !! stored table differs: {ref}")
+        for alpha, polys, routes in rank_table(g, args.max_alpha):
+            for r, poly in enumerate(polys, start=1):
+                print(f"  A_{{{g},{r},{alpha}}} = {poly}")
+            for name, poly, agrees in routes:
+                if not agrees:
+                    failures += 1
+                    print(f"    !! {name} differs: {poly}")
         print()
     print("all routes agree" if failures == 0 else f"{failures} disagreements")
     raise SystemExit(0 if failures == 0 else 1)

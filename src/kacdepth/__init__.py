@@ -37,7 +37,6 @@ from .moment import (
 from .rank import (
     closed_form_rank2,
     closed_form_rank3,
-    kac_from_moments,
     moment_total,
     rank2_class_sums,
     rank3_class_sums,
@@ -77,7 +76,6 @@ __all__ = [
     "verify_generic_fiber",
     "closed_form_rank2",
     "closed_form_rank3",
-    "kac_from_moments",
     "moment_total",
     "rank2_class_sums",
     "rank3_class_sums",

@@ -22,12 +22,7 @@ from .moment import (
 from .laurent import LaurentPoly
 from .oring import DEFAULT_GUARD, GuardError, check_work
 from .quiver import Quiver, QuiverFormatError
-from .rank import (
-    REFERENCE_RANK3,
-    closed_form_rank2,
-    closed_form_rank3,
-    kac_from_moments,
-)
+from .rank import rank_table
 from .srcomplex import positivity_certificate, verify_hilbert_identity
 from .toric import (
     asymptotic_kac,
@@ -196,24 +191,17 @@ def _shelling(args, quiver: Quiver):
 
 
 def _rank_table(args, quiver: None):
-    g, alpha = args.g, args.alpha
-    if alpha < 1:
-        raise ValueError("depth must be >= 1")
+    g = args.g
     rows, text, ok = [], [], True
-    for a in range(1, alpha + 1):
-        polys = kac_from_moments(g, a, 3)
+    for a, polys, routes in rank_table(g, args.alpha, guard=args.guard):
         for r, poly in enumerate(polys, start=1):
             rows.append({"g": g, "r": r, "alpha": a, "polynomial": str(poly)})
             text.append(f"A_{{{g},{r},{a}}} = {poly}")
-        closed2 = closed_form_rank2(g, a).as_polynomial()
-        closed3 = closed_form_rank3(g, a).as_polynomial()
-        if closed2 != polys[1] or closed3 != polys[2]:
-            ok = False
+        if not all(agrees for _, _, agrees in routes[:2]):
             text.append(f"  closed-form mismatch at alpha={a}")
-        if (g, a) in REFERENCE_RANK3:
-            match = REFERENCE_RANK3[(g, a)] == polys[2]
-            ok = ok and match
-            text.append(f"  reference table match (r=3): {match}")
+        for _, _, agrees in routes[2:]:
+            text.append(f"  reference table match (r=3): {agrees}")
+        ok = ok and all(agrees for _, _, agrees in routes)
     return {"rows": rows}, ok, text
 
 

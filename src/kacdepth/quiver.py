@@ -185,31 +185,33 @@ class ValuedTree:
         return list(zip(self.arrows, self.values))
 
 
-def tree_path(quiver: Quiver, tree_arrows: Sequence[int], a: int) -> tuple[int, ...]:
-    """Arrows of the unique unoriented tree path joining the endpoints of a.
+def tree_paths(quiver: Quiver, tree_arrows: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Tree path of every non-loop arrow outside a spanning tree, in arrow order.
 
-    The arrow a must be a non-loop arrow outside the tree.
+    One search from vertex 0 gives every vertex the set of tree arrows on
+    its path down from the root; the unoriented path joining s and t is the
+    symmetric difference of theirs.
     """
-    if a in tree_arrows:
-        raise ValueError("arrow lies in the tree")
-    s, t = quiver.arrows[a]
-    if s == t:
-        raise ValueError("loops have no tree path")
     adj: dict[int, list[tuple[int, int]]] = {}
     for idx in tree_arrows:
         x, y = quiver.arrows[idx]
         adj.setdefault(x, []).append((idx, y))
         adj.setdefault(y, []).append((idx, x))
-    # DFS from s to t along tree arrows
-    stack = [(s, [])]
-    seen = {s}
+    down = {0: frozenset()}
+    stack = [0]
     while stack:
-        v, path = stack.pop()
-        if v == t:
-            return tuple(path)
+        v = stack.pop()
         for idx, w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, path + [idx]))
-    raise ValueError("tree does not span the endpoints")
+            if w not in down:
+                down[w] = down[v] | {idx}
+                stack.append(w)
+    inside = set(tree_arrows)
+    paths: dict[int, tuple[int, ...]] = {}
+    for a, (s, t) in enumerate(quiver.arrows):
+        if a in inside or s == t:
+            continue
+        if s not in down or t not in down:
+            raise ValueError("tree does not span the endpoints")
+        paths[a] = tuple(sorted(down[s] ^ down[t]))
+    return paths
 

@@ -11,14 +11,17 @@ indecomposable counts A, which must come out as integer polynomials.
 
 Closed-form expressions for the rank-2 and rank-3 A are provided as an
 independent route, together with a regression table of known rank-3 values
-for small g and alpha.
+for small g and alpha.  ``rank_table`` walks the depths 1..alpha in one
+guarded pass and checks each depth against both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .laurent import LaurentPoly, RatFunc
+from .oring import DEFAULT_GUARD, check_work
 from .plethysm import pleth_log
 from .series import TSeries
 
@@ -101,31 +104,45 @@ def rank3_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _iterate(
+def _step(vec: tuple[RatFunc, ...], rows) -> tuple[RatFunc, ...]:
+    """One depth step: each row sums its nonzero entries times ``vec``."""
+    out = []
+    for (j, m), *rest in rows:
+        acc = m * vec[j]
+        for j, m in rest:
+            acc = acc + m * vec[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _depths(
     initial: tuple[RatFunc, ...],
     matrix: tuple[tuple[RatFunc, ...], ...],
     alpha: int,
-) -> tuple[RatFunc, ...]:
+) -> Iterator[tuple[RatFunc, ...]]:
+    """The per-type sums at depths 1..alpha, one step per depth."""
+    rows = [[(j, m) for j, m in enumerate(row) if not m.is_zero()] for row in matrix]
     vec = initial
+    yield vec
     for _ in range(alpha - 1):
-        vec = tuple(
-            sum((m * v for m, v in zip(row, vec)), RatFunc.zero()) for row in matrix
-        )
-    return vec
+        vec = _step(vec, rows)
+        yield vec
 
 
 def rank2_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
     """Per-type Burnside sums at the given depth (types I, II1, II2, II3)."""
     if alpha < 1:
         raise ValueError("depth must be >= 1")
-    return _iterate(rank2_initial(g), rank2_transition(g), alpha)
+    *_, sums = _depths(rank2_initial(g), rank2_transition(g), alpha)
+    return sums
 
 
 def rank3_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
     """Per-type Burnside sums at the given depth (ten types)."""
     if alpha < 1:
         raise ValueError("depth must be >= 1")
-    return _iterate(rank3_initial(g), rank3_transition(g), alpha)
+    *_, sums = _depths(rank3_initial(g), rank3_transition(g), alpha)
+    return sums
 
 
 def moment_total(g: int, alpha: int, rank: int) -> RatFunc:
@@ -139,31 +156,30 @@ def moment_total(g: int, alpha: int, rank: int) -> RatFunc:
     raise ValueError("rank out of implemented range")
 
 
-def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
-    """Extract A_1..A_rmax from the M-series by plethystic logarithm.
+def _kac_from_totals(totals: list[RatFunc]) -> list[LaurentPoly]:
+    """A_1..A_r from M_1..M_r by plethystic logarithm.
 
     The generating series identity sum_r M_r t^r = Exp(sum_r A_r t^r) is
     inverted; each extracted A must be a polynomial in q with integer
     coefficients, anything else signals a regression.
     """
-    if rmax not in (2, 3):
-        raise ValueError("rank out of implemented range")
-    bound = (rmax,)
-    terms = {(0,): RatFunc.one()}
-    for r in range(1, rmax + 1):
-        terms[(r,)] = moment_total(g, alpha, r)
-    series = TSeries(1, bound, terms)
-    a_series = pleth_log(series)
+    terms = {(r,): m for r, m in enumerate([RatFunc.one(), *totals])}
+    a_series = pleth_log(TSeries(1, (len(totals),), terms))
     out = []
-    for r in range(1, rmax + 1):
+    for r in range(1, len(totals) + 1):
         coeff = a_series.coefficient((r,))
-        if not coeff.is_polynomial():
-            raise ValueError("polynomiality violated")
-        poly = coeff.as_polynomial()
-        if not poly.is_integral() or (not poly.is_zero() and poly.min_exp() < 0):
+        poly = coeff.num
+        if not coeff.is_polynomial() or not poly.is_integral() or (poly and poly.min_exp() < 0):
             raise ValueError("polynomiality violated")
         out.append(poly)
     return out
+
+
+def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
+    """A_1..A_rmax at one depth, from the M-series by plethystic logarithm."""
+    if rmax not in (2, 3):
+        raise ValueError("rank out of implemented range")
+    return _kac_from_totals([moment_total(g, alpha, r) for r in range(1, rmax + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -201,78 +217,71 @@ def closed_form_rank3(g: int, alpha: int) -> RatFunc:
 
 
 # ----------------------------------------------------------------------
-# regression table: rank-3 values for g <= 3, alpha <= 5
-
-
-def _poly(coeffs: dict[int, int]) -> LaurentPoly:
-    return LaurentPoly(coeffs)
+# regression table: rank-3 values for g <= 3, alpha <= 5, each given as
+# (g, alpha): (top exponent, coefficients of q^top, q^(top-1), ... downward)
 
 
 REFERENCE_RANK3: dict[tuple[int, int], LaurentPoly] = {
-    (1, 1): _poly({1: 1}),
-    (1, 2): _poly({4: 1, 3: 1, 2: 2}),
-    (1, 3): _poly({7: 1, 6: 1, 5: 3, 4: 2, 3: 2}),
-    (1, 4): _poly({10: 1, 9: 1, 8: 3, 7: 3, 6: 4, 5: 2, 4: 2}),
-    (1, 5): _poly({13: 1, 12: 1, 11: 3, 10: 3, 9: 5, 8: 4, 7: 4, 6: 2, 5: 2}),
-    (2, 1): _poly({10: 1, 8: 1, 7: 1, 6: 1, 5: 1, 4: 1}),
-    (2, 2): _poly(
-        {20: 1, 18: 1, 17: 2, 16: 3, 15: 3, 14: 4, 13: 3, 12: 3, 11: 2, 10: 2}
-    ),
-    (2, 3): _poly(
-        {
-            30: 1, 28: 1, 27: 2, 26: 3, 25: 3, 24: 5, 23: 5, 22: 7, 21: 6,
-            20: 7, 19: 5, 18: 4, 17: 3, 16: 2,
-        }
-    ),
-    (2, 4): _poly(
-        {
-            40: 1, 38: 1, 37: 2, 36: 3, 35: 3, 34: 5, 33: 5, 32: 7, 31: 7,
-            30: 9, 29: 9, 28: 10, 27: 9, 26: 9, 25: 6, 24: 5, 23: 3, 22: 2,
-        }
-    ),
-    (2, 5): _poly(
-        {
-            50: 1, 48: 1, 47: 2, 46: 3, 45: 3, 44: 5, 43: 5, 42: 7, 41: 7,
-            40: 9, 39: 9, 38: 11, 37: 11, 36: 13, 35: 12, 34: 13, 33: 11,
-            32: 10, 31: 7, 30: 5, 29: 3, 28: 2,
-        }
-    ),
-    (3, 1): _poly(
-        {19: 1, 17: 1, 16: 1, 15: 1, 14: 1, 13: 2, 12: 1, 11: 2, 10: 2, 9: 1, 8: 1, 7: 1}
-    ),
-    (3, 2): _poly(
-        {
-            38: 1, 36: 1, 35: 1, 34: 1, 33: 1, 32: 2, 31: 2, 30: 3, 29: 4,
-            28: 4, 27: 4, 26: 5, 25: 4, 24: 4, 23: 4, 22: 5, 21: 3, 20: 4,
-            19: 3, 18: 2, 17: 1, 16: 1,
-        }
-    ),
-    (3, 3): _poly(
-        {
-            57: 1, 55: 1, 54: 1, 53: 1, 52: 1, 51: 2, 50: 2, 49: 3, 48: 4,
-            47: 4, 46: 4, 45: 5, 44: 4, 43: 5, 42: 5, 41: 7, 40: 6, 39: 8,
-            38: 8, 37: 8, 36: 7, 35: 8, 34: 7, 33: 6, 32: 6, 31: 6, 30: 4,
-            29: 4, 28: 3, 27: 2, 26: 1, 25: 1,
-        }
-    ),
-    (3, 4): _poly(
-        {
-            76: 1, 74: 1, 73: 1, 72: 1, 71: 1, 70: 2, 69: 2, 68: 3, 67: 4,
-            66: 4, 65: 4, 64: 5, 63: 4, 62: 5, 61: 5, 60: 7, 59: 6, 58: 8,
-            57: 8, 56: 8, 55: 8, 54: 9, 53: 9, 52: 9, 51: 10, 50: 11, 49: 10,
-            48: 11, 47: 11, 46: 11, 45: 9, 44: 10, 43: 8, 42: 7, 41: 6,
-            40: 6, 39: 4, 38: 4, 37: 3, 36: 2, 35: 1, 34: 1,
-        }
-    ),
-    (3, 5): _poly(
-        {
-            95: 1, 93: 1, 92: 1, 91: 1, 90: 1, 89: 2, 88: 2, 87: 3, 86: 4,
-            85: 4, 84: 4, 83: 5, 82: 4, 81: 5, 80: 5, 79: 7, 78: 6, 77: 8,
-            76: 8, 75: 8, 74: 8, 73: 9, 72: 9, 71: 9, 70: 10, 69: 11, 68: 10,
-            67: 12, 66: 12, 65: 13, 64: 12, 63: 14, 62: 13, 61: 13, 60: 13,
-            59: 14, 58: 13, 57: 13, 56: 13, 55: 12, 54: 10, 53: 10, 52: 8,
-            51: 7, 50: 6, 49: 6, 48: 4, 47: 4, 46: 3, 45: 2, 44: 1, 43: 1,
-        }
-    ),
+    key: LaurentPoly({top - i: c for i, c in enumerate(coeffs)})
+    for key, (top, coeffs) in {
+        (1, 1): (1, [1]),
+        (1, 2): (4, [1, 1, 2]),
+        (1, 3): (7, [1, 1, 3, 2, 2]),
+        (1, 4): (10, [1, 1, 3, 3, 4, 2, 2]),
+        (1, 5): (13, [1, 1, 3, 3, 5, 4, 4, 2, 2]),
+        (2, 1): (10, [1, 0, 1, 1, 1, 1, 1]),
+        (2, 2): (20, [1, 0, 1, 2, 3, 3, 4, 3, 3, 2, 2]),
+        (2, 3): (30, [1, 0, 1, 2, 3, 3, 5, 5, 7, 6, 7, 5, 4, 3, 2]),
+        (2, 4): (40, [1, 0, 1, 2, 3, 3, 5, 5, 7, 7, 9, 9, 10, 9, 9, 6, 5, 3, 2]),
+        (2, 5): (50, [1, 0, 1, 2, 3, 3, 5, 5, 7, 7, 9, 9, 11, 11, 13, 12, 13, 11, 10, 7, 5, 3, 2]),
+        (3, 1): (19, [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1]),
+        (3, 2): (38, [1, 0, 1, 1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 4, 4, 4, 5, 3, 4, 3, 2, 1, 1]),
+        (3, 3): (57, [
+            1, 0, 1, 1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 4, 5, 5, 7, 6, 8, 8, 8, 7, 8, 7,
+            6, 6, 6, 4, 4, 3, 2, 1, 1]),
+        (3, 4): (76, [
+            1, 0, 1, 1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 4, 5, 5, 7, 6, 8, 8, 8, 8, 9, 9,
+            9, 10, 11, 10, 11, 11, 11, 9, 10, 8, 7, 6, 6, 4, 4, 3, 2, 1, 1]),
+        (3, 5): (95, [
+            1, 0, 1, 1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 4, 5, 5, 7, 6, 8, 8, 8, 8, 9, 9,
+            9, 10, 11, 10, 12, 12, 13, 12, 14, 13, 13, 13, 14, 13, 13, 13, 12, 10,
+            10, 8, 7, 6, 6, 4, 4, 3, 2, 1, 1]),
+    }.items()
 }
 
+
+# ----------------------------------------------------------------------
+# the table: every depth up to alpha in one pass
+
+
+def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple]:
+    """Yield ``(a, [A_1, A_2, A_3], routes)`` for each depth a = 1..alpha.
+
+    The rank-2 and rank-3 recursions take one step per depth.  ``routes``
+    holds ``(name, polynomial, agrees)`` for the closed rank-2 and rank-3
+    forms and, where it has the entry, the stored rank-3 table.
+
+    The work estimate alpha * (9 g (alpha + 2))^2 is checked before any
+    rational function is built: alpha depths on rational functions of degree
+    up to about 9 g (alpha + 2) (9 g alpha for the rank-3 sums, plus the
+    degree-(12 g - 11) denominator of the closed rank-3 form), quadratic in
+    the degree.  Tables just under the default guard 2^24, from g = 150 at
+    alpha = 1 to g = 2 at alpha = 35, took 0.35-1.0 s in process.
+    """
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
+    if g < 1:
+        raise ValueError("need at least one loop")
+    check_work("rank-table", alpha * (9 * g * (alpha + 2)) ** 2, guard)
+    sums2 = _depths(rank2_initial(g), rank2_transition(g), alpha)
+    sums3 = _depths(rank3_initial(g), rank3_transition(g), alpha)
+    for a, (s2, s3) in enumerate(zip(sums2, sums3), start=1):
+        totals = [moment_total(g, a, 1), sum(s2, RatFunc.zero()), sum(s3, RatFunc.zero())]
+        polys = _kac_from_totals(totals)
+        routes = [
+            ("closed rank-2 route", closed_form_rank2(g, a).as_polynomial(), 1),
+            ("closed rank-3 route", closed_form_rank3(g, a).as_polynomial(), 2),
+        ]
+        if (g, a) in REFERENCE_RANK3:
+            routes.append(("stored table", REFERENCE_RANK3[(g, a)], 2))
+        yield a, polys, [(name, poly, poly == polys[r]) for name, poly, r in routes]

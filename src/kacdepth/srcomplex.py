@@ -11,10 +11,10 @@ a sum of terms with monomial numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
-from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .quiver import Quiver
 from .toric import _mask_betti_tables, asymptotic_kac
@@ -220,19 +220,19 @@ def _single_denominator_presentation(series: RatFunc) -> dict | None:
     """Opportunistic search for Q(q^-1)/prod(1 - q^-e) with Q nonnegative.
 
     Tries small exponent multisets for the denominator; returns None when no
-    nonnegative presentation is found within the search window.
+    nonnegative presentation is found within the search window.  In normal
+    form (coprime, denominator free of q) series * prod(1 - q^-e) is a Laurent
+    polynomial exactly when series.den divides prod(q^e - 1).
     """
-    from itertools import combinations_with_replacement
-
     for size in range(0, 5):
         for exps in combinations_with_replacement(range(1, 6), size):
-            den = RatFunc.one()
+            cleared = LaurentPoly.one()
             for e in exps:
-                den = den * (RatFunc.one() - RatFunc.q(-e))
-            cleared = series * den
-            if not cleared.is_polynomial():
+                cleared = cleared * (LaurentPoly.q(e) - 1)
+            quo, rem = poly_divmod(cleared, series.den)
+            if not rem.is_zero():
                 continue
-            num = cleared.as_polynomial()
+            num = (series.num * quo).shift(-sum(exps))
             # numerator must be a polynomial in q^-1 with nonnegative coeffs
             if num.is_zero() or num.max_exp() > 0:
                 continue

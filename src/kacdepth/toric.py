@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, cached_ring, check_work, guarded_power
-from .quiver import Quiver, ValuedTree, tree_path, vertex_roots
+from .quiver import Quiver, ValuedTree, tree_paths, vertex_roots
 
 
 def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
@@ -150,10 +150,7 @@ def tree_stratum_census(
         # arrow order, and [a > e] for each path arrow e; the first maximum
         # in arrow order is the critical edge
         outside = []
-        for a in range(m):
-            if a in pos or quiver.is_loop(a):
-                continue
-            path = sorted(tree_path(quiver, tree, a))
+        for a, path in tree_paths(quiver, tree).items():
             index = [pos[e] for e in path]
             if len(index) > 1:
                 get = itemgetter(*index)

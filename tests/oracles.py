@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
-from kacdepth import Quiver, ValuedTree
+from kacdepth import Quiver, RatFunc, ValuedTree
 from kacdepth.oring import _check_prime
-from kacdepth.quiver import QuiverFormatError, tree_path
+from kacdepth.quiver import QuiverFormatError, tree_paths
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -145,7 +145,7 @@ def tree_path_data(
     valuation (the tie-break that decides the order of contraction).
     """
     values = dict(tree.items())
-    path = tree_path(quiver, tree.arrows, a)
+    path = tree_paths(quiver, tree.arrows)[a]
     vmax = max(values[e] for e in path)
     critical = min(e for e in path if values[e] == vmax)
     return path, vmax, critical
@@ -162,10 +162,7 @@ def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedT
     census: list[tuple[ValuedTree, int]] = []
     for tree in quiver.spanning_trees():
         pos = {a: i for i, a in enumerate(tree)}
-        outside = [
-            a for a in range(quiver.narrows) if a not in pos and not quiver.is_loop(a)
-        ]
-        paths = {a: tree_path(quiver, tree, a) for a in outside}
+        paths = tree_paths(quiver, tree)
         for values in product(range(alpha), repeat=len(tree)):
             exponent = alpha * nloops
             for a, path in paths.items():
@@ -321,3 +318,33 @@ def quiver_catalog(
                     seen.add(key)
                     out.append(quiver)
     return out
+
+
+# ----------------------------------------------------------------------
+# single-denominator presentations
+
+
+def single_denominator_oracle(series: RatFunc) -> dict | None:
+    """The library's single-denominator search by rational-function products.
+
+    Multiplies ``series`` by prod(1 - q^-e) as rational functions for each
+    candidate multiset, in the library's order, and keeps the first
+    nonnegative integral numerator in q^-1.
+    """
+    for size in range(0, 5):
+        for exps in combinations_with_replacement(range(1, 6), size):
+            den = RatFunc.one()
+            for e in exps:
+                den = den * (RatFunc.one() - RatFunc.q(-e))
+            cleared = series * den
+            if not cleared.is_polynomial():
+                continue
+            num = cleared.as_polynomial()
+            if num.is_zero() or num.max_exp() > 0:
+                continue
+            if num.is_nonnegative() and num.is_integral():
+                return {
+                    "numerator": str(num),
+                    "denominator_exponents": list(exps),
+                }
+    return None

@@ -16,7 +16,6 @@ from kacdepth import (
     asymptotic_moment,
     closed_form_rank3,
     e_series_check,
-    kac_from_moments,
     lex_shelling,
     moment_fiber_count,
     order_complex,
@@ -31,7 +30,7 @@ from kacdepth import (
     verify_hilbert_identity,
 )
 from kacdepth.plethysm import adams
-from kacdepth.rank import REFERENCE_RANK3
+from kacdepth.rank import REFERENCE_RANK3, kac_from_moments
 from kacdepth.toric import toric_kac_trees
 
 from helpers import (

@@ -370,6 +370,32 @@ def test_rank_table_depth_is_a_user_error(alpha, capsys):
     assert "depth must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "g, alpha, estimate",
+    [
+        # 200 * (9 * 2 * 202)^2; unguarded both ran past 15 s
+        ("2", "200", 2644099200),
+        # 1 * (9 * 10^6 * 3)^2: degree-10^7 polynomials before any step
+        ("1000000", "1", 729000000000000),
+    ],
+)
+def test_rank_table_refused_fast(g, alpha, estimate, capsys):
+    start = time.perf_counter()
+    assert main(["rank-table", "--g", g, "--alpha", alpha]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"rank-table estimate {estimate} > limit 16777216; raise --guard" in err
+
+
+def test_rank_table_uses_guard(capsys):
+    # 5 * (9 * 3 * 7)^2 = 178605 for g = 3 at depth 5
+    args = ["rank-table", "--g", "3", "--alpha", "5"]
+    assert main([*args, "--guard", "178604"]) == 3
+    assert "rank-table estimate 178605 > limit 178604" in capsys.readouterr().err
+    assert main([*args, "--guard", "178605"]) == 0
+    assert main(args) == 0
+
+
 def test_deterministic_output(kron_file, capsys):
     main(["kac", "--quiver", kron_file, "--alpha", "3", "--format", "json", "--seed", "5"])
     first = capsys.readouterr().out

@@ -114,6 +114,7 @@ CASES = [
     ("loop1", ["verify", "exp-identity", "--alpha", "2", "--p", "2", "--bound=2"]),
     # extra cases
     (None, ["rank-table", "--g", "1", "--alpha", "3"]),
+    (None, ["rank-table", "--g", "2", "--alpha", "8"]),
     ("kron2", ["e-series", "--alpha", "2", "--mode", "zero-fiber", "--order", "10"]),
     ("disconnected", ["kac", "--alpha", "2"]),
     ("kron2", ["kac", "--guard", "3"]),

@@ -7,6 +7,7 @@ the tests need belongs under ``tests/`` (see ``tests/oracles.py``).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import kacdepth
@@ -32,3 +33,15 @@ def test_every_public_name_has_a_non_test_user():
     used = _referenced_names([*library, *(ROOT / "scripts").glob("*.py")])
     public = [n for n in kacdepth.__all__ if not n.startswith("__")]
     assert [n for n in public if n not in used] == []
+
+
+def test_traced_wrappers_resolve(monkeypatch):
+    # perfbench/trace_cli.py wraps each (module, attribute) it lists through
+    # vars(owner)[name]; a renamed or moved function would break every traced
+    # benchmark job.  This only reads perfbench/.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import kacdepth.cli  # noqa: F401  (loads every layer module)
+    import trace_cli
+
+    for mod, path, _, _ in trace_cli.WRAPS:
+        assert callable(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path)), (mod, path)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kacdepth import Quiver, ValuedTree
-from kacdepth.quiver import QuiverFormatError, tree_path
+from kacdepth.quiver import QuiverFormatError, tree_paths
 from kacdepth.moment import _set_partitions
 
 from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
@@ -121,13 +121,19 @@ class TestTreePaths:
         _, vmax, critical = tree_path_data(TRIANGLE, tree, 2)
         assert vmax == 1 and critical == 0
 
-    def test_rejects_tree_arrows_and_loops(self):
-        tree = ValuedTree((0,), (0,))
+    def test_skips_tree_arrows_and_loops(self):
+        assert tree_paths(KRON, (0,)) == {1: (0,)}
+        assert tree_paths(Quiver(2, ((0, 1), (1, 1))), (0,)) == {}
+
+    def test_paths_away_from_the_root(self):
+        # rooted at vertex 0: arrow 4 joins the branches 0-1-2 and 0-3, and
+        # arrow 5 runs inside the branch 0-1-2, off the root
+        q = Quiver(4, ((0, 1), (2, 1), (3, 0), (2, 3), (1, 2), (2, 1)))
+        assert tree_paths(q, (0, 1, 2)) == {3: (0, 1, 2), 4: (1,), 5: (1,)}
+
+    def test_rejects_a_tree_that_misses_an_endpoint(self):
         with pytest.raises(ValueError):
-            tree_path(KRON, tree.arrows, 0)
-        q = Quiver(2, ((0, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            tree_path(q, (0,), 1)
+            tree_paths(Quiver(3, ((0, 1), (1, 2))), (0,))
 
 
 def _contract_forest_inside_parts(quiver, parts):

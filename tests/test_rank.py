@@ -5,14 +5,19 @@ from kacdepth import (
     RatFunc,
     closed_form_rank2,
     closed_form_rank3,
-    kac_from_moments,
     moment_total,
 )
+from kacdepth import rank
 from kacdepth.rank import (
     REFERENCE_RANK3,
+    kac_from_moments,
+    rank2_class_sums,
     rank2_initial,
     rank2_transition,
+    rank3_class_sums,
     rank3_initial,
+    rank3_transition,
+    rank_table,
 )
 
 from helpers import burnside_matrix_orbits
@@ -100,8 +105,6 @@ class TestRank3:
         assert sums[8].is_zero() and sums[9].is_zero()
 
     def test_printed_matrix_entry(self):
-        from kacdepth.rank import rank3_transition
-
         for g in (1, 2):
             matrix = rank3_transition(g)
             assert matrix[3][1] == RatFunc(
@@ -154,3 +157,50 @@ def test_reference_table_regression():
     assert REFERENCE_RANK3[(1, 5)].coeff(5) == 2
     assert REFERENCE_RANK3[(3, 1)].max_exp() == 19
     assert REFERENCE_RANK3[(3, 1)].coeff(7) == 1
+
+
+def _dense_sums(initial, matrix, alpha):
+    # every entry of the matrix, structural zeros included
+    vec = initial
+    for _ in range(alpha - 1):
+        vec = tuple(sum((m * v for m, v in zip(row, vec)), RatFunc.zero()) for row in matrix)
+    return vec
+
+
+class TestTable:
+    def test_sparse_step_matches_dense_product(self):
+        for g in (1, 2):
+            for alpha in (1, 2, 4):
+                assert rank2_class_sums(g, alpha) == _dense_sums(
+                    rank2_initial(g), rank2_transition(g), alpha
+                )
+                assert rank3_class_sums(g, alpha) == _dense_sums(
+                    rank3_initial(g), rank3_transition(g), alpha
+                )
+
+    def test_rows_match_kac_from_moments(self):
+        for g in (1, 2, 3):
+            table = list(rank_table(g, 6))
+            assert [a for a, _, _ in table] == list(range(1, 7))
+            for a, polys, routes in table:
+                assert polys == kac_from_moments(g, a, 3), (g, a)
+                assert all(agrees for _, _, agrees in routes), (g, a)
+                assert len(routes) == (3 if (g, a) in REFERENCE_RANK3 else 2)
+
+    def test_one_step_per_depth_and_rank(self, monkeypatch):
+        # alpha - 1 steps per rank for the whole table, on the 7 nonzero
+        # rank-2 and 24 nonzero rank-3 transition entries only
+        steps = []
+        step = rank._step
+
+        def counting_step(vec, rows):
+            entries = [m for row in rows for _, m in row]
+            assert not any(m.is_zero() for m in entries)
+            steps.append((len(vec), len(entries)))
+            return step(vec, rows)
+
+        monkeypatch.setattr(rank, "_step", counting_step)
+        for alpha in (1, 2, 6):
+            steps.clear()
+            list(rank_table(2, alpha))
+            assert sorted(steps) == [(4, 7)] * (alpha - 1) + [(10, 24)] * (alpha - 1)
