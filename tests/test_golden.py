@@ -2,7 +2,8 @@
 
 The corpus covers the seed-0 jobs of the three benchmark workloads, in both
 output formats, plus a few cheap extra cases (small ``rank-table`` and
-``e-series`` runs, a disconnected ``kac``, guard exits and a user error).
+``e-series`` runs, a disconnected ``kac``, guard exits, a user error, an
+orbit count on K4 and a zero-fiber ``e-series`` on a 6-cycle).
 Each case runs in process through ``cli.main`` with its quiver file under
 ``tmp_path``; no report mentions the file path, so the bytes do not depend
 on where it lives.
@@ -77,6 +78,8 @@ QUIVERS = {
     # extra cases
     "disconnected": {"vertices": 3, "arrows": [[0, 1], [2, 2]]},
     "malformed": {"vertices": "two"},
+    "k4_orbit": {"vertices": 4, "arrows": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    "cycle6": {"vertices": 6, "arrows": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]},
 }
 
 # (quiver, argv without --quiver and --format)
@@ -120,6 +123,8 @@ CASES = [
     ("kron2", ["kac", "--guard", "3"]),
     ("loop1", ["verify", "exp-identity", "--alpha", "2", "--bound=1", "--guard", "10"]),
     ("malformed", ["kac"]),
+    ("k4_orbit", ["oracle", "orbit-count", "--alpha", "2", "--p", "2"]),
+    ("cycle6", ["e-series", "--alpha", "2", "--mode", "zero-fiber", "--order", "10"]),
 ]
 
 FORMATS = ("json", "text")
