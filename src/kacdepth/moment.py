@@ -18,13 +18,14 @@ counts feed three symbolic checks:
   parameter recovers the indecomposable count directly;
 * ``e_series_check``        -- graded-dimension bookkeeping: the quotient of
   counting polynomials, expanded at infinity, matches the product formula
-  with its shift and classifying-space factors.
+  with its shift and classifying-space factors; the sum over set partitions
+  of the vertices runs as a subset DP (the exponential formula).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -34,7 +35,7 @@ from .plethysm import pleth_exp
 from .quiver import Quiver
 from .rank import closed_form_rank2
 from .series import TSeries
-from .toric import toric_kac_chain
+from .toric import _chain_sum_work, toric_kac_chain
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -290,8 +291,11 @@ def verify_generic_fiber(
 
     Requires lam generic for the rank vector and p larger than
     sum |lam_i| r_i (the characteristic bound, enforced rather than assumed).
+    The genericity test walks the prod(r_i + 1) = 2^n sub-vectors of the
+    rank vector; that estimate is checked against guard first.
     """
     rank = (1,) * quiver.nvertices
+    check_work("generic test", guarded_power(2, len(rank), "generic test", guard), guard)
     if not is_generic(lam, rank):
         raise ValueError("lambda not generic")
     if p <= sum(abs(x) * r for x, r in zip(lam, rank)):
@@ -322,25 +326,6 @@ def verify_generic_fiber(
 # E-series bookkeeping
 
 
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _bell(n: int) -> int:
-    """Number of set partitions of n items (Bell triangle)."""
-    row = [1]
-    for _ in range(n):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[0]
-
-
 def e_series_check(
     quiver: Quiver, alpha: int, mode: str, order: int, guard: int = DEFAULT_GUARD
 ) -> dict:
@@ -350,72 +335,71 @@ def e_series_check(
     of the fiber assembled from the verified identities; the other side is
     built directly from shifted A-polynomials and classifying-space factors
     (one geometric series sum_{k>=1} z^-k per torus factor).  Equality is
-    asserted for every exponent >= -order.  The zero-fiber sum runs over the
-    Bell(n) set partitions of the n vertices, at most n chain sums each; the
-    estimate Bell(n) * max(n, 1) must not exceed guard.
+    asserted for every exponent >= -order.
+
+    The fiber sums prod_B A_B / (1 - q^-1) over the set partitions of the n
+    vertices (zero fiber) or over the one block of all vertices (generic
+    fiber), A_B the toric count of the full subquiver on B.  By the
+    exponential formula that sum is (q-1)^-n F(V), where F(S) sums
+    q A_B (q-1)^(|B|-1) F(S - B) over the blocks B in S holding min S, and
+    F(empty) = 1.  The direct side and the largest degree, which fixes the
+    truncation floor, run the same recursion.  Estimates: the (3^n - 1)/2
+    pairs (S, B) of the subset walk, covering its 2^n - 1 connectivity
+    tests, before any test; the summed chain-sum estimates of the connected
+    blocks, before any chain sum; the pairs with A_B != 0 times L^2,
+    L = |floor| the length of a truncated product, before any product.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     if mode not in ("zero-fiber", "generic-fiber"):
         raise ValueError(f"unknown mode {mode!r}")
-    rank = (1,) * quiver.nvertices
-    euler = quiver.euler_form(rank, rank)
-    p_g = group_order_gl(rank, alpha)
-    shift = -alpha * euler
-
-    # one list of A-polynomials per summand: the blocks of a set partition
+    n = quiver.nvertices
+    rank = (1,) * n
+    shift = -alpha * quiver.euler_form(rank, rank)
+    full = (1 << n) - 1
     if mode == "zero-fiber":
-        n = quiver.nvertices
-        guarded_power(2, max(n - 1, 0), "set partitions", guard)  # Bell(n) >= 2^(n-1)
-        check_work("set partitions", _bell(n) * max(n, 1), guard)
-        polys = [
-            [toric_kac_chain(quiver.restrict_vertices(b), alpha, guard=guard) for b in part]
-            for part in _set_partitions(list(range(n)))
-        ]
-    else:
-        polys = [[toric_kac_chain(quiver, alpha, guard=guard)]]
+        check_work("subset walk", (guarded_power(3, n, "subset walk", guard) - 1) // 2, guard)
+    targets = range(1, full + 1) if mode == "zero-fiber" else [full]
+    blocks = {}  # A_B = 0 exactly when Q|_B is disconnected
+    for b in targets:
+        restricted = quiver.restrict_vertices(v for v in range(n) if b >> v & 1)
+        if restricted.is_connected():
+            blocks[b] = restricted
+    check_work("chain sum", sum(_chain_sum_work(q, alpha) for q in blocks.values()), guard)
+    chains = {b: toric_kac_chain(q, alpha, guard) for b, q in blocks.items()}
+    # splits[S]: the blocks B in S holding min S with A_B != 0, S increasing
+    splits: dict[int, list[int]] = {s: [] for s in targets}
+    degree = {0: 0}
+    for s in targets:
+        low = s & -s if mode == "zero-fiber" else s
+        rest = sub = s ^ low
+        while True:
+            if (sub | low) in chains:
+                splits[s].append(sub | low)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        degree[s] = max((chains[b].max_exp() + degree[s ^ b] for b in splits[s]), default=0)
+    floor = -order - degree[full] - abs(shift) - n - 2
+    check_work("partition sum", sum(map(len, splits.values())) * floor * floor, guard)
 
-    # counting polynomial of the fiber, from the summed identity
-    total = RatFunc.zero()
-    for blocks in polys:
-        term = RatFunc.one()
-        for a_poly in blocks:
-            term = term * (RatFunc(a_poly) / ONE_MINUS_QINV)
-        total = total + term
-    p_x = (RatFunc(p_g) * RatFunc.q(shift) * total).as_polynomial()
-    lhs = RatFunc(p_x, p_g).series_at_infinity(-order)
-
-    # direct series build: each block contributes A(z) * z * sum_{k>=1} z^-k,
-    # with every product truncated below the floor
-    max_deg = max(
-        (sum(b.max_exp() for b in blocks if not b.is_zero()) for blocks in polys),
-        default=0,
-    )
-    floor = -order - max_deg - abs(shift) - quiver.nvertices - 2
-    geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})  # z * sum z^-k
-    rhs = LaurentPoly.zero()
-    for blocks in polys:
-        term = LaurentPoly.one()
-        for a_poly in blocks:
-            term = LaurentPoly(
-                {e: c for e, c in (term * a_poly * geom).items() if e >= floor}
-            )
-        rhs = rhs + term.shift(shift)
-
-    exponents = sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True)
+    # P_G = q^((alpha-1) n) (q-1)^n cancels the (q-1)^-n of the formula; on
+    # the direct side z * sum_{k>=1} z^-k is common to the blocks holding min S
+    qm1 = LaurentPoly({1: 1, 0: -1})
+    lift = {b: a_poly.shift(1) * qm1 ** (bin(b).count("1") - 1) for b, a_poly in chains.items()}
+    geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})
+    fsum, direct = {0: LaurentPoly.one()}, {0: LaurentPoly.one()}
+    for s, bs in splits.items():
+        fsum[s] = sum((lift[b] * fsum[s ^ b] for b in bs), LaurentPoly.zero())
+        inner = sum((chains[b] * direct[s ^ b] for b in bs), LaurentPoly.zero())
+        direct[s] = LaurentPoly({e: c for e, c in (geom * inner).items() if e >= floor})
+    p_x = fsum[full].shift((alpha - 1) * n + shift)
+    lhs = RatFunc(p_x, group_order_gl(rank, alpha)).series_at_infinity(-order)
+    rhs = direct[full].shift(shift)
     rows = []
-    equal = True
-    for e in exponents:
-        if e < -order:
-            continue
-        le, re = lhs.get(e, Fraction(0)), rhs.coeff(e)
-        if le != re:
-            equal = False
-        rows.append({"exponent": e, "lhs": str(le), "rhs": str(re), "equal": le == re})
-    return {
-        "mode": mode,
-        "alpha": alpha,
-        "order": order,
-        "rows": rows,
-        "equal": equal,
-    }
+    for e in sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True):
+        if e >= -order:
+            le, re = lhs.get(e, Fraction(0)), rhs.coeff(e)
+            rows.append({"exponent": e, "lhs": str(le), "rhs": str(re), "equal": le == re})
+    equal = all(row["equal"] for row in rows)
+    return {"mode": mode, "alpha": alpha, "order": order, "rows": rows, "equal": equal}

@@ -1,17 +1,17 @@
-"""The truncated polynomial ring F_p[t]/(t^alpha): tables, guards, GL order.
+"""The truncated polynomial ring F_p[t]/(t^alpha): guards, primality, GL order.
 
-``ORing`` holds the multiplication, inverse and unit tables that the
-brute-force orbit oracle enumerates over; elements are integer codes whose
-base-p digits are the coefficients, so code 0 is the zero element and a code
-is a unit exactly when it is nonzero mod p.  ``GuardError``, ``check_work``
-and ``guarded_power`` let every exponential route refuse its work estimate
-before it allocates anything; ``group_order_gl`` is the order of the
-automorphism group as a polynomial in q.
+``GuardError``, ``check_work`` and ``guarded_power`` let every exponential
+route refuse its work estimate before it allocates anything;
+``group_order_gl`` is the order of the automorphism group as a polynomial in
+q.  ``ORing`` holds multiplication, inverse and unit tables on integer codes
+whose base-p digits are the coefficients (code 0 is the zero element, and a
+code is a unit exactly when it is nonzero mod p).  No library route uses the
+tables: the orbit count runs by Burnside's lemma on base-p digits, and the
+tests count over the tables as an independent route.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
@@ -63,11 +63,6 @@ class ORing:
         self.mul = [[code(times(a, b)) for b in digits] for a in digits]
         self.units = tuple(c for c in range(self.size) if c % p)
         self.inv = [row.index(1) if c % p else None for c, row in enumerate(self.mul)]
-
-
-@lru_cache(maxsize=None)
-def cached_ring(p: int, alpha: int) -> ORing:
-    return ORing(p, alpha)
 
 
 def group_order_gl(r: Sequence[int], alpha: int) -> LaurentPoly:

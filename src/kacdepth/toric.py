@@ -10,8 +10,9 @@ locally free rank-one representations over F_q[t]/(t^alpha):
   (alpha+1)^m for m arrows (a bound on every coefficient);
 * ``toric_kac_trees``   -- the stratification by valued spanning trees,
   where the stratum of a valued tree T contributes the monomial q^(n_T);
-* ``toric_orbit_count`` -- a brute-force orbit count over a small prime
-  field, the ground-truth oracle.
+* ``toric_orbit_count`` -- the orbit count over F_p[t]/(t^alpha) itself,
+  by Burnside's lemma over the vertex torus: fixed points need only the
+  shared base-p digits of torus coordinates, never a product in the ring.
 
 The module also computes the depth->infinity limits of the toric count and
 of the normalised moment-map fiber count, which are rational functions once
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, product
-from math import comb
+from itertools import compress, count, product
+from math import comb, isqrt
 from operator import itemgetter
 from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
-from .oring import DEFAULT_GUARD, cached_ring, check_work, guarded_power
+from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
 from .quiver import Quiver, ValuedTree, tree_paths, vertex_roots
 
 
@@ -73,6 +74,14 @@ def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
     return betti, connected
 
 
+def _chain_sum_work(quiver: Quiver, alpha: int) -> int:
+    """The work estimate of ``toric_kac_chain`` (see there)."""
+    m = quiver.narrows
+    width = ((alpha + 1) ** m).bit_length()
+    words = -(-width * (quiver.betti() * (alpha - 1) + 1) // 64)
+    return (1 << m) * max(m, 1) * max(alpha - 1, 1) * words
+
+
 def toric_kac_chain(
     quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD
 ) -> LaurentPoly:
@@ -93,10 +102,9 @@ def toric_kac_chain(
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
+    check_work("chain sum", _chain_sum_work(quiver, alpha), guard)
     m = quiver.narrows
     width = ((alpha + 1) ** m).bit_length()
-    words = -(-width * (quiver.betti() * (alpha - 1) + 1) // 64)
-    check_work("chain sum", (1 << m) * max(m, 1) * max(alpha - 1, 1) * words, guard)
     betti, connected = _mask_betti_tables(quiver)
     nmasks = 1 << m
     # layer[E] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j))
@@ -181,7 +189,7 @@ def toric_kac_trees(quiver: Quiver, alpha: int) -> LaurentPoly:
 
 
 # ----------------------------------------------------------------------
-# brute-force orbit oracle
+# orbit count by Burnside
 
 
 def toric_orbit_count(
@@ -189,43 +197,55 @@ def toric_orbit_count(
 ) -> int:
     """Count vertex-torus orbits of indecomposable rank-one representations.
 
-    Enumerates every arrow assignment over F_p[t]/(t^alpha), keeps those
-    whose support connects all vertices, and counts orbits of the action
-    x_a -> u_target * x_a * u_source^-1 by counting assignments that are the
-    lexicographically minimal element of their own orbit.  The diagonal
-    scalars act trivially (the ring is commutative), so u runs over the
-    torus with u_0 = 1.  The work estimate p^(alpha m) points times
-    ((p-1) p^(alpha-1))^(n-1) torus elements, plus the ring's p^(2 alpha)
-    table entries, must not exceed guard.
+    The torus acts on arrow assignments over R = F_p[t]/(t^alpha) by
+    x_a -> u_target * x_a * u_source^-1; the diagonal acts trivially, so u
+    runs over T = (R^x)^(n-1) with u_0 = 1.  By Cauchy-Frobenius the orbits
+    number |T|^-1 sum_u |Fix(u)|.  An assignment is fixed iff
+    (u_t - u_s) x_a = 0 for every arrow, and that annihilator has p^v
+    elements, v the number of leading base-p digits the codes of u_t and u_s
+    share (alpha for a loop).  So with connected spanning support
+    |Fix(u)| = sum over connected spanning arrow sets S of
+    prod_{a in S} (p^(v_a) - 1), one product per arrow subset, memoised on
+    the vector (v_a).  The work estimate |T| * 2^m products times the squared
+    machine words of p^(alpha m), the largest count, plus isqrt(p) for the
+    primality test, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
-    m, n = quiver.narrows, quiver.nvertices
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    m, n, arrows = quiver.narrows, quiver.nvertices, quiver.arrows
     k = max(n - 1, 0)
-    # refuse before forming the powers when the largest one alone is past the guard
-    guarded_power(p, max(alpha * m + (alpha - 1) * k, 2 * alpha), "orbit enumeration", guard)
-    work = p ** (alpha * m) * ((p - 1) * p ** (alpha - 1)) ** k + p ** (2 * alpha)
-    check_work("orbit enumeration", work, guard)
-    ring = cached_ring(p, alpha)
-    mul, inv = ring.mul, ring.inv
-    torus = [(1,) + u for u in product(ring.units, repeat=k)]
-    arrow_ends = list(quiver.arrows)
-    count = 0
-    for x in product(range(ring.size), repeat=m):
-        # the support (arrows with a nonzero code) must connect all vertices
-        if len(set(vertex_roots(n, compress(arrow_ends, x)))) != 1:
-            continue
-        minimal = True
-        for u in torus:
-            y = tuple(
-                mul[mul[u[t]][xa]][inv[u[s]]] for xa, (s, t) in zip(x, arrow_ends)
-            )
-            if y < x:
-                minimal = False
-                break
-        if minimal:
-            count += 1
-    return count
+    torus = guarded_power(p - 1, k, "orbit count", guard)
+    torus *= guarded_power(p, (alpha - 1) * k, "orbit count", guard)
+    words = -(-alpha * m * p.bit_length() // 64) or 1
+    check_work("orbit count", (torus << m) * words * words + isqrt(p), guard)
+    _check_prime(p)
+    spanning = [
+        mask
+        for mask in range(1 << m)
+        if len(set(vertex_roots(n, compress(arrows, (mask >> a & 1 for a in range(m)))))) == 1
+    ]
+
+    def shared_digits(a: int, b: int) -> int:
+        # codes lie in range(p^alpha): unequal ones share fewer than alpha digits
+        return alpha if a == b else next(v for v in count() if (a - b) % p ** (v + 1))
+
+    units = [c for c in range(p**alpha) if c % p] if k else []  # p^alpha <= 2 |T| for k >= 1
+    fixed: dict[tuple[int, ...], int] = {}
+    total = 0
+    for u in product(units, repeat=k):
+        u = (1, *u)
+        vs = tuple(shared_digits(u[t], u[s]) for s, t in arrows)
+        if vs not in fixed:
+            # weight[mask] = prod of p^(v_a) - 1 over the arrows a in mask
+            weight = [1] * (1 << m)
+            for mask in range(1, 1 << m):
+                a = (mask & -mask).bit_length() - 1
+                weight[mask] = weight[mask & (mask - 1)] * (p ** vs[a] - 1)
+            fixed[vs] = sum(weight[mask] for mask in spanning)
+        total += fixed[vs]
+    return total // torus
 
 
 # ----------------------------------------------------------------------

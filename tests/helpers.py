@@ -16,7 +16,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree
-from kacdepth.oring import cached_ring
+from kacdepth.oring import ORing
 
 from oracles import OElem, tree_path_data
 
@@ -38,6 +38,12 @@ def brute_fiber_count(quiver: Quiver, rank, p: int, alpha: int, target=None) -> 
     if all(r <= 1 for r in rank):
         return scalar_fiber_count(quiver, rank, ring, target, active, verts)
     return matrix_fiber_count(quiver, rank, ring, target, active, verts)
+
+
+@lru_cache(maxsize=None)
+def cached_ring(p: int, alpha: int) -> ORing:
+    """The ring tables of F_p[t]/(t^alpha), built once per (p, alpha)."""
+    return ORing(p, alpha)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,10 @@ and its strata are checked against the library's valued-tree census;
 ``tree_stratum_census_oracle`` lists that census by direct path scans.
 ``shelling_restrictions_oracle`` finds the restriction faces of a shelling
 by facet-pair search, checked against the library's descent rule.
+``toric_orbit_count_oracle`` counts torus orbits by lexicographically minimal
+representatives over the ring tables, checked against the library's
+Burnside count; ``e_series_partition_oracle`` builds the ``e-series`` report
+by summing over all set partitions, checked against the library's subset DP.
 ``quiver_catalog`` lists small quivers up to isomorphism of the underlying
 multigraph for the exhaustive suites.
 """
@@ -16,12 +20,14 @@ multigraph for the exhaustive suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
-from typing import Sequence
+from fractions import Fraction
+from itertools import combinations_with_replacement, compress, permutations, product
+from typing import Iterator, Sequence
 
-from kacdepth import Quiver, RatFunc, ValuedTree
-from kacdepth.oring import _check_prime
-from kacdepth.quiver import QuiverFormatError, tree_paths
+from kacdepth import LaurentPoly, Quiver, RatFunc, ValuedTree, group_order_gl, toric_kac_chain
+from kacdepth.laurent import ONE_MINUS_QINV
+from kacdepth.oring import ORing, _check_prime
+from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -265,6 +271,97 @@ def shelling_restrictions_oracle(
                     raise RuntimeError("order is not a shelling")
         restrictions.append(frozenset(missing))
     return tuple(restrictions)
+
+
+# ----------------------------------------------------------------------
+# enumeration oracles: torus orbits and set partitions
+
+
+def toric_orbit_count_oracle(quiver: Quiver, p: int, alpha: int) -> int:
+    """Torus orbits of assignments with connected spanning support, counted
+    as the assignments that are lexicographically minimal in their orbit.
+
+    Every assignment over F_p[t]/(t^alpha) is tried against every torus
+    element with u_0 = 1, through the ring's mul and inv tables.
+    """
+    ring = ORing(p, alpha)
+    mul, inv = ring.mul, ring.inv
+    n = quiver.nvertices
+    torus = [(1,) + u for u in product(ring.units, repeat=max(n - 1, 0))]
+    arrow_ends = list(quiver.arrows)
+    count = 0
+    for x in product(range(ring.size), repeat=quiver.narrows):
+        if len(set(vertex_roots(n, compress(arrow_ends, x)))) != 1:
+            continue
+        if all(
+            tuple(mul[mul[u[t]][xa]][inv[u[s]]] for xa, (s, t) in zip(x, arrow_ends)) >= x
+            for u in torus
+        ):
+            count += 1
+    return count
+
+
+def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def e_series_partition_oracle(quiver: Quiver, alpha: int, mode: str, order: int) -> dict:
+    """The ``e_series_check`` report, summed over every set partition.
+
+    The fiber's counting polynomial comes from a ``RatFunc`` sum of
+    prod_B A_B / (1 - q^-1) over the partitions (zero fiber) or the one
+    block of all vertices (generic fiber); the direct side multiplies each
+    partition's truncated factors in turn, below the same floor.
+    """
+    rank = (1,) * quiver.nvertices
+    p_g = group_order_gl(rank, alpha)
+    shift = -alpha * quiver.euler_form(rank, rank)
+    if mode == "zero-fiber":
+        polys = [
+            [toric_kac_chain(quiver.restrict_vertices(b), alpha) for b in part]
+            for part in _set_partitions(list(range(quiver.nvertices)))
+        ]
+    else:
+        polys = [[toric_kac_chain(quiver, alpha)]]
+    total = RatFunc.zero()
+    for blocks in polys:
+        term = RatFunc.one()
+        for a_poly in blocks:
+            term = term * (RatFunc(a_poly) / ONE_MINUS_QINV)
+        total = total + term
+    p_x = (RatFunc(p_g) * RatFunc.q(shift) * total).as_polynomial()
+    lhs = RatFunc(p_x, p_g).series_at_infinity(-order)
+    max_deg = max(
+        (sum(b.max_exp() for b in blocks if not b.is_zero()) for blocks in polys),
+        default=0,
+    )
+    floor = -order - max_deg - abs(shift) - quiver.nvertices - 2
+    geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})
+    rhs = LaurentPoly.zero()
+    for blocks in polys:
+        term = LaurentPoly.one()
+        for a_poly in blocks:
+            term = LaurentPoly({e: c for e, c in (term * a_poly * geom).items() if e >= floor})
+        rhs = rhs + term.shift(shift)
+    rows = []
+    for e in sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True):
+        if e >= -order:
+            le, re = lhs.get(e, Fraction(0)), rhs.coeff(e)
+            rows.append({"exponent": e, "lhs": str(le), "rhs": str(re), "equal": le == re})
+    return {
+        "mode": mode,
+        "alpha": alpha,
+        "order": order,
+        "rows": rows,
+        "equal": all(row["equal"] for row in rows),
+    }
 
 
 # ----------------------------------------------------------------------

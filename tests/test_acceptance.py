@@ -65,12 +65,12 @@ def test_criterion_2_oracle_equivalence(catalog_3v_3a):
     for quiver in catalog_3v_3a:
         for p in (2, 3):
             for alpha in (1, 2):
-                brute = toric_orbit_count(quiver, p, alpha)
+                orbits = toric_orbit_count(quiver, p, alpha)
                 symbolic = toric_kac_chain(quiver, alpha).evaluate(p)
-                assert symbolic == brute, (quiver, p, alpha)
+                assert symbolic == orbits, (quiver, p, alpha)
                 checked += 1
     print(
-        f"\n[PASS] criterion 2: brute orbit counts equal the polynomial at q=p "
+        f"\n[PASS] criterion 2: Burnside orbit counts equal the polynomial at q=p "
         f"({checked} configurations)"
     )
 

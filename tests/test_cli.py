@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kacdepth import cli
 from kacdepth.cli import build_parser, main
-from kacdepth.oring import cached_ring
+from kacdepth.oring import ORing
 
 
 @pytest.fixture()
@@ -162,27 +162,37 @@ def test_kac_chain_guard_exits_3(kron_file, capsys):
     assert "--guard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("oracle", ["orbit-count"])
-def test_oracle_guard_counts_ring_tables(oracle, point_file, capsys):
-    # no arrows: one point to enumerate, but the ring tables hold 11^2 entries
-    before = cached_ring.cache_info()
-    args = ["oracle", oracle, "--quiver", point_file, "--p", "11", "--alpha", "1"]
-    assert main(args + ["--guard", "100"]) == 3
-    assert "estimate 122 > limit 100; raise --guard" in capsys.readouterr().err
-    assert cached_ring.cache_info() == before
-    assert main(args + ["--guard", "122"]) == 0
+def _no_ring(*args, **kwargs):
+    raise AssertionError("this route builds no ring tables")
 
 
-def test_moment_fiber_guard_estimate(a2_file, capsys):
+def test_orbit_count_guard_counts_primality(point_file, monkeypatch, capsys):
+    # one vertex, no arrows: one torus element, one mask and one word, but
+    # the primality test of p = 1000003 tries up to isqrt(p) = 1000 divisors
+    monkeypatch.setattr(ORing, "__init__", _no_ring)
+    args = ["oracle", "orbit-count", "--quiver", point_file, "--p", "1000003", "--alpha", "1"]
+    start = time.perf_counter()
+    assert main(args + ["--guard", "1000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "orbit count estimate 1001 > limit 1000; raise --guard" in capsys.readouterr().err
+    assert main(args + ["--guard", "1001"]) == 0
+
+
+def test_orbit_count_composite_modulus_is_a_user_error(kron_file, capsys):
+    args = ["oracle", "orbit-count", "--quiver", kron_file, "--p", "4", "--alpha", "1"]
+    assert main(args) == 2
+    assert "4 is not prime" in capsys.readouterr().err
+
+
+def test_moment_fiber_guard_estimate(a2_file, monkeypatch, capsys):
     # A2 at rank (1,1): h = 1, R = 2 alpha = 4, C = alpha h = 2, so the estimate
     # is 3^2 * 4 * 3 * 2 + isqrt(3) = 217; the route builds no ring tables
-    before = cached_ring.cache_info()
+    monkeypatch.setattr(ORing, "__init__", _no_ring)
     args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "2"]
     assert main(args + ["--guard", "216"]) == 3
     assert "fiber enumeration estimate 217 > limit 216; raise --guard" in capsys.readouterr().err
     assert main(args + ["--guard", "217"]) == 0
     assert "fiber size 21" in capsys.readouterr().out
-    assert cached_ring.cache_info() == before
 
 
 def test_arrowless_generic_fiber_refused_fast(tmp_path, capsys):
@@ -196,6 +206,20 @@ def test_arrowless_generic_fiber_refused_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert "fiber enumeration estimate >= 100000007^300000" in capsys.readouterr().err
     assert main(args + ["--p", "3", "--alpha", "2"]) == 0
+
+
+def test_generic_test_refused_fast(tmp_path, capsys):
+    # 40 points: the genericity test walks 2^40 sub-vectors of the rank vector,
+    # while the vertex count and the fiber estimate admit the input; unguarded
+    # it was still running after 20 s
+    path = tmp_path / "forty_points.json"
+    path.write_text(json.dumps({"vertices": 40, "arrows": []}))
+    lam = ",".join(["1"] * 39 + ["-39"])
+    args = ["verify", "generic-fiber", "--quiver", str(path), f"--lam={lam}"]
+    start = time.perf_counter()
+    assert main(args + ["--p", "1000003", "--alpha", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "generic test estimate >= 2^40 > limit 16777216" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -342,26 +366,51 @@ def test_report_envelope(kron_file, capsys):
     assert report["command"] == "verify thm41" and report["seed"] == 7
 
 
+KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
+
+
 @pytest.mark.parametrize(
-    "quiver, mode, guard, message",
+    "quiver, mode, order, guard, message",
     [
-        # Bell(2) = 2 set partitions, 2 chain sums each
-        ({"vertices": 2, "arrows": [[0, 1]] * 2}, "zero-fiber", 3, "set partitions estimate 4"),
-        ({"vertices": 2, "arrows": [[0, 1]] * 2}, "generic-fiber", 3, "chain sum estimate 8"),
-        # Bell(10) = 115975 set partitions; unguarded this ran for about a minute
-        ({"vertices": 10, "arrows": []}, "zero-fiber", 100000, "set partitions estimate 1159750"),
-        # Bell(n) >= 2^(n-1): 40 points are refused before Bell(40) is formed
-        ({"vertices": 40, "arrows": []}, "zero-fiber", 2**24, "set partitions estimate >= 2^39"),
+        # two vertices: (3^2 - 1)/2 = 4 subset steps (S, B)
+        (KRON2, "zero-fiber", 10, 3, "subset walk estimate 4"),
+        (KRON2, "generic-fiber", 10, 3, "chain sum estimate 8"),
+        # 4 pairs with A_B != 0 times L^2, L = 20000 + 2 + 0 + 2 + 2; unguarded
+        # the truncated products ran past 60 s
+        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1600960144"),
+        # 10 points: each S splits off only {min S}, 1023 pairs times 42^2
+        ({"vertices": 10, "arrows": []}, "zero-fiber", 10, 100000,
+         "partition sum estimate 1804572"),
+        # 40 points are refused before 3^40 is formed
+        ({"vertices": 40, "arrows": []}, "zero-fiber", 10, 2**24,
+         "subset walk estimate >= 3^40"),
+        # a 12-cycle with 6 chords: each block's chain sum is within the guard
+        # (but the full one), their sum is not; block by block this ran 10 s
+        ({"vertices": 12,
+          "arrows": [[i, (i + 1) % 12] for i in range(12)]
+          + [[i, (i + 3) % 12] for i in range(0, 12, 2)]},
+         "zero-fiber", 10, 2**24, "chain sum estimate 49247472"),
     ],
 )
-def test_e_series_refused_fast(quiver, mode, guard, message, tmp_path, capsys):
+def test_e_series_refused_fast(quiver, mode, order, guard, message, tmp_path, capsys):
     path = tmp_path / "quiver.json"
     path.write_text(json.dumps(quiver))
     args = ["e-series", "--quiver", str(path), "--alpha", "2", "--mode", mode]
     start = time.perf_counter()
-    assert main(args + ["--guard", str(guard)]) == 3
+    assert main(args + ["--order", str(order), "--guard", str(guard)]) == 3
     assert time.perf_counter() - start < 1.0
     assert f"{message} > limit {guard}; raise --guard" in capsys.readouterr().err
+
+
+def test_e_series_ten_vertices_at_default_guard(tmp_path, capsys):
+    # a 10-cycle with a chord: 1023 blocks, of which the connected ones enter
+    # the subset DP; the Bell(10) partition loop took about a minute
+    arrows = [[i, (i + 1) % 10] for i in range(10)] + [[0, 5]]
+    path = tmp_path / "cycle10.json"
+    path.write_text(json.dumps({"vertices": 10, "arrows": arrows}))
+    args = ["e-series", "--quiver", str(path), "--alpha", "2", "--order", "10"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "mode=zero-fiber alpha=2 order=10: ok"
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])

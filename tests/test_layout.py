@@ -3,7 +3,8 @@
 Every public name in ``kacdepth.__all__`` must be referenced (as a name, an
 attribute or an import) from ``cli.py``, from ``scripts/*.py`` or from a
 library module; ``__init__.py`` re-exports and does not count.  A name only
-the tests need belongs under ``tests/`` (see ``tests/oracles.py``).
+the tests need belongs under ``tests/`` (see ``tests/oracles.py``).  The
+``ORing`` tables have no library user outside ``oring.py``.
 """
 
 import ast
@@ -33,6 +34,13 @@ def test_every_public_name_has_a_non_test_user():
     used = _referenced_names([*library, *(ROOT / "scripts").glob("*.py")])
     public = [n for n in kacdepth.__all__ if not n.startswith("__")]
     assert [n for n in public if n not in used] == []
+
+
+def test_ring_tables_stay_in_oring():
+    # the orbit count runs by Burnside's lemma; only the tests build ORing
+    library = (ROOT / "src" / "kacdepth").glob("*.py")
+    users = [p.name for p in library if p.name != "oring.py" and "ORing" in _referenced_names([p])]
+    assert users == []
 
 
 def test_traced_wrappers_resolve(monkeypatch):

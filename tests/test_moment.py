@@ -26,6 +26,7 @@ from helpers import (
     scalar_fiber_count,
     zero_target,
 )
+from oracles import e_series_partition_oracle, quiver_catalog
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
@@ -242,6 +243,26 @@ class TestESeries:
     def test_zero_fiber_partition_sum(self):
         report = e_series_check(KRON, 2, "zero-fiber", 10)
         assert report["equal"]
+
+    def test_subset_dp_equals_partition_oracle_on_catalog(self):
+        # the full report: rows, truncation floor and verdict alike
+        for q in quiver_catalog(4, 5, connected=False):
+            for alpha in (1, 2):
+                for mode in ("zero-fiber", "generic-fiber"):
+                    expected = e_series_partition_oracle(q, alpha, mode, 10)
+                    assert e_series_check(q, alpha, mode, 10) == expected, (q, alpha, mode)
+
+    @pytest.mark.parametrize("mode", ["zero-fiber", "generic-fiber"])
+    def test_subset_dp_equals_partition_oracle_on_cycle_with_chord(self, mode):
+        quiver = Quiver(7, tuple((i, (i + 1) % 7) for i in range(7)) + ((0, 3),))
+        report = e_series_check(quiver, 2, mode, 10)
+        assert report == e_series_partition_oracle(quiver, 2, mode, 10)
+        assert report["equal"]
+
+    @pytest.mark.parametrize("mode", ["zero-fiber", "generic-fiber"])
+    def test_no_vertices(self, mode):
+        report = e_series_check(Quiver(0, ()), 2, mode, 5)
+        assert report == e_series_partition_oracle(Quiver(0, ()), 2, mode, 5)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from kacdepth import LaurentPoly, ORing, group_order_gl
-from kacdepth.oring import cached_ring
+from kacdepth import LaurentPoly, group_order_gl
+from kacdepth.oring import ORing
 
+from helpers import cached_ring
 from oracles import OElem
 
 Q = LaurentPoly.q()

@@ -7,10 +7,9 @@ import pytest
 
 from kacdepth import Quiver, ValuedTree
 from kacdepth.quiver import QuiverFormatError, tree_paths
-from kacdepth.moment import _set_partitions
 
 from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
-from oracles import contract_arrow, quiver_catalog, tree_path_data
+from oracles import _set_partitions, contract_arrow, quiver_catalog, tree_path_data
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))

@@ -1,4 +1,4 @@
-"""Toric counts: chain sum, valued-tree strata, brute orbits, depth limits."""
+"""Toric counts: chain sum, valued-tree strata, Burnside orbits, depth limits."""
 
 import random
 from fractions import Fraction
@@ -17,17 +17,23 @@ from kacdepth import (
     toric_orbit_count,
     tree_stratum_census,
 )
-from kacdepth.oring import cached_ring
 from kacdepth.toric import _mask_betti_tables, toric_kac_trees
 
 from helpers import (
+    cached_ring,
     chain_sum_dict,
     chain_sum_naive,
     dfs_components,
     random_connected_quiver,
     stratum_inequalities_hold,
 )
-from oracles import OElem, assign_valued_tree, quiver_catalog, tree_stratum_census_oracle
+from oracles import (
+    OElem,
+    assign_valued_tree,
+    quiver_catalog,
+    toric_orbit_count_oracle,
+    tree_stratum_census_oracle,
+)
 
 Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
@@ -253,17 +259,35 @@ class TestAlgorithmOnRepresentations:
             assert counts == census
 
 
-class TestBruteOrbits:
+class TestBurnsideOrbits:
     def test_examples(self):
         assert toric_orbit_count(A2, 2, 2) == 2
         assert toric_orbit_count(KRON, 2, 2) == 9
         assert toric_orbit_count(LOOP1, 3, 2) == 9
 
     def test_guard(self):
-        from kacdepth import GuardError
-
         with pytest.raises(GuardError):
             toric_orbit_count(KRON, 5, 2, guard=10)
+
+    def test_equals_lex_min_oracle_on_catalog(self):
+        # disconnected quivers too: they have no connected spanning support
+        for q in quiver_catalog(3, 3, connected=False):
+            for p, alpha in ((2, 1), (2, 2), (3, 1), (3, 2)):
+                assert toric_orbit_count(q, p, alpha) == toric_orbit_count_oracle(q, p, alpha), (
+                    q, p, alpha
+                )
+
+    @pytest.mark.parametrize(
+        "quiver, p, alpha, orbits",
+        [
+            (Quiver(3, ((0, 2), (1, 2), (1, 0))), 3, 3, 125),
+            (Quiver(2, ((0, 1),) * 3), 3, 3, 1183),
+            (Quiver(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))), 2, 2, 755),
+        ],
+    )
+    def test_equals_lex_min_oracle_on_larger_cases(self, quiver, p, alpha, orbits):
+        assert toric_orbit_count(quiver, p, alpha) == orbits
+        assert toric_orbit_count_oracle(quiver, p, alpha) == orbits
 
 
 class TestAsymptotics:
