@@ -14,7 +14,6 @@ import sys
 
 from .moment import (
     e_series_check,
-    generic_target,
     moment_fiber_count,
     verify_exp_identity,
     verify_generic_fiber,
@@ -231,14 +230,11 @@ def _orbit_count(args, quiver: Quiver):
 
 def _moment_fiber(args, quiver: Quiver):
     rank = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
+    primes = _primes(args)  # a malformed --p is reported before a malformed --lam
+    lam = _parse_ints(args.lam) if args.lam else None
     rows = []
-    for p in _primes(args):
-        target = None
-        if args.lam:
-            target = generic_target(
-                quiver, rank, _parse_ints(args.lam), p, args.alpha, guard=args.guard
-            )
-        count = moment_fiber_count(quiver, rank, p, args.alpha, target=target, guard=args.guard)
+    for p in primes:
+        count = moment_fiber_count(quiver, rank, p, args.alpha, lam=lam, guard=args.guard)
         rows.append({"p": p, "count": count})
     body = {"alpha": args.alpha, "rank": list(rank), "rows": rows}
     return body, True, [f"p={r['p']}: fiber size {r['count']}" for r in rows]

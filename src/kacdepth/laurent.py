@@ -456,9 +456,6 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-n)
         return RatFunc(self.num**n, self.den**n)
 
-    def inverse(self) -> "RatFunc":
-        return RatFunc(self.den, self.num)
-
     def substitute_power(self, m: int) -> "RatFunc":
         """Adams substitution q -> q**m (m >= 1), a ring homomorphism."""
         if m < 1:

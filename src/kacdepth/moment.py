@@ -8,9 +8,10 @@ of x (h = sum of r_s r_t over the arrows) and solves one linear system mod p
 per x, instead of enumerating every pair (x, y).  The work estimate is
 p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p), with
 R = alpha * sum r_i^2 equations, C = alpha h unknowns and isqrt(p) for the
-primality test; h counts as at least 1 because target codes run up to
-p^alpha, which bounds the cost of building and decoding them.  The fiber
-counts feed three symbolic checks:
+primality test; h counts as at least 1 because the identity checks form
+numbers of size p^alpha and beyond at q = p (group orders, powers of q),
+whose cost the estimate must cover even without arrows.  The fiber counts
+feed three symbolic checks:
 
 * ``verify_exp_identity``   -- the normalised zero-fiber generating series
   equals the plethystic exponential of the indecomposable-count series;
@@ -37,53 +38,23 @@ from .rank import closed_form_rank2
 from .series import TSeries
 from .toric import _chain_sum_work, toric_kac_chain
 
-Matrix = tuple[tuple[int, ...], ...]
+
+def _rank_vectors(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    for r in product(*(range(b + 1) for b in bound)):
+        if any(r):
+            yield tuple(r)
 
 
 def is_generic(lam: Sequence[int], rank: Sequence[int]) -> bool:
     """lam . rank = 0 and lam . r' != 0 for every 0 < r' < rank."""
     if len(lam) != len(rank):
         raise ValueError("length mismatch")
+    rank = tuple(rank)
     if sum(a * b for a, b in zip(lam, rank)) != 0:
         return False
-    for sub in product(*(range(r + 1) for r in rank)):
-        if not any(sub) or tuple(sub) == tuple(rank):
-            continue
-        if sum(a * b for a, b in zip(lam, sub)) == 0:
-            return False
-    return True
-
-
-def generic_target(
-    quiver: Quiver,
-    rank: Sequence[int],
-    lam: Sequence[int],
-    p: int,
-    alpha: int,
-    guard: int = DEFAULT_GUARD,
-) -> tuple[Matrix, ...]:
-    """Per-vertex matrix t^(alpha-1) * lam_i * Id over integer-coded entries.
-
-    Codes are base-p digit strings, so lam_i t^(alpha-1) has code
-    (lam_i mod p) * p^(alpha-1).  The fiber count's work estimate is checked
-    first, so no target is built for a count the guard would refuse.
-    """
-    for name, vec in (("lam", lam), ("rank", rank)):
-        if len(vec) != quiver.nvertices:
-            raise ValueError(
-                f"{name} has {len(vec)} entries; expected {quiver.nvertices}, one per vertex"
-            )
-    rank = _check_fiber_work(quiver, rank, p, alpha, guard)
-    out = []
-    for i in range(quiver.nvertices):
-        scalar = (lam[i] % p) * p ** (alpha - 1)
-        n = rank[i]
-        out.append(
-            tuple(
-                tuple(scalar if r == c else 0 for c in range(n)) for r in range(n)
-            )
-        )
-    return tuple(out)
+    return all(
+        sum(a * b for a, b in zip(lam, sub)) != 0 for sub in _rank_vectors(rank) if sub != rank
+    )
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +62,22 @@ def generic_target(
 
 
 def _check_fiber_work(
-    quiver: Quiver, rank: Sequence[int], p: int, alpha: int, guard: int
+    quiver: Quiver,
+    rank: Sequence[int],
+    p: int,
+    alpha: int,
+    guard: int,
+    lam: Sequence[int] | None = None,
 ) -> tuple[int, ...]:
     """Validate a fiber count's inputs and check its work estimate (see the
     module docstring) before p is tested for primality; return the rank tuple."""
+    for name, vec in (("lam", lam), ("rank", rank)):
+        if vec is not None and len(vec) != quiver.nvertices:
+            raise ValueError(
+                f"{name} has {len(vec)} entries; expected {quiver.nvertices}, one per vertex"
+            )
     rank = tuple(int(r) for r in rank)
-    if len(rank) != quiver.nvertices or any(r < 0 for r in rank):
+    if any(r < 0 for r in rank):
         raise ValueError("bad rank vector")
     if alpha < 1:
         raise ValueError("depth must be >= 1")
@@ -129,40 +110,33 @@ def moment_fiber_count(
     rank: Sequence[int],
     p: int,
     alpha: int,
-    target: tuple[Matrix, ...] | None = None,
+    lam: Sequence[int] | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> int:
-    """Exact number of points (x, y) on the doubled quiver with mu(x, y) = target.
+    """Exact number of points (x, y) on the doubled quiver with
+    mu(x, y) = t^(alpha-1) lam_i Id at every vertex i; no lam means the zero
+    fiber.
 
     For each x the y-count is 0 or p^(C - rank) of one linear system mod p,
     whose column for y_a[k][l] = t^d is mu(x, t^d e_kl): it adds t^d x_a[u][k]
     to entry (u, l) at t(a) and subtracts t^d x_a[l][v] from entry (k, v) at
     s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
-    coordinates; vertices of rank zero impose no condition; a target code
-    outside range(p^alpha) matches no point; no target means the zero fiber.
-    The work estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C))
-    + isqrt(p) must not exceed guard (see the module docstring).
+    coordinates; vertices of rank zero impose no condition.  The work
+    estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p)
+    must not exceed guard (see the module docstring).
     """
-    rank = _check_fiber_work(quiver, rank, p, alpha, guard)
+    rank = _check_fiber_work(quiver, rank, p, alpha, guard, lam)
     _check_prime(p)
     verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
-    if target is not None and any(
-        len(target[i]) != rank[i] or any(len(row) != rank[i] for row in target[i])
-        for i in verts
-    ):
-        raise ValueError("target shape mismatch")
-    # one block of alpha rows (the base-p digits) per target entry (i, u, v)
+    # one block of alpha rows (the coefficients of 1, t, ..., t^(alpha-1)) per
+    # target entry (i, u, v); only a diagonal entry has a nonzero t^(alpha-1) term
     block: dict[tuple[int, int, int], int] = {}
     rhs: list[int] = []
     for i in verts:
         for u, v in product(range(rank[i]), repeat=2):
             block[i, u, v] = len(block)
-            code = 0 if target is None else target[i][u][v]
-            for _ in range(alpha):
-                code, digit = divmod(code, p)
-                rhs.append(digit)
-            if code:  # outside range(p^alpha): no ring element
-                return 0
+            rhs += [0] * (alpha - 1)
+            rhs.append(lam[i] % p if lam is not None and u == v else 0)
     # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier arrows
     columns: list[list[tuple[int, int, int]]] = []
     nx = 0
@@ -213,12 +187,6 @@ def kac_polynomial(
     if quiver.nvertices == 1 and rank == (2,):
         return closed_form_rank2(len(quiver.loops()), alpha).as_polynomial()
     raise ValueError("rank out of implemented range")
-
-
-def _rank_vectors(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    for r in product(*(range(b + 1) for b in bound)):
-        if any(r):
-            yield tuple(r)
 
 
 def verify_exp_identity(
@@ -300,8 +268,7 @@ def verify_generic_fiber(
         raise ValueError("lambda not generic")
     if p <= sum(abs(x) * r for x, r in zip(lam, rank)):
         raise ValueError("characteristic bound violated")
-    target = generic_target(quiver, rank, lam, p, alpha, guard)
-    fiber = moment_fiber_count(quiver, rank, p, alpha, target=target, guard=guard)
+    fiber = moment_fiber_count(quiver, rank, p, alpha, lam=lam, guard=guard)
     qp = Fraction(p)
     gl = group_order_gl(rank, alpha).evaluate(qp)
     lhs = Fraction(fiber) / gl
@@ -345,7 +312,8 @@ def e_series_check(
     F(empty) = 1.  The direct side and the largest degree, which fixes the
     truncation floor, run the same recursion.  Estimates: the (3^n - 1)/2
     pairs (S, B) of the subset walk, covering its 2^n - 1 connectivity
-    tests, before any test; the summed chain-sum estimates of the connected
+    tests, and the last estimate's lower bound (2^n - 1) L^2, before any
+    test; the summed chain-sum estimates of the connected
     blocks, before any chain sum; the pairs with A_B != 0 times L^2,
     L = |floor| the length of a truncated product, before any product.
     """
@@ -359,6 +327,9 @@ def e_series_check(
     full = (1 << n) - 1
     if mode == "zero-fiber":
         check_work("subset walk", (guarded_power(3, n, "subset walk", guard) - 1) // 2, guard)
+        # every S splits off {min S} and the top degree is >= 0: a lower bound
+        # of the partition sum estimate below, known before the walk
+        check_work("partition sum", full * (order + abs(shift) + n + 2) ** 2, guard)
     targets = range(1, full + 1) if mode == "zero-fiber" else [full]
     blocks = {}  # A_B = 0 exactly when Q|_B is disconnected
     for b in targets:

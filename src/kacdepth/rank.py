@@ -25,9 +25,6 @@ from .oring import DEFAULT_GUARD, check_work
 from .plethysm import pleth_log
 from .series import TSeries
 
-RANK2_TYPES = ("I", "II1", "II2", "II3")
-RANK3_TYPES = ("G", "L", "J", "T1", "T2", "T3", "M", "N", "K0", "Kinf")
-
 
 def _qp(e: int) -> LaurentPoly:
     return LaurentPoly.q(e)
@@ -38,7 +35,6 @@ def _half(poly: LaurentPoly) -> LaurentPoly:
 
 
 _Q = LaurentPoly.q()
-_ONE = LaurentPoly.one()
 
 
 def rank2_initial(g: int) -> tuple[RatFunc, ...]:
@@ -173,13 +169,6 @@ def _kac_from_totals(totals: list[RatFunc]) -> list[LaurentPoly]:
             raise ValueError("polynomiality violated")
         out.append(poly)
     return out
-
-
-def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
-    """A_1..A_rmax at one depth, from the M-series by plethystic logarithm."""
-    if rmax not in (2, 3):
-        raise ValueError("rank out of implemented range")
-    return _kac_from_totals([moment_total(g, alpha, r) for r in range(1, rmax + 1)])
 
 
 # ----------------------------------------------------------------------

@@ -221,11 +221,7 @@ def toric_orbit_count(
     words = -(-alpha * m * p.bit_length() // 64) or 1
     check_work("orbit count", (torus << m) * words * words + isqrt(p), guard)
     _check_prime(p)
-    spanning = [
-        mask
-        for mask in range(1 << m)
-        if len(set(vertex_roots(n, compress(arrows, (mask >> a & 1 for a in range(m)))))) == 1
-    ]
+    spanning = list(compress(range(1 << m), _mask_betti_tables(quiver)[1]))
 
     def shared_digits(a: int, b: int) -> int:
         # codes lie in range(p^alpha): unequal ones share fewer than alpha digits

@@ -63,6 +63,15 @@ def zero_target(rank):
     return tuple(tuple((0,) * r for _ in range(r)) for r in rank)
 
 
+def lam_target(rank, lam, p: int, alpha: int):
+    """t^(alpha-1) lam_i Id of size r_i at every vertex i, as integer codes."""
+    top = [(x % p) * p ** (alpha - 1) for x in lam]
+    return tuple(
+        tuple(tuple(top[i] if u == v else 0 for v in range(r)) for u in range(r))
+        for i, r in enumerate(rank)
+    )
+
+
 def scalar_fiber_count(quiver, rank, ring, target, active, verts) -> int:
     """Rank <= 1 everywhere: the commutator of 1 x 1 matrices is a product."""
     add, sub, mul = ring.add, ring.sub, ring.mul

@@ -14,7 +14,9 @@ representatives over the ring tables, checked against the library's
 Burnside count; ``e_series_partition_oracle`` builds the ``e-series`` report
 by summing over all set partitions, checked against the library's subset DP.
 ``quiver_catalog`` lists small quivers up to isomorphism of the underlying
-multigraph for the exhaustive suites.
+multigraph for the exhaustive suites.  ``kac_from_moments`` extracts the
+one-vertex rank-2/3 counts at a single depth, checked against the library's
+one-pass ``rank_table``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from kacdepth import LaurentPoly, Quiver, RatFunc, ValuedTree, group_order_gl, t
 from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.oring import ORing, _check_prime
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
+from kacdepth.rank import _kac_from_totals, moment_total
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -445,3 +448,14 @@ def single_denominator_oracle(series: RatFunc) -> dict | None:
                     "denominator_exponents": list(exps),
                 }
     return None
+
+
+# ----------------------------------------------------------------------
+# one-vertex higher-rank counts at one depth
+
+
+def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
+    """A_1..A_rmax at one depth, from the M-series by plethystic logarithm."""
+    if rmax not in (2, 3):
+        raise ValueError("rank out of implemented range")
+    return _kac_from_totals([moment_total(g, alpha, r) for r in range(1, rmax + 1)])

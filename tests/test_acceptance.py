@@ -30,7 +30,7 @@ from kacdepth import (
     verify_hilbert_identity,
 )
 from kacdepth.plethysm import adams
-from kacdepth.rank import REFERENCE_RANK3, kac_from_moments
+from kacdepth.rank import REFERENCE_RANK3
 from kacdepth.toric import toric_kac_trees
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     random_ratfunc,
     random_series,
 )
+from oracles import kac_from_moments
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))

@@ -196,8 +196,8 @@ def test_moment_fiber_guard_estimate(a2_file, monkeypatch, capsys):
 
 
 def test_arrowless_generic_fiber_refused_fast(tmp_path, capsys):
-    # no y unknowns, but the target codes (lam_i mod p) * p^(alpha-1) have
-    # millions of digits: the estimate counts p^alpha for them
+    # no y unknowns, but the identity check forms numbers beyond p^alpha at
+    # q = p, with millions of digits: the estimate counts p^alpha for them
     path = tmp_path / "two_points.json"
     path.write_text('{"vertices": 2, "arrows": []}')
     args = ["verify", "generic-fiber", "--quiver", str(path), "--lam=1,-1"]
@@ -327,6 +327,13 @@ def test_moment_fiber_lam_length_is_a_user_error(lam, a2_file, capsys):
     assert "expected 2, one per vertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank, count", [("1", 1), ("1,1,1", 3)])
+def test_moment_fiber_rank_length_is_a_user_error(rank, count, a2_file, capsys):
+    args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "1"]
+    assert main(args + [f"--rank={rank}"]) == 2
+    assert f"rank has {count} entries; expected 2, one per vertex" in capsys.readouterr().err
+
+
 def test_huge_prime_is_a_user_error(point_file, capsys):
     p = str(10**309 + 1)
     args = ["oracle", "moment-fiber", "--quiver", point_file, "--p", p, "--alpha", "1"]
@@ -375,9 +382,9 @@ KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
         # two vertices: (3^2 - 1)/2 = 4 subset steps (S, B)
         (KRON2, "zero-fiber", 10, 3, "subset walk estimate 4"),
         (KRON2, "generic-fiber", 10, 3, "chain sum estimate 8"),
-        # 4 pairs with A_B != 0 times L^2, L = 20000 + 2 + 0 + 2 + 2; unguarded
-        # the truncated products ran past 60 s
-        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1600960144"),
+        # before the walk: 2^2 - 1 sets S, each splitting off {min S}, times L^2,
+        # L >= 20000 + 0 + 2 + 2; unguarded the truncated products ran past 60 s
+        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1200480048"),
         # 10 points: each S splits off only {min S}, 1023 pairs times 42^2
         ({"vertices": 10, "arrows": []}, "zero-fiber", 10, 100000,
          "partition sum estimate 1804572"),

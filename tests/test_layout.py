@@ -2,9 +2,12 @@
 
 Every public name in ``kacdepth.__all__`` must be referenced (as a name, an
 attribute or an import) from ``cli.py``, from ``scripts/*.py`` or from a
-library module; ``__init__.py`` re-exports and does not count.  A name only
-the tests need belongs under ``tests/`` (see ``tests/oracles.py``).  The
-``ORing`` tables have no library user outside ``oring.py``.
+library module; ``__init__.py`` re-exports and does not count.  More widely,
+every module-level name and non-dunder method in ``src/kacdepth`` must be
+loaded from a library module or a script, or be bound by
+``perfbench/trace_cli.WRAPS``.  A name only the tests need belongs under
+``tests/`` (see ``tests/oracles.py``).  The ``ORing`` tables have no library
+user outside ``oring.py``.
 """
 
 import ast
@@ -34,6 +37,45 @@ def test_every_public_name_has_a_non_test_user():
     used = _referenced_names([*library, *(ROOT / "scripts").glob("*.py")])
     public = [n for n in kacdepth.__all__ if not n.startswith("__")]
     assert [n for n in public if n not in used] == []
+
+
+def _defined_names(path) -> set[str]:
+    """Module-level names and non-dunder method names defined in one file."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            names |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("__")}
+
+
+def _loaded_names(paths) -> set[str]:
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_library_name_has_a_non_test_user(monkeypatch):
+    # a definition is no use; a load is, and so is a binding the benchmark
+    # tracer wraps by (module, attribute path)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import trace_cli
+
+    library = sorted((ROOT / "src" / "kacdepth").glob("*.py"))
+    users = [p for p in library if p.name != "__init__.py"]
+    used = _loaded_names([*users, *(ROOT / "scripts").glob("*.py")])
+    used |= {part for _, path, _, _ in trace_cli.WRAPS for part in path.split(".")}
+    unused = [(p.name, n) for p in library for n in sorted(_defined_names(p)) if n not in used]
+    assert unused == []
 
 
 def test_ring_tables_stay_in_oring():

@@ -16,10 +16,10 @@ from kacdepth import (
     verify_exp_identity,
     verify_generic_fiber,
 )
-from kacdepth.moment import generic_target
 
 from helpers import (
     brute_fiber_count,
+    lam_target,
     matrix_fiber_count,
     random_connected_quiver,
     ring_tables,
@@ -54,8 +54,7 @@ class TestFiberCounts:
             assert moment_fiber_count(LOOP1, (1,), p, alpha) == p ** (2 * alpha)
 
     def test_a2_generic_target_hand_count(self):
-        target = generic_target(A2, (1, 1), (1, -1), 3, 1)
-        assert moment_fiber_count(A2, (1, 1), 3, 1, target=target) == 2
+        assert moment_fiber_count(A2, (1, 1), 3, 1, lam=(1, -1)) == 2
 
     def test_commuting_pairs_2x2(self):
         # exhaustive scan of all 2^8 pairs of 2x2 matrices over F_2
@@ -103,13 +102,13 @@ class TestFiberCounts:
             (Quiver(2, KRON.arrows + ((0, 0),)), (1, 1), 3, 1, (1, -1)),
         ]
         for q, rank, p, alpha, lam in cases:
-            target = None if lam is None else generic_target(q, rank, lam, p, alpha)
+            target = None if lam is None else lam_target(rank, lam, p, alpha)
             expected = brute_fiber_count(q, rank, p, alpha, target)
-            assert moment_fiber_count(q, rank, p, alpha, target=target) == expected, (
+            assert moment_fiber_count(q, rank, p, alpha, lam=lam) == expected, (
                 q, rank, p, alpha, lam
             )
 
-    def test_zero_rank_and_out_of_range_targets(self):
+    def test_zero_rank_vertices(self):
         for q, rank, p, alpha in (
             (A2, (1, 0), 2, 2),
             (A2, (0, 0), 3, 1),
@@ -119,16 +118,19 @@ class TestFiberCounts:
             assert moment_fiber_count(q, rank, p, alpha) == brute_fiber_count(
                 q, rank, p, alpha
             )
-        # entries are codes in range(p^alpha); any other integer is no ring element
-        for bad in (-1, 9, 10**30):
-            target = ((), ((bad,),))
-            assert moment_fiber_count(A2, (0, 1), 3, 2, target=target) == 0
-            target = (((0,),), ((bad,),))
-            assert moment_fiber_count(A2, (1, 1), 3, 2, target=target) == 0
-        # 1 + 2t (code 7) is reached with -(1 + 2t) = 2 + t (code 5); a code
-        # with the same low digits plus 9 = 3^2 is out of range
-        assert moment_fiber_count(A2, (1, 1), 3, 2, target=(((5,),), ((7,),))) == 6
-        assert moment_fiber_count(A2, (1, 1), 3, 2, target=(((5,),), ((16,),))) == 0
+
+    @pytest.mark.parametrize(
+        "rank, lam, message",
+        [
+            ((1,), None, "rank has 1 entries; expected 2, one per vertex"),
+            ((1, 1, 1), None, "rank has 3 entries; expected 2, one per vertex"),
+            ((1, 1), (1,), "lam has 1 entries; expected 2, one per vertex"),
+            ((1, -1), None, "bad rank vector"),
+        ],
+    )
+    def test_bad_lengths_and_ranks(self, rank, lam, message):
+        with pytest.raises(ValueError, match=message):
+            moment_fiber_count(A2, rank, 3, 1, lam=lam)
 
     def test_arrow_permutation_and_reversal_invariance(self):
         rng = random.Random(21)

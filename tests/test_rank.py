@@ -10,7 +10,6 @@ from kacdepth import (
 from kacdepth import rank
 from kacdepth.rank import (
     REFERENCE_RANK3,
-    kac_from_moments,
     rank2_class_sums,
     rank2_initial,
     rank2_transition,
@@ -21,6 +20,7 @@ from kacdepth.rank import (
 )
 
 from helpers import burnside_matrix_orbits
+from oracles import kac_from_moments
 
 Q = LaurentPoly.q()
 
