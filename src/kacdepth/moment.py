@@ -219,13 +219,11 @@ def verify_exp_identity(
     check_work("rank vectors", count - 1, guard)
     for r in _rank_vectors(bound):
         _check_fiber_work(quiver, r, p, alpha, guard)
-    series = TSeries.zero(quiver.nvertices, bound)
-    for r in _rank_vectors(bound):
-        a_poly = kac_polynomial(quiver, r, alpha, guard)
-        series = series + TSeries.monomial(
-            quiver.nvertices, bound, r, RatFunc(a_poly) / ONE_MINUS_QINV
-        )
-    rhs_series = pleth_exp(series)
+    a_series = TSeries(bound, {
+        r: RatFunc(kac_polynomial(quiver, r, alpha, guard)) / ONE_MINUS_QINV
+        for r in _rank_vectors(bound)
+    })
+    rhs_series = pleth_exp(a_series)
     qp = Fraction(p)
     rows = []
     all_equal = True
@@ -319,6 +317,8 @@ def e_series_check(
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
     if mode not in ("zero-fiber", "generic-fiber"):
         raise ValueError(f"unknown mode {mode!r}")
     n = quiver.nvertices

@@ -19,8 +19,7 @@ def mobius(n: int) -> int:
     """Moebius function of a positive integer."""
     if n < 1:
         raise ValueError("mobius requires n >= 1")
-    result = 1
-    k = 2
+    result, k = 1, 2
     while k * k <= n:
         if n % k == 0:
             n //= k
@@ -28,9 +27,7 @@ def mobius(n: int) -> int:
                 return 0
             result = -result
         k += 1
-    if n > 1:
-        result = -result
-    return result
+    return -result if n > 1 else result
 
 
 def adams(series: TSeries, m: int) -> TSeries:
@@ -39,24 +36,21 @@ def adams(series: TSeries, m: int) -> TSeries:
         raise ValueError("invalid Adams index")
     if m == 1:
         return series
-    terms = {}
-    for r, c in series.items():
-        rm = tuple(m * x for x in r)
-        if all(x <= b for x, b in zip(rm, series.bound)):
-            terms[rm] = c.substitute_power(m)
-    return TSeries(series.nvars, series.bound, terms)
+    return TSeries(series.bound, {
+        tuple(m * x for x in r): c.substitute_power(m)
+        for r, c in series.items() if all(m * x <= b for x, b in zip(r, series.bound))
+    })
 
 
 def pleth_exp(series: TSeries) -> TSeries:
     """Plethystic exponential; requires zero constant term."""
     if not series.constant_term().is_zero():
         raise ValueError("exp requires augmentation-ideal input")
-    acc = TSeries.zero(series.nvars, series.bound)
+    acc = TSeries(series.bound)
     for m in range(1, sum(series.bound) + 1):
         psi = adams(series, m)
-        if psi.is_zero():
-            continue
-        acc = acc + psi * Fraction(1, m)
+        if not psi.is_zero():
+            acc = acc + psi * Fraction(1, m)
     return acc.exp()
 
 
@@ -66,16 +60,13 @@ def pleth_log(series: TSeries) -> TSeries:
     Log(F) = sum_m mu(m)/m * psi_m(log F), the Moebius inversion of the
     Adams sum inside Exp.
     """
-    if series.constant_term() != 1:
-        raise ValueError("log requires unit constant term")
     base = series.log()
-    acc = TSeries.zero(series.nvars, series.bound)
+    acc = TSeries(series.bound)
     for m in range(1, sum(series.bound) + 1):
         mu = mobius(m)
         if mu == 0:
             continue
         psi = adams(base, m)
-        if psi.is_zero():
-            continue
-        acc = acc + psi * Fraction(mu, m)
+        if not psi.is_zero():
+            acc = acc + psi * Fraction(mu, m)
     return acc

@@ -160,7 +160,7 @@ def _kac_from_totals(totals: list[RatFunc]) -> list[LaurentPoly]:
     coefficients, anything else signals a regression.
     """
     terms = {(r,): m for r, m in enumerate([RatFunc.one(), *totals])}
-    a_series = pleth_log(TSeries(1, (len(totals),), terms))
+    a_series = pleth_log(TSeries((len(totals),), terms))
     out = []
     for r in range(1, len(totals) + 1):
         coeff = a_series.coefficient((r,))

@@ -488,19 +488,22 @@ def random_ratfunc(rng: random.Random) -> RatFunc:
 
 def random_series(
     rng: random.Random,
-    nvars: int,
     bound: tuple[int, ...],
     max_terms: int = 3,
     zero_constant: bool = True,
 ) -> TSeries:
+    """A sparse series; about half of its coefficients are random rational
+    functions of q, the rest Laurent monomials."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         r = tuple(rng.randint(0, b) for b in bound)
         if zero_constant and not any(r):
             continue
-        coeff = LaurentPoly({rng.randint(-2, 3): rng.randint(-3, 3)})
-        terms[r] = RatFunc(coeff)
-    return TSeries(nvars, bound, terms)
+        if rng.random() < 0.5:
+            terms[r] = random_ratfunc(rng)
+        else:
+            terms[r] = RatFunc(LaurentPoly({rng.randint(-2, 3): rng.randint(-3, 3)}))
+    return TSeries(bound, terms)
 
 
 def random_quiver(

@@ -16,17 +16,22 @@ by summing over all set partitions, checked against the library's subset DP.
 ``quiver_catalog`` lists small quivers up to isomorphism of the underlying
 multigraph for the exhaustive suites.  ``kac_from_moments`` extracts the
 one-vertex rank-2/3 counts at a single depth, checked against the library's
-one-pass ``rank_table``.
+one-pass ``rank_table``.  ``series_exp_oracle`` and ``series_log_oracle`` sum
+the power series of exp and log through truncated series powers, checked
+against the library's Euler-identity recurrence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress, permutations, product
 from typing import Iterator, Sequence
 
-from kacdepth import LaurentPoly, Quiver, RatFunc, ValuedTree, group_order_gl, toric_kac_chain
+from kacdepth import (
+    LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
+)
 from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.oring import ORing, _check_prime
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
@@ -459,3 +464,32 @@ def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
     if rmax not in (2, 3):
         raise ValueError("rank out of implemented range")
     return _kac_from_totals([moment_total(g, alpha, r) for r in range(1, rmax + 1)])
+
+
+# ----------------------------------------------------------------------
+# exp and log of truncated series by their power series
+
+
+def series_exp_oracle(series: TSeries) -> TSeries:
+    """sum_k L^k / k! for L = series with zero constant term."""
+    if not series.constant_term().is_zero():
+        raise ValueError("exp requires augmentation-ideal input")
+    one = TSeries(series.bound, {(0,) * len(series.bound): 1})
+    result, power = one, one
+    for k in range(1, sum(series.bound) + 1):
+        power = power * series
+        result = result + power * Fraction(1, math.factorial(k))
+    return result
+
+
+def series_log_oracle(series: TSeries) -> TSeries:
+    """sum_k (-1)^(k+1) (H - 1)^k / k for H = series with constant term 1."""
+    if series.constant_term() != RatFunc.one():
+        raise ValueError("log requires unit constant term")
+    g = TSeries(series.bound, {r: c for r, c in series.items() if any(r)})
+    result = TSeries(series.bound)
+    power = TSeries(series.bound, {(0,) * len(series.bound): 1})
+    for k in range(1, sum(series.bound) + 1):
+        power = power * g
+        result = result + power * Fraction((-1) ** (k + 1), k)
+    return result

@@ -177,8 +177,8 @@ def test_criterion_9_property_suites():
     # lambda-ring laws
     rng = random.Random(90001)
     for _ in range(cases):
-        a = random_series(rng, 2, (2, 2), max_terms=2)
-        b = random_series(rng, 2, (2, 2), max_terms=2)
+        a = random_series(rng, (2, 2), max_terms=2)
+        b = random_series(rng, (2, 2), max_terms=2)
         m = rng.randint(1, 3)
         assert adams(a * b, m) == adams(a, m) * adams(b, m)
         assert pleth_exp(a + b) == pleth_exp(a) * pleth_exp(b)

@@ -420,6 +420,20 @@ def test_e_series_ten_vertices_at_default_guard(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "mode=zero-fiber alpha=2 order=10: ok"
 
 
+@pytest.mark.parametrize(
+    "quiver",
+    [{"vertices": 0, "arrows": []}, KRON2, {"vertices": 40, "arrows": []}],
+)
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_e_series_depth_is_a_user_error(quiver, alpha, tmp_path, capsys):
+    # checked before any guard: the empty quiver printed "ok" at depth 0, and
+    # 40 points exited 3 on the subset walk estimate
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    assert main(["e-series", "--quiver", str(path), "--alpha", alpha]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 def test_rank_table_depth_is_a_user_error(alpha, capsys):
     assert main(["rank-table", "--g", "1", "--alpha", alpha]) == 2

@@ -12,11 +12,14 @@ user outside ``oring.py``.
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import kacdepth
+from kacdepth import Quiver
 
 ROOT = Path(__file__).resolve().parents[1]
+TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 
 
 def _referenced_names(paths) -> set[str]:
@@ -95,3 +98,41 @@ def test_traced_wrappers_resolve(monkeypatch):
 
     for mod, path, _, _ in trace_cli.WRAPS:
         assert callable(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path)), (mod, path)
+
+
+def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):
+    # perfbench/selftest.py expects the series and plethysm.exp_log spans on
+    # the rank-table and exp-identity jobs; wrap every binding of the names
+    # trace_cli.WRAPS times under those keys, as its install does, so a
+    # refactor that routes around them fails here.  This only reads perfbench/.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import kacdepth.cli  # noqa: F401  (loads every layer module)
+    import trace_cli
+    from kacdepth.moment import verify_exp_identity
+    from kacdepth.rank import rank_table
+
+    calls = Counter()
+    targets = {}
+    for mod, path, key, _ in trace_cli.WRAPS:
+        if key in ("series", "plethysm.exp_log"):
+            targets[id(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path))] = (key, path)
+
+    def counting(fn, key, path):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            calls[path] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for namespace in trace_cli._namespaces(trace_cli._package_modules()):
+        for name, value in list(vars(namespace).items()):
+            if id(value) in targets:
+                monkeypatch.setattr(namespace, name, counting(value, *targets[id(value)]))
+
+    assert [row[0] for row in rank_table(3, 2)] == [1, 2]
+    assert calls["series"] and calls["plethysm.exp_log"]
+    assert calls["TSeries.log"] and calls["pleth_log"]
+    calls.clear()
+    assert verify_exp_identity(TRIANGLE, 2, 1, (1, 1, 1))["equal"]
+    assert calls["series"] and calls["plethysm.exp_log"]
+    assert calls["TSeries.exp"] and calls["pleth_exp"]
