@@ -9,6 +9,9 @@ Rational functions are reduced to a canonical form (coprime after clearing
 q-powers, denominator with constant term and monic leading coefficient) so
 that equality of values is equality of representations.
 
+Sums of terms over products of (q^c - 1) run on ``_CycloSum``, which adds
+numerators over a common denominator and forms one ``RatFunc`` at the end.
+
 Gcds are taken fraction-free: denominators are cleared into dense integer
 coefficient lists and a primitive pseudo-remainder sequence runs on them
 (W. S. Brown, J. ACM 18, 1971).
@@ -19,8 +22,9 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Rational = int | Fraction
 
@@ -518,3 +522,81 @@ class RatFunc:
 
 # 1 - q^-1 = |G_m(F_q)| / q: the classifying-space factor of one torus
 ONE_MINUS_QINV = RatFunc(LaurentPoly({0: 1, -1: -1}))
+
+
+# ----------------------------------------------------------------------
+# sums over products of (q^c - 1)
+
+
+def _lift(coeffs: list[Rational], have: tuple[int, ...], want: tuple[int, ...]) -> list[Rational]:
+    """Dense coefficients (lowest first) times prod_c (q^c - 1)^(want_c - have_c)."""
+    for c, (w, h) in enumerate(zip_longest(want, have, fillvalue=0), start=1):
+        for _ in range(w - h):
+            coeffs = [a - b for a, b in zip([0] * c + coeffs, coeffs + [0] * c)]
+    return coeffs
+
+
+def _add_dense(parts: list[tuple[int, list[Rational]]]) -> tuple[int, list[Rational]]:
+    """The sum of (low, coefficients from q^low upward) numerators, in that form."""
+    if len(parts) == 1:
+        return parts[0]
+    low = min((lo for lo, _ in parts), default=0)
+    top = max((lo + len(c) for lo, c in parts), default=0)
+    cols = [[0] * (lo - low) + c + [0] * (top - lo - len(c)) for lo, c in parts]
+    return low, [sum(col) for col in zip(*cols)]
+
+
+class _CycloSum(NamedTuple):
+    """The exact value num / prod_c (q^c - 1)^(e_c), summed without gcds.
+
+    ``coeffs`` holds the coefficients of num from q^low upward (``int`` or
+    ``Fraction``; low may be negative), and ``exps[c - 1]`` is e_c, with no
+    trailing zeros.
+    """
+
+    low: int
+    coeffs: list[Rational]
+    exps: tuple[int, ...] = ()
+
+    @classmethod
+    def over(cls, num: LaurentPoly, cyclo: Sequence[int] = ()) -> "_CycloSum":
+        """num / prod of (q^c - 1) over the c >= 1 in cyclo, repeats allowed."""
+        exps = [0] * max(cyclo, default=0)
+        for c in cyclo:
+            exps[c - 1] += 1
+        low, top = (num.min_exp(), num.max_exp()) if num else (0, -1)
+        return cls(low, [num.coeff(e) for e in range(low, top + 1)], tuple(exps))
+
+    def divided(self, c: int) -> "_CycloSum":
+        """This value over q^c - 1, for c >= 1."""
+        exps = [*self.exps, *[0] * (c - len(self.exps))]
+        exps[c - 1] += 1
+        return self._replace(exps=tuple(exps))
+
+    def times(self, poly: LaurentPoly) -> "_CycloSum":
+        """This value times a Laurent polynomial."""
+        return _cyclo_sum(
+            _CycloSum(self.low + e, [c * x for x in self.coeffs], self.exps) for e, c in poly.items()
+        )
+
+    def ratfunc(self) -> RatFunc:
+        """The value in the normal form of ``RatFunc``: the one gcd of the sum."""
+        num = LaurentPoly(dict(enumerate(self.coeffs, self.low)))
+        return RatFunc(num, LaurentPoly(dict(enumerate(_lift([1], (), self.exps)))))
+
+
+def _cyclo_sum(terms: Iterable[_CycloSum]) -> _CycloSum:
+    """The sum of terms, lifted to the componentwise maximum of their exponents.
+
+    Terms with equal exponents are added first, so that each exponent vector
+    is lifted once.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, list[Rational]]]] = {}
+    for low, coeffs, exps in terms:
+        groups.setdefault(exps, []).append((low, coeffs))
+    want = tuple(map(max, zip_longest(*groups, fillvalue=0)))
+    parts = []
+    for have, group in groups.items():
+        low, coeffs = _add_dense(group)
+        parts.append((low, _lift(coeffs, have, want)))
+    return _CycloSum(*_add_dense(parts), want)

@@ -310,10 +310,11 @@ def e_series_check(
     F(empty) = 1.  The direct side and the largest degree, which fixes the
     truncation floor, run the same recursion.  Estimates: the (3^n - 1)/2
     pairs (S, B) of the subset walk, covering its 2^n - 1 connectivity
-    tests, and the last estimate's lower bound (2^n - 1) L^2, before any
-    test; the summed chain-sum estimates of the connected
-    blocks, before any chain sum; the pairs with A_B != 0 times L^2,
-    L = |floor| the length of a truncated product, before any product.
+    tests, and the last estimate's lower bound (2^n - 1) L0^2, before any
+    test; the summed chain-sum estimates of the connected blocks, then the
+    pairs with A_B != 0 times L0^2, before any chain sum and the walk; those
+    pairs times L^2, before any product.  L = |floor| is the length of a
+    truncated product, and L0 = order + |shift| + n + 2 <= L.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -327,8 +328,8 @@ def e_series_check(
     full = (1 << n) - 1
     if mode == "zero-fiber":
         check_work("subset walk", (guarded_power(3, n, "subset walk", guard) - 1) // 2, guard)
-        # every S splits off {min S} and the top degree is >= 0: a lower bound
-        # of the partition sum estimate below, known before the walk
+        # every S splits off {min S}: the pairs below number at least 2^n - 1,
+        # known before the 2^n - 1 connectivity tests
         check_work("partition sum", full * (order + abs(shift) + n + 2) ** 2, guard)
     targets = range(1, full + 1) if mode == "zero-fiber" else [full]
     blocks = {}  # A_B = 0 exactly when Q|_B is disconnected
@@ -337,6 +338,12 @@ def e_series_check(
         if restricted.is_connected():
             blocks[b] = restricted
     check_work("chain sum", sum(_chain_sum_work(q, alpha) for q in blocks.values()), guard)
+    if mode == "zero-fiber":
+        # the pairs (S, B) of the walk below, S = B plus any vertices above
+        # min B: 2^(#{v > min B} - |B| + 1) per block; with the top degree >= 0
+        # a lower bound of the partition sum estimate, known before the walk
+        pairs = sum(1 << n - (b & -b).bit_length() + 1 - b.bit_count() for b in blocks)
+        check_work("partition sum", pairs * (order + abs(shift) + n + 2) ** 2, guard)
     chains = {b: toric_kac_chain(q, alpha, guard) for b, q in blocks.items()}
     # splits[S]: the blocks B in S holding min S with A_B != 0, S increasing
     splits: dict[int, list[int]] = {s: [] for s in targets}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import LaurentPoly, RatFunc, _CycloSum, _cyclo_sum, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .plethysm import pleth_log
 from .series import TSeries
@@ -100,25 +100,31 @@ def rank3_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _step(vec: tuple[RatFunc, ...], rows) -> tuple[RatFunc, ...]:
+# The depth-1 per-type denominators all divide (q-1)(q^2-1)(q^3-1) and the
+# transition entries are polynomials, so the sums at every depth run as
+# numerators over that one product, with the constants 2, 3 and 6 in them.
+_CYCLO = (1, 2, 3)
+_CYCLO_DEN = (_Q - 1) * (_Q**2 - 1) * (_Q**3 - 1)
+
+
+def _step(vec: tuple[_CycloSum, ...], rows) -> tuple[_CycloSum, ...]:
     """One depth step: each row sums its nonzero entries times ``vec``."""
-    out = []
-    for (j, m), *rest in rows:
-        acc = m * vec[j]
-        for j, m in rest:
-            acc = acc + m * vec[j]
-        out.append(acc)
-    return tuple(out)
+    return tuple(_cyclo_sum(vec[j].times(m) for j, m in row) for row in rows)
 
 
 def _depths(
     initial: tuple[RatFunc, ...],
     matrix: tuple[tuple[RatFunc, ...], ...],
     alpha: int,
-) -> Iterator[tuple[RatFunc, ...]]:
+) -> Iterator[tuple[_CycloSum, ...]]:
     """The per-type sums at depths 1..alpha, one step per depth."""
-    rows = [[(j, m) for j, m in enumerate(row) if not m.is_zero()] for row in matrix]
-    vec = initial
+    rows = [
+        [(j, m.as_polynomial()) for j, m in enumerate(row) if not m.is_zero()] for row in matrix
+    ]
+    vec = tuple(
+        _CycloSum.over(value.num * poly_divmod(_CYCLO_DEN, value.den)[0], _CYCLO)
+        for value in initial
+    )
     yield vec
     for _ in range(alpha - 1):
         vec = _step(vec, rows)
@@ -130,7 +136,7 @@ def rank2_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     *_, sums = _depths(rank2_initial(g), rank2_transition(g), alpha)
-    return sums
+    return tuple(s.ratfunc() for s in sums)
 
 
 def rank3_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
@@ -138,7 +144,7 @@ def rank3_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     *_, sums = _depths(rank3_initial(g), rank3_transition(g), alpha)
-    return sums
+    return tuple(s.ratfunc() for s in sums)
 
 
 def moment_total(g: int, alpha: int, rank: int) -> RatFunc:
@@ -255,7 +261,7 @@ def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple
     up to about 9 g (alpha + 2) (9 g alpha for the rank-3 sums, plus the
     degree-(12 g - 11) denominator of the closed rank-3 form), quadratic in
     the degree.  Tables just under the default guard 2^24, from g = 150 at
-    alpha = 1 to g = 2 at alpha = 35, took 0.35-1.0 s in process.
+    alpha = 1 to g = 2 at alpha = 35, took 0.25-0.45 s in process.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
@@ -265,7 +271,7 @@ def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple
     sums2 = _depths(rank2_initial(g), rank2_transition(g), alpha)
     sums3 = _depths(rank3_initial(g), rank3_transition(g), alpha)
     for a, (s2, s3) in enumerate(zip(sums2, sums3), start=1):
-        totals = [moment_total(g, a, 1), sum(s2, RatFunc.zero()), sum(s3, RatFunc.zero())]
+        totals = [moment_total(g, a, 1), _cyclo_sum(s2).ratfunc(), _cyclo_sum(s3).ratfunc()]
         polys = _kac_from_totals(totals)
         routes = [
             ("closed rank-2 route", closed_form_rank2(g, a).as_polynomial(), 1),

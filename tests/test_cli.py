@@ -397,6 +397,10 @@ KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
           "arrows": [[i, (i + 1) % 12] for i in range(12)]
           + [[i, (i + 3) % 12] for i in range(0, 12, 2)]},
          "zero-fiber", 10, 2**24, "chain sum estimate 49247472"),
+        # a 14-cycle: its 183 connected blocks pair with 49108 sets S, times
+        # 26^2, known before the walk; the walk over (3^14 - 1)/2 pairs ran 2.6 s
+        ({"vertices": 14, "arrows": [[i, (i + 1) % 14] for i in range(14)]},
+         "zero-fiber", 10, 2**24, "partition sum estimate 33197008"),
     ],
 )
 def test_e_series_refused_fast(quiver, mode, order, guard, message, tmp_path, capsys):

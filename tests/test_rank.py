@@ -20,7 +20,7 @@ from kacdepth.rank import (
 )
 
 from helpers import burnside_matrix_orbits
-from oracles import kac_from_moments
+from oracles import kac_from_moments, rank_class_sums_oracle
 
 Q = LaurentPoly.q()
 
@@ -177,6 +177,16 @@ class TestTable:
                 assert rank3_class_sums(g, alpha) == _dense_sums(
                     rank3_initial(g), rank3_transition(g), alpha
                 )
+
+    def test_common_denominator_matches_step_oracle(self):
+        for g in (1, 2, 3):
+            for alpha in range(1, 7):
+                for sums, initial, transition in (
+                    (rank2_class_sums, rank2_initial, rank2_transition),
+                    (rank3_class_sums, rank3_initial, rank3_transition),
+                ):
+                    expected = rank_class_sums_oracle(initial(g), transition(g), alpha)
+                    assert sums(g, alpha) == expected, (g, alpha)
 
     def test_rows_match_kac_from_moments(self):
         for g in (1, 2, 3):

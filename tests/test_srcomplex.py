@@ -15,14 +15,17 @@ from kacdepth import (
     positivity_certificate,
     verify_hilbert_identity,
 )
-from kacdepth.srcomplex import (
-    _face_weight,
-    _single_denominator_presentation,
-    _specialized_exponents,
-)
+from kacdepth import toric
+from kacdepth.srcomplex import _single_denominator_presentation, _specialized_exponents
 
 from helpers import chain_face_count, literal_shelling_check
-from oracles import shelling_restrictions_oracle, single_denominator_oracle
+from oracles import (
+    certificate_total_oracle,
+    face_weight_oracle,
+    hilbert_specialized_oracle,
+    shelling_restrictions_oracle,
+    single_denominator_oracle,
+)
 
 Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
@@ -46,7 +49,8 @@ class TestComplex:
         cx = order_complex(Quiver(1, ((0, 0),)))
         assert cx.faces() == [frozenset()]
         # formal Hilbert series of the empty complex is 1
-        assert _face_weight(()) == RatFunc.one()
+        assert face_weight_oracle(()) == RatFunc.one()
+        assert hilbert_specialized(Quiver(1, ((0, 0),))) == RatFunc.one()
 
     def test_face_and_facet_counts_against_recursion(self):
         for n in range(2, 6):
@@ -106,6 +110,35 @@ class TestIdentity:
     def test_kronecker_prefactor_is_trivial(self):
         report = verify_hilbert_identity(KRON)
         assert report["lhs"] == "(q+1)/(q-1)"
+
+    def test_perturbed_chain_sum_breaks_the_identity(self, monkeypatch):
+        # the two sides share only the common-denominator arithmetic: a wrong
+        # chain sum must show, and the Hilbert side must never reach it
+        chain_sum = toric._asymptotic_chain_sum
+        calls = []
+
+        def perturbed(quiver):
+            calls.append(quiver)
+            return chain_sum(quiver) * 2
+
+        monkeypatch.setattr(toric, "_asymptotic_chain_sum", perturbed)
+        for quiver in (KRON, TRIANGLE, TWO_LOOPS):
+            calls.clear()
+            hilbert_specialized(quiver)
+            positivity_certificate(quiver)
+            assert calls == []
+            assert not verify_hilbert_identity(quiver)["equal"]
+            assert calls == [quiver]
+
+
+class TestCommonDenominator:
+    def test_hilbert_and_certificate_match_oracles(self, two_connected_3v_5a):
+        assert len(two_connected_3v_5a) > 20
+        for quiver in two_connected_3v_5a:
+            assert hilbert_specialized(quiver) == hilbert_specialized_oracle(quiver), quiver
+            if quiver.narrows >= 2:
+                total = certificate_total_oracle(quiver)
+                assert positivity_certificate(quiver)["total"] == str(total), quiver
 
 
 class TestShelling:

@@ -29,6 +29,7 @@ from helpers import (
 )
 from oracles import (
     OElem,
+    asymptotic_chain_sum_oracle,
     assign_valued_tree,
     quiver_catalog,
     toric_orbit_count_oracle,
@@ -305,6 +306,10 @@ class TestAsymptotics:
     def test_not_two_connected(self):
         with pytest.raises(ValueError, match="does not converge"):
             asymptotic_kac(A2)
+
+    def test_common_denominator_matches_oracle(self, two_connected_3v_5a):
+        for quiver in [*two_connected_3v_5a, Quiver(2, ((0, 1),) * 8)]:
+            assert asymptotic_kac(quiver) == asymptotic_chain_sum_oracle(quiver), quiver
 
     def test_depth_limit_oracle(self):
         # q^(-alpha b) A_alpha approaches the limit at q=2, error shrinking
