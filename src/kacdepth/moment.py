@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, _check_prime, check_work, group_order_gl, guarded_power
@@ -291,6 +291,31 @@ def verify_generic_fiber(
 # E-series bookkeeping
 
 
+def _connected_blocks(quiver: Quiver, masks: Iterable[int]) -> dict[int, Quiver]:
+    """The vertex masks B whose full subquiver Q|_B is connected, mapped to Q|_B.
+
+    Connectivity is reachability from the lowest vertex of B over per-vertex
+    adjacency bitmasks; a quiver is built only for the connected masks.  The
+    empty mask is not connected.
+    """
+    adjacent = [0] * quiver.nvertices
+    for s, t in quiver.arrows:
+        adjacent[s] |= 1 << t
+        adjacent[t] |= 1 << s
+    blocks = {}
+    for b in masks:
+        reach = frontier = b & -b
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = adjacent[bit.bit_length() - 1] & b & ~reach
+            reach |= new
+            frontier |= new
+        if b and reach == b:
+            blocks[b] = quiver.restrict_vertices(v for v in range(quiver.nvertices) if b >> v & 1)
+    return blocks
+
+
 def e_series_check(
     quiver: Quiver, alpha: int, mode: str, order: int, guard: int = DEFAULT_GUARD
 ) -> dict:
@@ -332,11 +357,7 @@ def e_series_check(
         # known before the 2^n - 1 connectivity tests
         check_work("partition sum", full * (order + abs(shift) + n + 2) ** 2, guard)
     targets = range(1, full + 1) if mode == "zero-fiber" else [full]
-    blocks = {}  # A_B = 0 exactly when Q|_B is disconnected
-    for b in targets:
-        restricted = quiver.restrict_vertices(v for v in range(n) if b >> v & 1)
-        if restricted.is_connected():
-            blocks[b] = restricted
+    blocks = _connected_blocks(quiver, targets)  # A_B = 0 exactly when Q|_B is disconnected
     check_work("chain sum", sum(_chain_sum_work(q, alpha) for q in blocks.values()), guard)
     if mode == "zero-fiber":
         # the pairs (S, B) of the walk below, S = B plus any vertices above

@@ -8,9 +8,45 @@ Loops and parallel arrows are allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
+
+
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in ``__slots__`` and sets them once in
+    ``__init__`` through ``object.__setattr__``.  Instances compare equal
+    only to instances of the same class with equal fields, hash as the
+    tuple of their fields and refuse assignment with ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment would refuse
+        return self.__class__, self._values()
 
 
 class QuiverFormatError(ValueError):
@@ -39,20 +75,20 @@ def vertex_roots(nvertices: int, arrows: Iterable[tuple[int, int]]) -> list[int]
     return [find(v) for v in range(nvertices)]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(_Frozen):
+    __slots__ = ("nvertices", "arrows")
     nvertices: int
     arrows: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.nvertices < 0:
+    def __init__(self, nvertices: int, arrows: Iterable[tuple[int, int]]) -> None:
+        if nvertices < 0:
             raise QuiverFormatError("vertex count must be nonnegative")
-        object.__setattr__(
-            self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows)
-        )
-        for s, t in self.arrows:
-            if not (0 <= s < self.nvertices and 0 <= t < self.nvertices):
+        arrows = tuple((int(s), int(t)) for s, t in arrows)
+        for s, t in arrows:
+            if not (0 <= s < nvertices and 0 <= t < nvertices):
                 raise QuiverFormatError(f"arrow ({s},{t}) out of range")
+        object.__setattr__(self, "nvertices", nvertices)
+        object.__setattr__(self, "arrows", arrows)
 
     # ------------------------------------------------------------------
 
@@ -174,12 +210,16 @@ class Quiver:
         return cls(nvertices, tuple((s, t) for s, t in raw))
 
 
-@dataclass(frozen=True)
-class ValuedTree:
+class ValuedTree(_Frozen):
     """A spanning tree (sorted arrow indices) with a valuation label on each arrow."""
 
+    __slots__ = ("arrows", "values")
     arrows: tuple[int, ...]
     values: tuple[int, ...]
+
+    def __init__(self, arrows: tuple[int, ...], values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "values", values)
 
     def items(self) -> list[tuple[int, int]]:
         return list(zip(self.arrows, self.values))

@@ -10,18 +10,16 @@ a sum of terms with monomial numerators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, _CycloSum, _cyclo_sum, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
-from .quiver import Quiver
+from .quiver import Quiver, _Frozen
 from .toric import _mask_betti_tables, asymptotic_kac
 
 
-@dataclass(frozen=True)
-class OrderComplex:
+class OrderComplex(_Frozen):
     """Chains of proper nonempty arrow subsets, with facets in lex order.
 
     Vertices are encoded as bitmasks over the arrows.  ``facets[i]`` is the
@@ -30,9 +28,20 @@ class OrderComplex:
     order for this complex.
     """
 
+    __slots__ = ("narrows", "facets", "words")
     narrows: int
     facets: tuple[frozenset[int], ...]
     words: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        narrows: int,
+        facets: tuple[frozenset[int], ...],
+        words: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "narrows", narrows)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "words", words)
 
     def vertices(self) -> list[int]:
         return [m for m in range(1, (1 << self.narrows) - 1)]

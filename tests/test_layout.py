@@ -11,6 +11,8 @@ user outside ``oring.py``.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -98,6 +100,24 @@ def test_traced_wrappers_resolve(monkeypatch):
 
     for mod, path, _, _ in trace_cli.WRAPS:
         assert callable(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path)), (mod, path)
+
+
+def test_cli_import_path_skips_dataclasses_and_loads_every_layer():
+    # every job process pays for what ``import kacdepth.cli`` imports;
+    # dataclasses alone pulled in inspect, ast, dis and tokenize
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kacdepth.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = set(out.split())
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    layers = {f"kacdepth.{p.stem}" for p in (ROOT / "src" / "kacdepth").glob("*.py")} - {"kacdepth.__init__"}
+    assert len(layers) == 10 and layers <= added
 
 
 def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):

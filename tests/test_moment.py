@@ -16,6 +16,7 @@ from kacdepth import (
     verify_exp_identity,
     verify_generic_fiber,
 )
+from kacdepth.moment import _connected_blocks
 
 from helpers import (
     brute_fiber_count,
@@ -260,6 +261,19 @@ class TestESeries:
         report = e_series_check(quiver, 2, mode, 10)
         assert report == e_series_partition_oracle(quiver, 2, mode, 10)
         assert report["equal"]
+
+    def test_connected_blocks_match_restrict_loop(self):
+        # the loop _connected_blocks replaced: one restricted quiver and one
+        # union-find per vertex subset, the empty subset included
+        for q in [*quiver_catalog(4, 5, connected=False), Quiver(0, ())]:
+            masks = range(1 << q.nvertices)
+            expected = {}
+            for b in masks:
+                restricted = q.restrict_vertices(v for v in range(q.nvertices) if b >> v & 1)
+                if restricted.is_connected():
+                    expected[b] = restricted
+            blocks = _connected_blocks(q, masks)
+            assert blocks == expected and list(blocks) == list(expected), q
 
     @pytest.mark.parametrize("mode", ["zero-fiber", "generic-fiber"])
     def test_no_vertices(self, mode):

@@ -1,11 +1,13 @@
 """Graph layer: Betti numbers, connectivity, contraction/deletion, trees."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
-from kacdepth import Quiver, ValuedTree
+from kacdepth import Quiver, ValuedTree, toric
 from kacdepth.quiver import QuiverFormatError, tree_paths
 
 from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
@@ -52,6 +54,70 @@ class TestBasics:
     def test_bad_arrow_index(self):
         with pytest.raises(QuiverFormatError):
             Quiver(2, ((0, 2),))
+
+
+class TestValueClass:
+    def test_equality_and_hash(self):
+        same = Quiver(nvertices=2, arrows=[[0, 1], [0, 1]])
+        assert same == KRON and same is not KRON
+        assert hash(same) == hash(KRON) == hash((2, ((0, 1), (0, 1))))
+        assert len({KRON, same, A2}) == 2
+        assert KRON != A2 and KRON != Quiver(2, ((1, 0), (0, 1)))
+        tree = ValuedTree(arrows=(0, 1), values=(2, 0))
+        assert tree == ValuedTree((0, 1), (2, 0)) and tree != ValuedTree((0, 1), (0, 2))
+        assert hash(tree) == hash(((0, 1), (2, 0)))
+
+    def test_never_equal_to_a_tuple_or_another_class(self):
+        assert KRON != (2, ((0, 1), (0, 1)))
+        assert KRON.__eq__((2, ((0, 1), (0, 1)))) is NotImplemented
+        assert ValuedTree((0, 1), (0, 1)) != ((0, 1), (0, 1))
+        assert ValuedTree((0, 1), (0, 1)) != Quiver(0, ())
+
+    def test_keyword_construction_normalises_arrows(self):
+        q = Quiver(arrows=[[0, 1], (True, 0)], nvertices=2)
+        assert q.arrows == ((0, 1), (1, 0))
+        assert all(type(v) is int for a in q.arrows for v in a)
+
+    def test_assignment_raises_attribute_error(self):
+        tree = ValuedTree((0,), (0,))
+        for obj, name in ((KRON, "nvertices"), (KRON, "arrows"), (tree, "values"), (KRON, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+        with pytest.raises(AttributeError):
+            del KRON.arrows
+        assert KRON == Quiver(2, ((0, 1), (0, 1)))
+
+    def test_repr(self):
+        assert repr(KRON) == "Quiver(nvertices=2, arrows=((0, 1), (0, 1)))"
+        assert repr(ValuedTree((0, 1), (2, 0))) == "ValuedTree(arrows=(0, 1), values=(2, 0))"
+
+    def test_copy_and_pickle(self):
+        for obj in (TRIANGLE, ValuedTree((0, 1), (2, 0))):
+            assert copy.copy(obj) == copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj
+
+    def test_check_messages_and_order(self):
+        def message(*args):
+            with pytest.raises(ValueError) as info:
+                Quiver(*args)
+            return str(info.value)
+
+        # the negative count first, before the arrows are read at all
+        assert message(-1, [("x", 0)]) == "vertex count must be nonnegative"
+        # every arrow through int() before any range check
+        assert message(1, [(0, 5), ("x", 0)]) == "invalid literal for int() with base 10: 'x'"
+        assert message(2, [("0", "5")]) == "arrow (0,5) out of range"
+        assert message(2, [(0, 1), (-1, 0)]) == "arrow (-1,0) out of range"
+        with pytest.raises(QuiverFormatError):
+            Quiver(2, ((0, 2),))
+
+    def test_equal_quiver_hits_the_asymptotic_cache(self):
+        toric._asymptotic_chain_sum(Quiver(2, ((0, 1), (0, 1), (1, 0))))
+        hits = toric._asymptotic_chain_sum.cache_info().hits
+        misses = toric._asymptotic_chain_sum.cache_info().misses
+        value = toric._asymptotic_chain_sum(Quiver(2, [[0, 1], [0, 1], [1, 0]]))
+        assert toric._asymptotic_chain_sum.cache_info().hits == hits + 1
+        assert toric._asymptotic_chain_sum.cache_info().misses == misses
+        assert value == toric._asymptotic_chain_sum(Quiver(2, ((0, 1), (0, 1), (1, 0))))
 
 
 class TestOperations:

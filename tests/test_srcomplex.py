@@ -1,6 +1,7 @@
 """Order complexes, specialized Hilbert series, shellings, certificates."""
 
 import math
+import pickle
 
 import pytest
 
@@ -16,7 +17,7 @@ from kacdepth import (
     verify_hilbert_identity,
 )
 from kacdepth import toric
-from kacdepth.srcomplex import _single_denominator_presentation, _specialized_exponents
+from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _specialized_exponents
 
 from helpers import chain_face_count, literal_shelling_check
 from oracles import (
@@ -58,6 +59,39 @@ class TestComplex:
             cx = order_complex(quiver)
             assert len(cx.facets) == math.factorial(n)
             assert len(cx.faces()) == chain_face_count(n)
+
+
+class TestValueClass:
+    def test_equality_hash_and_keywords(self):
+        cx = order_complex(KRON)
+        same = OrderComplex(narrows=2, facets=(frozenset({1}), frozenset({2})), words=((0, 1), (1, 0)))
+        assert cx == same and cx is not same
+        assert hash(cx) == hash(same) == hash((cx.narrows, cx.facets, cx.words))
+        assert cx != order_complex(TRIANGLE)
+        assert cx != OrderComplex(2, cx.facets, ((1, 0), (0, 1)))
+        assert pickle.loads(pickle.dumps(cx)) == cx
+
+    def test_never_equal_to_a_tuple(self):
+        cx = order_complex(KRON)
+        assert cx != (cx.narrows, cx.facets, cx.words)
+        assert cx.__eq__((cx.narrows, cx.facets, cx.words)) is NotImplemented
+        assert OrderComplex(0, (), ()) != KRON
+
+    def test_assignment_raises_attribute_error(self):
+        cx = order_complex(KRON)
+        for name in ("narrows", "facets", "words", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cx, name, 0)
+        with pytest.raises(AttributeError):
+            del cx.facets
+        assert cx.narrows == 2
+
+    def test_repr(self):
+        assert repr(order_complex(KRON)) == (
+            "OrderComplex(narrows=2, facets=(frozenset({1}), frozenset({2})), "
+            "words=((0, 1), (1, 0)))"
+        )
+        assert repr(OrderComplex(0, (), ())) == "OrderComplex(narrows=0, facets=(), words=())"
 
 
 class TestGuards:
