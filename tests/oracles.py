@@ -22,7 +22,9 @@ against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle`
 ``hilbert_specialized_oracle``, ``certificate_total_oracle`` and
 ``rank_class_sums_oracle`` add one ``RatFunc`` at a time, each addition
 normalised by a gcd, checked against the library's sums over one common
-denominator.
+denominator; the Hilbert oracle also lists every chain of the order complex
+(``chain_faces_oracle``), checked against the library's mask DP, which counts
+chains by exponent multiset without listing them.
 """
 
 from __future__ import annotations
@@ -534,11 +536,31 @@ def face_weight_oracle(exps: tuple[int, ...]) -> RatFunc:
     return w
 
 
+def chain_faces_oracle(narrows: int) -> list[frozenset[int]]:
+    """Every chain of proper nonempty arrow-subset masks, the empty chain included,
+    listed by extending chains upward one popcount at a time."""
+    by_count: dict[int, list[int]] = {}
+    for mask in range(1, (1 << narrows) - 1):
+        by_count.setdefault(bin(mask).count("1"), []).append(mask)
+    chains: list[tuple[int, ...]] = [()]
+    grow: list[tuple[int, ...]] = [()]
+    while grow:
+        nxt: list[tuple[int, ...]] = []
+        for chain in grow:
+            low = chain[-1] if chain else 0
+            for c in range(bin(low).count("1") + 1, narrows):
+                nxt.extend(chain + (m,) for m in by_count.get(c, ()) if low & m == low)
+        chains.extend(nxt)
+        grow = nxt
+    return [frozenset(chain) for chain in chains]
+
+
 def hilbert_specialized_oracle(quiver: Quiver) -> RatFunc:
-    """The specialized Hilbert series as a sum of face weights, grouped by exponents."""
+    """The specialized Hilbert series as a sum of face weights over the listed
+    chains, grouped by exponents."""
     exponents = _specialized_exponents(quiver)
     counts: dict[tuple[int, ...], int] = {}
-    for face in order_complex(quiver).faces():
+    for face in chain_faces_oracle(quiver.narrows):
         key = tuple(sorted(exponents[m] for m in face))
         counts[key] = counts.get(key, 0) + 1
     total = RatFunc.zero()

@@ -271,6 +271,26 @@ def test_kac_refused_fast(quiver, alpha, message, tmp_path, capsys):
     assert f"{message} > limit 16777216; raise --guard" in capsys.readouterr().err
 
 
+def test_thm41_kronecker10_at_default_guard(tmp_path, capsys):
+    # the Hilbert side counts chains by a mask DP (estimate 494252 key
+    # additions), where building the order complex of 10! facets was refused
+    path = tmp_path / "kronecker10.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 10}))
+    assert main(["verify", "thm41", "--quiver", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"]
+
+
+def test_thm41_past_the_hilbert_estimate_refused_fast(tmp_path, capsys):
+    # Kronecker 13 passes the 3^13 depth-limit estimate; the Hilbert estimate
+    # is refused before either sum runs
+    path = tmp_path / "kronecker13.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 13}))
+    start = time.perf_counter()
+    assert main(["verify", "thm41", "--quiver", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "hilbert series estimate 32753175 > limit 16777216; raise --guard" in capsys.readouterr().err
+
+
 def test_shelling_kronecker7_at_default_guard(tmp_path, capsys):
     path = tmp_path / "kronecker7.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 7}))

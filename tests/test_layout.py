@@ -120,21 +120,18 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_layer():
     assert len(layers) == 10 and layers <= added
 
 
-def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):
-    # perfbench/selftest.py expects the series and plethysm.exp_log spans on
-    # the rank-table and exp-identity jobs; wrap every binding of the names
-    # trace_cli.WRAPS times under those keys, as its install does, so a
-    # refactor that routes around them fails here.  This only reads perfbench/.
+def _count_traced_calls(monkeypatch, keys) -> Counter:
+    """Wrap every binding of the names trace_cli.WRAPS times under keys, as its
+    install does, and count calls by key and by wrapped path.  This only reads
+    perfbench/."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import kacdepth.cli  # noqa: F401  (loads every layer module)
     import trace_cli
-    from kacdepth.moment import verify_exp_identity
-    from kacdepth.rank import rank_table
 
     calls = Counter()
     targets = {}
     for mod, path, key, _ in trace_cli.WRAPS:
-        if key in ("series", "plethysm.exp_log"):
+        if key in keys:
             targets[id(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path))] = (key, path)
 
     def counting(fn, key, path):
@@ -148,7 +145,17 @@ def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):
         for name, value in list(vars(namespace).items()):
             if id(value) in targets:
                 monkeypatch.setattr(namespace, name, counting(value, *targets[id(value)]))
+    return calls
 
+
+def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):
+    # perfbench/selftest.py expects the series and plethysm.exp_log spans on
+    # the rank-table and exp-identity jobs; a refactor that routes around the
+    # names trace_cli.WRAPS times under those keys fails here
+    from kacdepth.moment import verify_exp_identity
+    from kacdepth.rank import rank_table
+
+    calls = _count_traced_calls(monkeypatch, ("series", "plethysm.exp_log"))
     assert [row[0] for row in rank_table(3, 2)] == [1, 2]
     assert calls["series"] and calls["plethysm.exp_log"]
     assert calls["TSeries.log"] and calls["pleth_log"]
@@ -156,3 +163,20 @@ def test_rank_table_and_exp_identity_reach_the_traced_exp_log(monkeypatch):
     assert verify_exp_identity(TRIANGLE, 2, 1, (1, 1, 1))["equal"]
     assert calls["series"] and calls["plethysm.exp_log"]
     assert calls["TSeries.exp"] and calls["pleth_exp"]
+
+
+def test_shelling_and_thm41_reach_the_traced_srcomplex_spans(monkeypatch):
+    # perfbench/selftest.py expects the srcomplex spans on the shelling job
+    # and toric.asymptotic on the thm41 job; the Hilbert series builds no order
+    # complex, so the certificate must still reach order_complex itself
+    from kacdepth.srcomplex import positivity_certificate, verify_hilbert_identity
+
+    keys = ("srcomplex.order_complex", "srcomplex.shelling", "srcomplex.hilbert", "toric.asymptotic")
+    calls = _count_traced_calls(monkeypatch, keys)
+    assert positivity_certificate(TRIANGLE)["matches_face_sum"]
+    assert calls["order_complex"] and calls["lex_shelling"] and calls["hilbert_specialized"]
+    assert all(calls[key] for key in keys[:3])
+    calls.clear()
+    assert verify_hilbert_identity(TRIANGLE)["equal"]
+    assert calls["asymptotic_kac"] and calls["hilbert_specialized"]
+    assert calls["toric.asymptotic"] and calls["srcomplex.hilbert"]

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _
 from helpers import chain_face_count, literal_shelling_check
 from oracles import (
     certificate_total_oracle,
+    chain_faces_oracle,
     face_weight_oracle,
     hilbert_specialized_oracle,
     shelling_restrictions_oracle,
@@ -44,11 +46,11 @@ class TestComplex:
         cx = order_complex(TRIANGLE)
         assert len(cx.facets) == math.factorial(3)
         assert all(len(f) == 2 for f in cx.facets)
-        assert len(cx.faces()) == 13
+        assert len(chain_faces_oracle(3)) == 13  # Fubini(3)
 
     def test_one_arrow_empty_complex(self):
-        cx = order_complex(Quiver(1, ((0, 0),)))
-        assert cx.faces() == [frozenset()]
+        assert order_complex(Quiver(1, ((0, 0),))).facets == (frozenset(),)
+        assert chain_faces_oracle(1) == [frozenset()]
         # formal Hilbert series of the empty complex is 1
         assert face_weight_oracle(()) == RatFunc.one()
         assert hilbert_specialized(Quiver(1, ((0, 0),))) == RatFunc.one()
@@ -58,7 +60,7 @@ class TestComplex:
             quiver = Quiver(1, ((0, 0),) * n)
             cx = order_complex(quiver)
             assert len(cx.facets) == math.factorial(n)
-            assert len(cx.faces()) == chain_face_count(n)
+            assert len(chain_faces_oracle(n)) == chain_face_count(n)
 
 
 class TestValueClass:
@@ -95,18 +97,33 @@ class TestValueClass:
 
 
 class TestGuards:
-    # three arrows: 3!*3 = 18 facet entries, Fubini(3) = 13 faces
+    # three arrows: 3!*3 = 18 facet entries; the Hilbert series merges each of
+    # the 3 single arrows into 3 larger masks (one multiset each) and each of
+    # the 3 pairs into the full mask (two multisets each): 15 key additions
     def test_order_complex_guard(self):
         with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
             order_complex(TRIANGLE, guard=17)
-        with pytest.raises(GuardError, match="order complex estimate 18 > limit 17"):
-            hilbert_specialized(TRIANGLE, guard=17)
+        # the Hilbert series builds no order complex
+        assert hilbert_specialized(TRIANGLE, guard=17) == hilbert_specialized(TRIANGLE)
 
-    def test_face_list_guard(self):
-        cx = order_complex(TRIANGLE, guard=18)
-        with pytest.raises(GuardError, match="face list estimate 13 > limit 12; raise --guard"):
-            cx.faces(guard=12)
-        assert len(cx.faces(guard=13)) == 13
+    def test_hilbert_series_guard(self):
+        with pytest.raises(GuardError, match="hilbert series estimate 15 > limit 14; raise --guard"):
+            hilbert_specialized(TRIANGLE, guard=14)
+        assert hilbert_specialized(TRIANGLE, guard=15) == hilbert_specialized(TRIANGLE)
+        # Kronecker 10: sum over j of C(10, j) * (2^(10-j) - 1) * 2^(j-1); the
+        # series of Kronecker m is (q^m - 1) / (q - 1)^m
+        kron10 = Quiver(2, ((0, 1),) * 10)
+        work = sum(math.comb(10, j) * (2 ** (10 - j) - 1) * 2 ** (j - 1) for j in range(1, 10))
+        with pytest.raises(GuardError, match=f"hilbert series estimate {work} > limit {work - 1}"):
+            hilbert_specialized(kron10, guard=work - 1)
+        assert hilbert_specialized(kron10, guard=work) == RatFunc(Q**10 - 1, (Q - 1) ** 10)
+
+    def test_hilbert_series_refused_before_the_exponent_table(self):
+        # 30 arrows: the 2^30 exponent table is never allocated
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="hilbert series estimate"):
+            hilbert_specialized(Quiver(2, ((0, 1),) * 30))
+        assert time.perf_counter() - start < 1.0
 
     def test_certificate_needs_only_complex_guards(self):
         # the shelling itself reads the facet words and has no guard of its own
@@ -168,7 +185,10 @@ class TestIdentity:
 class TestCommonDenominator:
     def test_hilbert_and_certificate_match_oracles(self, two_connected_3v_5a):
         assert len(two_connected_3v_5a) > 20
-        for quiver in two_connected_3v_5a:
+        # the oracle lists 4,683 to 47,293 chains on the three larger quivers
+        doubled_triangle = Quiver(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)))
+        larger = [Quiver(2, ((0, 1),) * 6), Quiver(2, ((0, 1),) * 7), doubled_triangle]
+        for quiver in [*two_connected_3v_5a, *larger]:
             assert hilbert_specialized(quiver) == hilbert_specialized_oracle(quiver), quiver
             if quiver.narrows >= 2:
                 total = certificate_total_oracle(quiver)
@@ -206,7 +226,7 @@ class TestShelling:
                     face = frozenset(restriction | set(members))
                     assert face not in seen
                     seen.add(face)
-            assert seen == set(cx.faces())
+            assert seen == set(chain_faces_oracle(n))
 
     def test_needs_two_arrows(self):
         with pytest.raises(ValueError):
