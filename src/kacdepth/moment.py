@@ -332,14 +332,18 @@ def e_series_check(
     fiber), A_B the toric count of the full subquiver on B.  By the
     exponential formula that sum is (q-1)^-n F(V), where F(S) sums
     q A_B (q-1)^(|B|-1) F(S - B) over the blocks B in S holding min S, and
-    F(empty) = 1.  The direct side and the largest degree, which fixes the
-    truncation floor, run the same recursion.  Estimates: the (3^n - 1)/2
-    pairs (S, B) of the subset walk, covering its 2^n - 1 connectivity
-    tests, and the last estimate's lower bound (2^n - 1) L0^2, before any
-    test; the summed chain-sum estimates of the connected blocks, then the
-    pairs with A_B != 0 times L0^2, before any chain sum and the walk; those
-    pairs times L^2, before any product.  L = |floor| is the length of a
-    truncated product, and L0 = order + |shift| + n + 2 <= L.
+    F(empty) = 1.  The direct side runs the same recursion in the same walk
+    over the pairs (S, B).  The truncation floor is known from the quiver:
+    A_B != 0 exactly when Q|_B is connected, and then A_B has degree
+    alpha b(Q|_B) with a positive leading coefficient; the Betti numbers of
+    the blocks of a set partition sum to at most b(Q), with equality for the
+    components of Q, so the largest degree is alpha b(Q) once any pair is
+    walked (a disconnected generic fiber walks none).  Three estimates, each
+    before the work it covers: the (3^n - 1)/2 pairs (S, B) of the subset
+    walk, before its 2^n - 1 connectivity tests; the summed chain-sum
+    estimates of the connected blocks; the walked pairs (those with
+    A_B != 0) times L^2, L = |floor| the length of a truncated product,
+    before any chain sum.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -353,34 +357,15 @@ def e_series_check(
     full = (1 << n) - 1
     if mode == "zero-fiber":
         check_work("subset walk", (guarded_power(3, n, "subset walk", guard) - 1) // 2, guard)
-        # every S splits off {min S}: the pairs below number at least 2^n - 1,
-        # known before the 2^n - 1 connectivity tests
-        check_work("partition sum", full * (order + abs(shift) + n + 2) ** 2, guard)
     targets = range(1, full + 1) if mode == "zero-fiber" else [full]
     blocks = _connected_blocks(quiver, targets)  # A_B = 0 exactly when Q|_B is disconnected
     check_work("chain sum", sum(_chain_sum_work(q, alpha) for q in blocks.values()), guard)
-    if mode == "zero-fiber":
-        # the pairs (S, B) of the walk below, S = B plus any vertices above
-        # min B: 2^(#{v > min B} - |B| + 1) per block; with the top degree >= 0
-        # a lower bound of the partition sum estimate, known before the walk
-        pairs = sum(1 << n - (b & -b).bit_length() + 1 - b.bit_count() for b in blocks)
-        check_work("partition sum", pairs * (order + abs(shift) + n + 2) ** 2, guard)
+    # the pairs (S, B) of the walk below, S = B plus any vertices above min B:
+    # 2^(#{v > min B} - |B| + 1) per block, 1 for the generic fiber's full block
+    pairs = sum(1 << n - (b & -b).bit_length() + 1 - b.bit_count() for b in blocks)
+    floor = -order - (alpha * quiver.betti() if pairs else 0) - abs(shift) - n - 2
+    check_work("partition sum", pairs * floor * floor, guard)
     chains = {b: toric_kac_chain(q, alpha, guard) for b, q in blocks.items()}
-    # splits[S]: the blocks B in S holding min S with A_B != 0, S increasing
-    splits: dict[int, list[int]] = {s: [] for s in targets}
-    degree = {0: 0}
-    for s in targets:
-        low = s & -s if mode == "zero-fiber" else s
-        rest = sub = s ^ low
-        while True:
-            if (sub | low) in chains:
-                splits[s].append(sub | low)
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        degree[s] = max((chains[b].max_exp() + degree[s ^ b] for b in splits[s]), default=0)
-    floor = -order - degree[full] - abs(shift) - n - 2
-    check_work("partition sum", sum(map(len, splits.values())) * floor * floor, guard)
 
     # P_G = q^((alpha-1) n) (q-1)^n cancels the (q-1)^-n of the formula; on
     # the direct side z * sum_{k>=1} z^-k is common to the blocks holding min S
@@ -388,9 +373,18 @@ def e_series_check(
     lift = {b: a_poly.shift(1) * qm1 ** (bin(b).count("1") - 1) for b, a_poly in chains.items()}
     geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})
     fsum, direct = {0: LaurentPoly.one()}, {0: LaurentPoly.one()}
-    for s, bs in splits.items():
-        fsum[s] = sum((lift[b] * fsum[s ^ b] for b in bs), LaurentPoly.zero())
-        inner = sum((chains[b] * direct[s ^ b] for b in bs), LaurentPoly.zero())
+    for s in targets:
+        # the blocks B in S holding min S, A_B != 0; all of S for the generic fiber
+        low = s & -s if mode == "zero-fiber" else s
+        rest = sub = s ^ low
+        fsum[s] = inner = LaurentPoly.zero()
+        while True:
+            if (b := sub | low) in chains:
+                fsum[s] += lift[b] * fsum[s ^ b]
+                inner += chains[b] * direct[s ^ b]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
         direct[s] = LaurentPoly({e: c for e, c in (geom * inner).items() if e >= floor})
     p_x = fsum[full].shift((alpha - 1) * n + shift)
     lhs = RatFunc(p_x, group_order_gl(rank, alpha)).series_at_infinity(-order)

@@ -215,14 +215,15 @@ def _single_denominator_presentation(series: RatFunc) -> dict | None:
     Tries small exponent multisets for the denominator; returns None when no
     nonnegative presentation is found within the search window.  In normal
     form (coprime, denominator free of q) series * prod(1 - q^-e) is a Laurent
-    polynomial exactly when series.den divides prod(q^e - 1).
+    polynomial exactly when series.den divides prod(q^e - 1).  Each product
+    extends that of its prefix, which the search meets one size earlier.
     """
+    cleared = {(): LaurentPoly.one()}
     for size in range(0, 5):
         for exps in combinations_with_replacement(range(1, 6), size):
-            cleared = LaurentPoly.one()
-            for e in exps:
-                cleared = cleared * (LaurentPoly.q(e) - 1)
-            quo, rem = poly_divmod(cleared, series.den)
+            if exps:
+                cleared[exps] = cleared[exps[:-1]] * (LaurentPoly.q(exps[-1]) - 1)
+            quo, rem = poly_divmod(cleared[exps], series.den)
             if not rem.is_zero():
                 continue
             num = (series.num * quo).shift(-sum(exps))

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, _CycloSum, _cyclo_sum
 from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
-from .quiver import Quiver, ValuedTree, tree_paths, vertex_roots
+from .quiver import Quiver, ValuedTree, tree_paths
 
 
 def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
@@ -42,7 +42,8 @@ def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
     leaves the number of blocks unchanged.  Partitions are interned by their
     canonical labelling (each vertex labelled by the smallest vertex of its
     block), and the merge (partition, arrow) -> partition is memoised, so a
-    mask costs one dict lookup; a memo miss merges with ``vertex_roots``.
+    mask costs one dict lookup; a memo miss relabels the block with the
+    larger label of the arrow's two ends by the smaller one.
     """
     n, arrows = quiver.nvertices, quiver.arrows
     m = len(arrows)
@@ -60,13 +61,13 @@ def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
         key = part[rest] * m + a
         pid = merged.get(key)
         if pid is None:
-            roots = vertex_roots(n, [*enumerate(labellings[part[rest]]), arrows[a]])
-            first: dict[int, int] = {}
-            labelling = tuple(first.setdefault(r, v) for v, r in enumerate(roots))
-            if labelling not in ids:
+            labelling = labellings[part[rest]]
+            lo, hi = sorted(labelling[v] for v in arrows[a])
+            labelling = tuple(lo if x == hi else x for x in labelling)
+            if labelling not in ids:  # a new labelling: the ends were in two blocks
                 ids[labelling] = len(labellings)
                 labellings.append(labelling)
-                ncomp.append(len(first))
+                ncomp.append(ncomp[part[rest]] - 1)
             pid = merged[key] = ids[labelling]
         part[mask] = pid
         betti[mask] = betti[rest] + (ncomp[pid] == ncomp[part[rest]])

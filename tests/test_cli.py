@@ -402,9 +402,10 @@ KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
         # two vertices: (3^2 - 1)/2 = 4 subset steps (S, B)
         (KRON2, "zero-fiber", 10, 3, "subset walk estimate 4"),
         (KRON2, "generic-fiber", 10, 3, "chain sum estimate 8"),
-        # before the walk: 2^2 - 1 sets S, each splitting off {min S}, times L^2,
-        # L >= 20000 + 0 + 2 + 2; unguarded the truncated products ran past 60 s
-        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1200480048"),
+        # before any chain sum: 4 pairs (S, B) times L^2, L = 20000 + alpha b(Q)
+        # + |shift| + n + 2 = 20000 + 2 + 0 + 2 + 2; unguarded the truncated
+        # products ran past 60 s
+        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1600960144"),
         # 10 points: each S splits off only {min S}, 1023 pairs times 42^2
         ({"vertices": 10, "arrows": []}, "zero-fiber", 10, 100000,
          "partition sum estimate 1804572"),
@@ -418,9 +419,14 @@ KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
           + [[i, (i + 3) % 12] for i in range(0, 12, 2)]},
          "zero-fiber", 10, 2**24, "chain sum estimate 49247472"),
         # a 14-cycle: its 183 connected blocks pair with 49108 sets S, times
-        # 26^2, known before the walk; the walk over (3^14 - 1)/2 pairs ran 2.6 s
+        # L^2, L = 10 + 2 + 0 + 14 + 2 = 28, known before any chain sum; the
+        # walk over (3^14 - 1)/2 pairs ran 2.6 s
         ({"vertices": 14, "arrows": [[i, (i + 1) % 14] for i in range(14)]},
-         "zero-fiber", 10, 2**24, "partition sum estimate 33197008"),
+         "zero-fiber", 10, 2**24, "partition sum estimate 38500672"),
+        # a 15-cycle: 211 connected blocks, 98257 pairs times (10 + 2 + 0 + 15
+        # + 2)^2, after its 2^15 - 1 connectivity tests
+        ({"vertices": 15, "arrows": [[i, (i + 1) % 15] for i in range(15)]},
+         "zero-fiber", 10, 2**24, "partition sum estimate 82634137"),
     ],
 )
 def test_e_series_refused_fast(quiver, mode, order, guard, message, tmp_path, capsys):

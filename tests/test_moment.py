@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kacdepth import (
+    GuardError,
     LaurentPoly,
     Quiver,
     RatFunc,
@@ -16,6 +17,7 @@ from kacdepth import (
     verify_exp_identity,
     verify_generic_fiber,
 )
+from kacdepth import moment
 from kacdepth.moment import _connected_blocks
 
 from helpers import (
@@ -27,7 +29,7 @@ from helpers import (
     scalar_fiber_count,
     zero_target,
 )
-from oracles import e_series_partition_oracle, quiver_catalog
+from oracles import _set_partitions, e_series_partition_oracle, quiver_catalog
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
@@ -274,6 +276,62 @@ class TestESeries:
                     expected[b] = restricted
             blocks = _connected_blocks(q, masks)
             assert blocks == expected and list(blocks) == list(expected), q
+
+    def test_partition_sum_estimate_is_exact_and_before_any_chain_sum(self, monkeypatch):
+        # the estimate is (pairs (S, B) walked, A_B != 0) * floor^2, the floor
+        # set by the largest degree of a set partition with every A_B != 0
+        events = []
+        real_check, real_chain = moment.check_work, moment.toric_kac_chain
+
+        def check_work(label, work, guard):
+            events.append((label, work))
+            real_check(label, work, guard)
+
+        def chain(quiver, alpha, guard):
+            events.append(("chain sum run", None))
+            return real_chain(quiver, alpha, guard)
+
+        monkeypatch.setattr(moment, "check_work", check_work)
+        monkeypatch.setattr(moment, "toric_kac_chain", chain)
+        for q in quiver_catalog(4, 5, connected=False):
+            n, full = q.nvertices, (1 << q.nvertices) - 1
+            for alpha in (1, 2, 3):
+                a = {
+                    b: real_chain(q.restrict_vertices(v for v in range(n) if b >> v & 1), alpha)
+                    for b in range(1, full + 1)
+                }
+                shift = -alpha * q.euler_form((1,) * n, (1,) * n)
+                for mode in ("zero-fiber", "generic-fiber"):
+                    if mode == "zero-fiber":
+                        pairs = sum(
+                            1 for s in range(1, full + 1) for b in range(1, s + 1)
+                            if b & s == b and b & s & -s and not a[b].is_zero()
+                        )
+                        parts = [
+                            [sum(1 << v for v in block) for block in part]
+                            for part in _set_partitions(list(range(n)))
+                        ]
+                    else:
+                        pairs, parts = int(not a[full].is_zero()), [[full]]
+                    degree = max(
+                        (sum(a[b].max_exp() for b in part) for part in parts
+                         if not any(a[b].is_zero() for b in part)),
+                        default=0,
+                    )
+                    floor = -10 - degree - abs(shift) - n - 2
+                    events.clear()
+                    e_series_check(q, alpha, mode, 10)
+                    labels = [label for label, _ in events]
+                    assert labels.count("partition sum") == 1, (q, alpha, mode)
+                    i = labels.index("partition sum")
+                    assert events[i][1] == pairs * floor * floor, (q, alpha, mode)
+                    assert "chain sum run" not in labels[:i], (q, alpha, mode)
+        # K4 at depth 3: 40 pairs times 31^2, refused before any of its 15 chain sums
+        k4 = Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        events.clear()
+        with pytest.raises(GuardError, match="partition sum estimate 38440 > limit 20000"):
+            e_series_check(k4, 3, "zero-fiber", 10, 20000)
+        assert ("chain sum run", None) not in events
 
     @pytest.mark.parametrize("mode", ["zero-fiber", "generic-fiber"])
     def test_no_vertices(self, mode):

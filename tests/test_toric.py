@@ -117,13 +117,13 @@ class TestChainSum:
                 assert betti[mask] == ncomp - q.nvertices + len(arrows), (q, mask)
                 assert connected[mask] == (ncomp == 1), (q, mask)
 
-    def test_degree_is_alpha_betti(self, catalog_3v_3a):
-        for q in catalog_3v_3a:
+    def test_degree_is_alpha_betti(self, catalog_4v_6a):
+        # the truncation floor of e_series_check rests on this
+        for q in (q for q in catalog_4v_6a if q.narrows <= 5):
             for alpha in (1, 2, 3):
                 poly = toric_kac_chain(q, alpha)
-                if q.betti() == 0 and q.narrows == q.nvertices - 1:
-                    pass
-                assert poly.max_exp() == alpha * q.betti()
+                assert poly.max_exp() == alpha * q.betti(), (q, alpha)
+                assert poly.coeff(poly.max_exp()) > 0, (q, alpha)
 
 
 class TestTreeStrata:
