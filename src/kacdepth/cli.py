@@ -12,25 +12,10 @@ import argparse
 import json
 import sys
 
-from .moment import (
-    e_series_check,
-    moment_fiber_count,
-    verify_exp_identity,
-    verify_generic_fiber,
-)
+from . import moment, rank, srcomplex, toric
 from .laurent import LaurentPoly
 from .oring import DEFAULT_GUARD, GuardError, check_work
 from .quiver import Quiver, QuiverFormatError
-from .rank import rank_table
-from .srcomplex import positivity_certificate, verify_hilbert_identity
-from .toric import (
-    asymptotic_kac,
-    asymptotic_moment,
-    census_polynomial,
-    toric_kac_chain,
-    toric_orbit_count,
-    tree_stratum_census,
-)
 
 SCHEMA = "kacdepth/1"
 
@@ -72,7 +57,9 @@ def _parse_ints(text: str) -> list[int]:
 
 # ----------------------------------------------------------------------
 # subcommand handlers: (args, quiver) -> (body, ok, text).  They call the
-# library through module globals, so rebinding a global reaches them all.
+# library through module globals (``toric.toric_kac_chain``), so rebinding a
+# global reaches them all, and a lazily registered layer is executed only when
+# a handler first calls into it.
 
 
 def _primes(args) -> list[int]:
@@ -80,7 +67,7 @@ def _primes(args) -> list[int]:
 
 
 def _kac(args, quiver: Quiver):
-    chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
+    chain = toric.toric_kac_chain(quiver, args.alpha, guard=args.guard)
     body = {
         "alpha": args.alpha,
         "quiver": quiver.to_json(),
@@ -89,8 +76,8 @@ def _kac(args, quiver: Quiver):
     }
     text = [f"A(alpha={args.alpha}) = {chain}"]
     if quiver.is_connected():
-        census = tree_stratum_census(quiver, args.alpha, guard=args.guard)
-        trees = census_polynomial(census)
+        census = toric.tree_stratum_census(quiver, args.alpha, guard=args.guard)
+        trees = toric.census_polynomial(census)
         body["tree_polynomial"] = str(trees)
         body["census"] = [
             {"tree": list(t.arrows), "valuation": list(t.values), "exponent": n}
@@ -106,7 +93,7 @@ def _kac(args, quiver: Quiver):
     product = LaurentPoly.one()
     components = []
     for block in quiver.components():
-        poly = toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
+        poly = toric.toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
         product = product * poly
         components.append({"vertices": list(block), "polynomial": str(poly)})
     body["components"] = components
@@ -119,8 +106,8 @@ def _kac(args, quiver: Quiver):
 
 
 def _asymptotic(args, quiver: Quiver):
-    a_q = asymptotic_kac(quiver, guard=args.guard)
-    b_q = asymptotic_moment(quiver, guard=args.guard)
+    a_q = toric.asymptotic_kac(quiver, guard=args.guard)
+    b_q = toric.asymptotic_moment(quiver, guard=args.guard)
     body = {
         "quiver": quiver.to_json(),
         "A": str(a_q),
@@ -134,7 +121,7 @@ def _asymptotic(args, quiver: Quiver):
 def _exp_identity(args, quiver: Quiver):
     bound = tuple(_parse_ints(args.bound)) if args.bound else (1,) * quiver.nvertices
     reports = [
-        verify_exp_identity(quiver, p, args.alpha, bound, guard=args.guard)
+        moment.verify_exp_identity(quiver, p, args.alpha, bound, guard=args.guard)
         for p in _primes(args)
     ]
     text = [
@@ -154,7 +141,7 @@ def _generic_fiber(args, quiver: Quiver):
         raise QuiverFormatError("generic-fiber requires --lam")
     lam = _parse_ints(args.lam)
     reports = [
-        verify_generic_fiber(quiver, lam, p, args.alpha, guard=args.guard)
+        moment.verify_generic_fiber(quiver, lam, p, args.alpha, guard=args.guard)
         for p in _primes(args)
     ]
     text = [
@@ -166,7 +153,7 @@ def _generic_fiber(args, quiver: Quiver):
 
 
 def _thm41(args, quiver: Quiver):
-    report = verify_hilbert_identity(quiver, guard=args.guard)
+    report = srcomplex.verify_hilbert_identity(quiver, guard=args.guard)
     text = [
         f"asymptotic count   = {report['lhs']}",
         f"Hilbert route      = {report['rhs']}",
@@ -176,7 +163,7 @@ def _thm41(args, quiver: Quiver):
 
 
 def _shelling(args, quiver: Quiver):
-    cert = positivity_certificate(quiver, guard=args.guard)
+    cert = srcomplex.positivity_certificate(quiver, guard=args.guard)
     body = {"facets": len(cert["terms"]), "certificate": cert["terms"], "total": cert["total"]}
     if "single_denominator" in cert:
         body["single_denominator"] = cert["single_denominator"]
@@ -192,7 +179,7 @@ def _shelling(args, quiver: Quiver):
 def _rank_table(args, quiver: None):
     g = args.g
     rows, text, ok = [], [], True
-    for a, polys, routes in rank_table(g, args.alpha, guard=args.guard):
+    for a, polys, routes in rank.rank_table(g, args.alpha, guard=args.guard):
         for r, poly in enumerate(polys, start=1):
             rows.append({"g": g, "r": r, "alpha": a, "polynomial": str(poly)})
             text.append(f"A_{{{g},{r},{a}}} = {poly}")
@@ -205,7 +192,7 @@ def _rank_table(args, quiver: None):
 
 
 def _e_series(args, quiver: Quiver):
-    report = e_series_check(quiver, args.alpha, args.mode, args.order, guard=args.guard)
+    report = moment.e_series_check(quiver, args.alpha, args.mode, args.order, guard=args.guard)
     text = [
         f"mode={args.mode} alpha={args.alpha} order={args.order}: "
         + ("ok" if report["equal"] else "FAILED")
@@ -218,10 +205,10 @@ def _e_series(args, quiver: Quiver):
 
 def _orbit_count(args, quiver: Quiver):
     primes = _primes(args)  # a malformed --p is reported before any guard error
-    chain = toric_kac_chain(quiver, args.alpha, guard=args.guard)
+    chain = toric.toric_kac_chain(quiver, args.alpha, guard=args.guard)
     rows = []
     for p in primes:
-        count = toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
+        count = toric.toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
         rows.append({"p": p, "count": count, "polynomial_at_p": int(chain.evaluate(p))})
     body = {"alpha": args.alpha, "polynomial": str(chain), "rows": rows}
     text = [f"p={r['p']}: orbits={r['count']} polynomial={r['polynomial_at_p']}" for r in rows]
@@ -229,14 +216,14 @@ def _orbit_count(args, quiver: Quiver):
 
 
 def _moment_fiber(args, quiver: Quiver):
-    rank = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
+    ranks = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
     primes = _primes(args)  # a malformed --p is reported before a malformed --lam
     lam = _parse_ints(args.lam) if args.lam else None
     rows = []
     for p in primes:
-        count = moment_fiber_count(quiver, rank, p, args.alpha, lam=lam, guard=args.guard)
+        count = moment.moment_fiber_count(quiver, ranks, p, args.alpha, lam=lam, guard=args.guard)
         rows.append({"p": p, "count": count})
-    body = {"alpha": args.alpha, "rank": list(rank), "rows": rows}
+    body = {"alpha": args.alpha, "rank": list(ranks), "rows": rows}
     return body, True, [f"p={r['p']}: fiber size {r['count']}" for r in rows]
 
 

@@ -216,13 +216,19 @@ def _single_denominator_presentation(series: RatFunc) -> dict | None:
     nonnegative presentation is found within the search window.  In normal
     form (coprime, denominator free of q) series * prod(1 - q^-e) is a Laurent
     polynomial exactly when series.den divides prod(q^e - 1).  Each product
-    extends that of its prefix, which the search meets one size earlier.
+    extends that of its prefix, which the search meets one size earlier.  The
+    product has degree sum(e) and a root of multiplicity len(e) at q = 1, one
+    per factor, so a candidate short of either in series.den is skipped
+    undivided.
     """
+    degree, ones = series.den.max_exp(), _multiplicity_at_one(series.den)
     cleared = {(): LaurentPoly.one()}
     for size in range(0, 5):
         for exps in combinations_with_replacement(range(1, 6), size):
             if exps:
                 cleared[exps] = cleared[exps[:-1]] * (LaurentPoly.q(exps[-1]) - 1)
+            if size < ones or sum(exps) < degree:
+                continue
             quo, rem = poly_divmod(cleared[exps], series.den)
             if not rem.is_zero():
                 continue
@@ -236,3 +242,12 @@ def _single_denominator_presentation(series: RatFunc) -> dict | None:
                     "denominator_exponents": list(exps),
                 }
     return None
+
+
+def _multiplicity_at_one(poly: LaurentPoly) -> int:
+    """How often q - 1 divides a nonzero ordinary polynomial."""
+    ones, rem = -1, LaurentPoly.zero()
+    while rem.is_zero():
+        poly, rem = poly_divmod(poly, LaurentPoly.q() - 1)
+        ones += 1
+    return ones

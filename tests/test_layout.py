@@ -11,11 +11,14 @@ user outside ``oring.py``.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import kacdepth
 from kacdepth import Quiver
@@ -102,6 +105,27 @@ def test_traced_wrappers_resolve(monkeypatch):
         assert callable(trace_cli._resolve(sys.modules[f"kacdepth.{mod}"], path)), (mod, path)
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on the package sources; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+@pytest.fixture
+def triangle_file(tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE.to_json()), encoding="utf-8")
+    return str(path)
+
+
+# the kacdepth layers a process has executed: LazyLoader swaps an unexecuted
+# module's class for a subclass of ModuleType until its first attribute access
+_EXECUTED = (
+    "print(' '.join(sorted(n.split('.')[1] for n, m in sys.modules.items()\n"
+    "                      if n.startswith('kacdepth.') and type(m) is types.ModuleType)))\n"
+)
+
+
 def test_cli_import_path_skips_dataclasses_and_loads_every_layer():
     # every job process pays for what ``import kacdepth.cli`` imports;
     # dataclasses alone pulled in inspect, ast, dis and tokenize
@@ -111,13 +135,47 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_layer():
         "import kacdepth.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    added = set(out.split())
+    added = set(_python("-c", code).stdout.split())
     assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    # every layer is registered (perfbench/trace_cli.py reads them all from
+    # sys.modules), though a job executes only the ones it uses
     layers = {f"kacdepth.{p.stem}" for p in (ROOT / "src" / "kacdepth").glob("*.py")} - {"kacdepth.__init__"}
     assert len(layers) == 10 and layers <= added
+
+
+def test_each_subcommand_executes_only_its_layers(triangle_file):
+    run = (
+        "import io, sys, types\n"
+        "from contextlib import redirect_stdout\n"
+        "import kacdepth.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = kacdepth.cli.main(sys.argv[1:])\n"
+        "print(code)\n"
+    ) + _EXECUTED
+
+    def executed(*argv: str) -> set[str]:
+        code, layers = _python("-c", run, *argv).stdout.splitlines()
+        assert code == "0", argv
+        return set(layers.split())
+
+    toric_only = {"cli", "laurent", "oring", "quiver", "toric"}
+    assert executed("kac", "--quiver", triangle_file, "--alpha", "2") == toric_only
+    assert executed("oracle", "orbit-count", "--quiver", triangle_file, "--p", "2,3") == toric_only
+    for argv in (["shelling"], ["verify", "thm41"], ["asymptotic"]):
+        assert executed(*argv, "--quiver", triangle_file).isdisjoint({"moment", "rank"}), argv
+    assert executed("rank-table", "--g", "2", "--alpha", "2").isdisjoint({"toric", "srcomplex", "moment"})
+    assert _python("-c", "import sys, types\nimport kacdepth\n" + _EXECUTED).stdout == "\n"
+
+
+def test_lazy_package_runs_clean_and_refuses_unknown_names(triangle_file):
+    # ``cli`` is not registered lazily, so runpy does not warn that it was in
+    # sys.modules before execution
+    proc = _python("-W", "error", "-m", "kacdepth.cli", "kac", "--quiver", triangle_file)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "routes agree      = True"
+    with pytest.raises(ImportError):
+        from kacdepth import nope  # noqa: F401
+    assert all(getattr(kacdepth, name) is not None for name in kacdepth.__all__)
 
 
 def _count_traced_calls(monkeypatch, keys) -> Counter:

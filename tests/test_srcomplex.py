@@ -3,6 +3,7 @@
 import math
 import pickle
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,7 +18,8 @@ from kacdepth import (
     positivity_certificate,
     verify_hilbert_identity,
 )
-from kacdepth import toric
+from kacdepth import srcomplex, toric
+from kacdepth.laurent import poly_divmod
 from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _specialized_exponents
 
 from helpers import chain_face_count, literal_shelling_check
@@ -34,6 +36,13 @@ Q = LaurentPoly.q()
 KRON = Quiver(2, ((0, 1), (0, 1)))
 TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 TWO_LOOPS = Quiver(1, ((0, 0), (0, 0)))
+# Kronecker 6, the doubled triangle and K4: series.den has a root of
+# multiplicity 5 at q = 1, more than any candidate product of <= 4 factors
+SKIP_ALL = (
+    Quiver(2, ((0, 1),) * 6),
+    Quiver(3, ((0, 1), (1, 2), (0, 2)) * 2),
+    Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+)
 
 
 class TestComplex:
@@ -263,15 +272,39 @@ class TestCertificate:
     def test_single_denominator_matches_product_oracle(self, catalog_4v_6a):
         # exact division against the rational-function products it replaced,
         # on the certificate totals (the specialized Hilbert series; 89
-        # quivers share 53 of them)
+        # quivers share 53 of them) and on three where the search skips every
+        # candidate undivided
         totals = {
             hilbert_specialized(q)
             for q in catalog_4v_6a
             if q.narrows >= 2 and q.is_two_connected()
-        }
+        } | {hilbert_specialized(q) for q in SKIP_ALL}
         found = 0
         for series in totals:
             single = _single_denominator_presentation(series)
             assert single == single_denominator_oracle(series), series
             found += single is not None
         assert found > 0
+
+    def test_single_denominator_skips_no_multiple(self, catalog_4v_6a, monkeypatch):
+        # a product prod(q^e - 1) short of series.den in degree or in the
+        # multiplicity of the root q = 1 is skipped undivided; every product
+        # the search skips before its answer must be no multiple of series.den
+        divided = []
+        monkeypatch.setattr(srcomplex, "poly_divmod", lambda a, b: divided.append((a, b)) or poly_divmod(a, b))
+        totals = {hilbert_specialized(q) for q in catalog_4v_6a if q.narrows >= 2 and q.is_two_connected()}
+        skipped = 0
+        for series in totals | {hilbert_specialized(q) for q in SKIP_ALL}:
+            divided.clear()
+            single = _single_denominator_presentation(series)
+            candidates = [e for size in range(0, 5) for e in combinations_with_replacement(range(1, 6), size)]
+            if single:
+                del candidates[candidates.index(tuple(single["denominator_exponents"])):]
+            for exps in candidates:
+                product = LaurentPoly.one()
+                for e in exps:
+                    product = product * (Q**e - 1)
+                if (product, series.den) not in divided:
+                    skipped += 1
+                    assert not poly_divmod(product, series.den)[1].is_zero(), (series, exps)
+        assert skipped > 3 * 126
