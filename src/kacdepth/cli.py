@@ -251,8 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    vectors = {"p": "comma-separated primes", "bound": "rank truncation r1,r2,...",
+               "rank": "rank vector r1,r2,...", "lam": "generic parameter l1,l2,..."}
 
-    def add_common(p, quiver=True, alpha=True):
+    # each parser adds only the flags its handler reads
+    def add_common(p, quiver=True, alpha=True, flags=()):
         if quiver:
             p.add_argument("--quiver", required=True, help="path to quiver JSON")
         if alpha:
@@ -261,22 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
         # accepted after the subcommand as well
         p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=vectors[flag])
 
-    p = sub.add_parser("kac", help="toric count by chain and tree routes")
-    add_common(p)
+    add_common(sub.add_parser("kac", help="toric count by chain and tree routes"))
 
-    p = sub.add_parser("asymptotic", help="depth limits A_Q and B_mu")
-    add_common(p, alpha=False)
+    add_common(sub.add_parser("asymptotic", help="depth limits A_Q and B_mu"), alpha=False)
 
-    p = sub.add_parser("verify", help="identity verification suites")
-    p.add_argument("identity", choices=("exp-identity", "generic-fiber", "thm41"))
-    add_common(p)
-    p.add_argument("--p", default=None, help="comma-separated primes")
-    p.add_argument("--bound", default=None, help="rank truncation r1,r2,...")
-    p.add_argument("--lam", default=None, help="generic parameter l1,l2,...")
+    targets = sub.add_parser("verify", help="identity verification suites").add_subparsers(
+        dest="identity", required=True)
+    add_common(targets.add_parser("exp-identity"), flags=("p", "bound"))
+    add_common(targets.add_parser("generic-fiber"), flags=("p", "lam"))
+    add_common(targets.add_parser("thm41"), alpha=False)
 
-    p = sub.add_parser("shelling", help="shelling order and positivity certificate")
-    add_common(p, alpha=False)
+    add_common(sub.add_parser("shelling", help="shelling order and positivity certificate"),
+               alpha=False)
 
     p = sub.add_parser("rank-table", help="one-vertex ranks 1..3 for g loops")
     p.add_argument("--g", type=int, required=True)
@@ -287,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("zero-fiber", "generic-fiber"), default="zero-fiber")
     p.add_argument("--order", type=int, default=10)
 
-    p = sub.add_parser("oracle", help="brute-force enumeration oracles")
-    p.add_argument("oracle", choices=("orbit-count", "moment-fiber"))
-    add_common(p)
-    p.add_argument("--p", default=None, help="comma-separated primes")
-    p.add_argument("--rank", default=None, help="rank vector r1,r2,...")
-    p.add_argument("--lam", default=None, help="generic parameter l1,l2,...")
+    targets = sub.add_parser("oracle", help="brute-force enumeration oracles").add_subparsers(
+        dest="oracle", required=True)
+    add_common(targets.add_parser("orbit-count"), flags=("p",))
+    add_common(targets.add_parser("moment-fiber"), flags=("p", "rank", "lam"))
 
     return parser
 

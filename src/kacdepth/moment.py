@@ -30,12 +30,11 @@ from itertools import product
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
+from . import plethysm, series
+from . import rank as ranks  # ``rank`` is a parameter name here
 from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, _check_prime, check_work, group_order_gl, guarded_power
-from .plethysm import pleth_exp
 from .quiver import Quiver
-from .rank import closed_form_rank2
-from .series import TSeries
 from .toric import _chain_sum_work, toric_kac_chain
 
 
@@ -185,7 +184,7 @@ def kac_polynomial(
             raise ValueError("rank must be nonzero")
         return toric_kac_chain(quiver.restrict_vertices(support), alpha, guard)
     if quiver.nvertices == 1 and rank == (2,):
-        return closed_form_rank2(len(quiver.loops()), alpha).as_polynomial()
+        return ranks.closed_form_rank2(len(quiver.loops()), alpha).as_polynomial()
     raise ValueError("rank out of implemented range")
 
 
@@ -219,11 +218,11 @@ def verify_exp_identity(
     check_work("rank vectors", count - 1, guard)
     for r in _rank_vectors(bound):
         _check_fiber_work(quiver, r, p, alpha, guard)
-    a_series = TSeries(bound, {
+    a_series = series.TSeries(bound, {
         r: RatFunc(kac_polynomial(quiver, r, alpha, guard)) / ONE_MINUS_QINV
         for r in _rank_vectors(bound)
     })
-    rhs_series = pleth_exp(a_series)
+    rhs_series = plethysm.pleth_exp(a_series)
     qp = Fraction(p)
     rows = []
     all_equal = True

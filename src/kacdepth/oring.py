@@ -30,9 +30,12 @@ def _check_prime(p: int) -> None:
 
 
 def check_work(label: str, work: int, guard: int) -> None:
-    """GuardError when the work estimate exceeds guard."""
+    """GuardError when the work estimate exceeds guard.  An estimate past
+    about 1000 digits is named by its power of two, since ``str`` refuses an
+    int past 4300 digits."""
     if work > guard:
-        raise GuardError(f"{label} estimate {work} > limit {guard}; raise --guard")
+        shown = work if work.bit_length() <= 3322 else f">= 2^{work.bit_length() - 1}"
+        raise GuardError(f"{label} estimate {shown} > limit {guard}; raise --guard")
 
 
 def guarded_power(base: int, exp: int, label: str, guard: int) -> int:

@@ -127,12 +127,13 @@ def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
 
     Both sides are computed along independent code paths and compared as
     canonical rational functions.  The Hilbert side, whose estimate is the
-    larger from five arrows on, goes first: a refusal comes before any sum.
+    larger from five arrows on, goes first: a refusal comes before any sum,
+    and before the prefactor's gcd, which takes seconds from b(Q) = 200 on.
     """
-    b = quiver.betti()
-    prefactor = ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b))
-    rhs = prefactor * hilbert_specialized(quiver, guard)
+    hilbert = hilbert_specialized(quiver, guard)
     lhs = asymptotic_kac(quiver, guard)
+    b = quiver.betti()
+    rhs = ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b)) * hilbert
     return {
         "lhs": str(lhs),
         "rhs": str(rhs),

@@ -1,9 +1,12 @@
 """Command-line driver: subcommands, output formats, exit codes."""
 
 import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
+import textwrap
 import time
 
 import pytest
@@ -340,6 +343,29 @@ def test_huge_vertex_count_exits_3(nvertices, command, tmp_path, capsys):
     assert f"vertex count estimate {nvertices} > limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, narrows, message",
+    [
+        # str() refuses an int past 4300 digits: the f-string of these three
+        # GuardErrors raised ValueError, and the runs ended with exit 2
+        (["shelling"], 1800, "order complex estimate >= 2^16885 > limit"),
+        (["kac"], 14500, "chain sum estimate >= 2^14521 > limit"),
+        # 3^m comes before the 2-connectivity test, which took 47 s here
+        (["asymptotic"], 9100, "asymptotic sum estimate >= 2^14423 > limit"),
+        # the Hilbert estimate comes before the prefactor's gcd, which took 38 s
+        (["verify", "thm41"], 301, "hilbert series estimate "),
+    ],
+)
+def test_huge_estimates_refused_fast(command, narrows, message, tmp_path, capsys):
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * narrows}))
+    start = time.perf_counter()
+    assert main([*command, "--quiver", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err) < 300
+
+
 @pytest.mark.parametrize("lam", ["1", "1,-1,0"])
 def test_moment_fiber_lam_length_is_a_user_error(lam, a2_file, capsys):
     args = ["oracle", "moment-fiber", "--quiver", a2_file, "--p", "3", "--alpha", "1"]
@@ -382,6 +408,52 @@ def _parser_commands() -> set[str]:
 
 def test_handlers_cover_the_parser():
     assert set(cli.HANDLERS) == _parser_commands()
+
+
+def _flags_read(fn) -> set[str]:
+    """The ``args`` attributes fn reads, also through the cli helpers it
+    passes ``args`` to, and "quiver" when it loads its quiver parameter."""
+    flags = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            flags.add(node.attr)
+        elif isinstance(node, ast.Call) and "args" in [getattr(a, "id", None) for a in node.args]:
+            flags |= _flags_read(getattr(cli, node.func.id))
+        elif isinstance(node, ast.Name) and node.id == "quiver" and isinstance(node.ctx, ast.Load):
+            flags.add("quiver")
+    return flags
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_each_subcommand_accepts_only_the_flags_it_reads(command):
+    parser = build_parser()
+    for name in command.split():
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    accepted = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    # main reads --format and --seed for every command
+    assert accepted == _flags_read(cli.HANDLERS[command]) | {"format", "seed"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["verify", "thm41"], "--alpha=2"),
+        (["verify", "thm41"], "--p=3"),
+        (["verify", "thm41"], "--bound=1,1"),
+        (["verify", "thm41"], "--lam=1,-1"),
+        (["verify", "exp-identity"], "--lam=1,-1"),
+        (["verify", "generic-fiber"], "--bound=1,1"),
+        (["oracle", "orbit-count"], "--rank=1,1"),
+        (["oracle", "orbit-count"], "--lam=1,-1"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(command, flag, kron_file, capsys):
+    # these pairs used to be accepted and the flag silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--quiver", kron_file, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_report_envelope(kron_file, capsys):

@@ -164,6 +164,14 @@ def test_each_subcommand_executes_only_its_layers(triangle_file):
     for argv in (["shelling"], ["verify", "thm41"], ["asymptotic"]):
         assert executed(*argv, "--quiver", triangle_file).isdisjoint({"moment", "rank"}), argv
     assert executed("rank-table", "--g", "2", "--alpha", "2").isdisjoint({"toric", "srcomplex", "moment"})
+    # the moment suites reach plethysm, series and rank as lazy modules
+    fiber = {"cli", "laurent", "moment", "oring", "quiver", "toric"}
+    assert executed("oracle", "moment-fiber", "--quiver", triangle_file, "--p", "3") == fiber
+    generic = ["--quiver", triangle_file, "--p", "5", "--lam=1,-2,1"]
+    assert executed("verify", "generic-fiber", *generic) == fiber
+    assert executed("e-series", "--quiver", triangle_file, "--alpha", "2") == fiber
+    exp_identity = executed("verify", "exp-identity", "--quiver", triangle_file)
+    assert exp_identity == fiber | {"plethysm", "series"}
     assert _python("-c", "import sys, types\nimport kacdepth\n" + _EXECUTED).stdout == "\n"
 
 

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from kacdepth import LaurentPoly, group_order_gl
-from kacdepth.oring import ORing
+from kacdepth import GuardError, LaurentPoly, group_order_gl
+from kacdepth.oring import ORing, check_work
 
 from helpers import cached_ring
 from oracles import OElem
@@ -110,3 +110,13 @@ class TestGroupOrder:
             assert len(ring.units) == group_order_gl((1,), alpha).evaluate(p)
             assert gl2 == group_order_gl((2,), alpha).evaluate(p)
         assert counts[2, 1] == 6 and counts[2, 2] == 96
+
+
+def test_check_work_names_a_huge_estimate_by_its_power_of_two():
+    # str() refuses an int past 4300 digits; 10^1000 is still shown whole
+    with pytest.raises(GuardError, match=f"^x estimate {10**1000} > limit 5; raise --guard$"):
+        check_work("x", 10**1000, 5)
+    with pytest.raises(GuardError, match=r"^x estimate >= 2\^3322 > limit 5; raise --guard$"):
+        check_work("x", 2**3322, 5)
+    with pytest.raises(GuardError, match=r"^x estimate >= 2\^50000 > limit 5; raise --guard$"):
+        check_work("x", 3 * 2**49999, 5)

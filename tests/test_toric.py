@@ -307,6 +307,11 @@ class TestAsymptotics:
         with pytest.raises(ValueError, match="does not converge"):
             asymptotic_kac(A2)
 
+    def test_guard_before_two_connectivity(self):
+        # the 3^m estimate is checked before the O(m^2) 2-connectivity test
+        with pytest.raises(GuardError, match="asymptotic sum estimate 3 > limit 2"):
+            asymptotic_kac(A2, guard=2)
+
     def test_common_denominator_matches_oracle(self, two_connected_3v_5a):
         for quiver in [*two_connected_3v_5a, Quiver(2, ((0, 1),) * 8)]:
             assert asymptotic_kac(quiver) == asymptotic_chain_sum_oracle(quiver), quiver
