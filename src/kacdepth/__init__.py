@@ -16,7 +16,8 @@ names in ``__all__`` resolve through the module ``__getattr__`` below.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-for layer in ("laurent", "series", "plethysm", "quiver", "oring", "toric", "srcomplex", "moment", "rank"):
+for layer in ("poly", "laurent", "series", "plethysm", "quiver", "oring", "toric", "srcomplex", "moment",
+              "rank"):
     spec = find_spec(f"{__name__}.{layer}")
     spec.loader = LazyLoader(spec.loader)
     module = module_from_spec(spec)
@@ -67,7 +68,8 @@ __all__ = [
 def __getattr__(name):
     """Resolve an exported name from its layer module (PEP 562)."""
     for layer, names in (
-        ("laurent", "LaurentPoly RatFunc"),
+        ("poly", "LaurentPoly"),
+        ("laurent", "RatFunc"),
         ("series", "TSeries"),
         ("plethysm", "adams pleth_exp pleth_log"),
         ("quiver", "Quiver ValuedTree"),

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import moment, rank, srcomplex, toric
-from .laurent import LaurentPoly
+from .poly import LaurentPoly
 from .oring import DEFAULT_GUARD, GuardError, check_work
 from .quiver import Quiver, QuiverFormatError
 

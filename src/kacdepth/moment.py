@@ -30,12 +30,11 @@ from itertools import product
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
-from . import plethysm, series
+from . import laurent, plethysm, series, toric
 from . import rank as ranks  # ``rank`` is a parameter name here
-from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc
 from .oring import DEFAULT_GUARD, _check_prime, check_work, group_order_gl, guarded_power
+from .poly import LaurentPoly
 from .quiver import Quiver
-from .toric import _chain_sum_work, toric_kac_chain
 
 
 def _rank_vectors(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -182,7 +181,7 @@ def kac_polynomial(
         support = [i for i, r in enumerate(rank) if r == 1]
         if not support:
             raise ValueError("rank must be nonzero")
-        return toric_kac_chain(quiver.restrict_vertices(support), alpha, guard)
+        return toric.toric_kac_chain(quiver.restrict_vertices(support), alpha, guard)
     if quiver.nvertices == 1 and rank == (2,):
         return ranks.closed_form_rank2(len(quiver.loops()), alpha).as_polynomial()
     raise ValueError("rank out of implemented range")
@@ -219,7 +218,7 @@ def verify_exp_identity(
     for r in _rank_vectors(bound):
         _check_fiber_work(quiver, r, p, alpha, guard)
     a_series = series.TSeries(bound, {
-        r: RatFunc(kac_polynomial(quiver, r, alpha, guard)) / ONE_MINUS_QINV
+        r: laurent.RatFunc(kac_polynomial(quiver, r, alpha, guard)) / laurent.ONE_MINUS_QINV
         for r in _rank_vectors(bound)
     })
     rhs_series = plethysm.pleth_exp(a_series)
@@ -273,7 +272,7 @@ def verify_generic_fiber(
     rhs = (
         qp ** (-alpha * quiver.euler_form(rank, rank))
         * a_poly.evaluate(qp)
-        / ONE_MINUS_QINV.evaluate(qp)
+        / laurent.ONE_MINUS_QINV.evaluate(qp)
     )
     return {
         "prime": p,
@@ -358,13 +357,13 @@ def e_series_check(
         check_work("subset walk", (guarded_power(3, n, "subset walk", guard) - 1) // 2, guard)
     targets = range(1, full + 1) if mode == "zero-fiber" else [full]
     blocks = _connected_blocks(quiver, targets)  # A_B = 0 exactly when Q|_B is disconnected
-    check_work("chain sum", sum(_chain_sum_work(q, alpha) for q in blocks.values()), guard)
+    check_work("chain sum", sum(toric._chain_sum_work(q, alpha) for q in blocks.values()), guard)
     # the pairs (S, B) of the walk below, S = B plus any vertices above min B:
     # 2^(#{v > min B} - |B| + 1) per block, 1 for the generic fiber's full block
     pairs = sum(1 << n - (b & -b).bit_length() + 1 - b.bit_count() for b in blocks)
     floor = -order - (alpha * quiver.betti() if pairs else 0) - abs(shift) - n - 2
     check_work("partition sum", pairs * floor * floor, guard)
-    chains = {b: toric_kac_chain(q, alpha, guard) for b, q in blocks.items()}
+    chains = {b: toric.toric_kac_chain(q, alpha, guard) for b, q in blocks.items()}
 
     # P_G = q^((alpha-1) n) (q-1)^n cancels the (q-1)^-n of the formula; on
     # the direct side z * sum_{k>=1} z^-k is common to the blocks holding min S
@@ -386,7 +385,7 @@ def e_series_check(
             sub = (sub - 1) & rest
         direct[s] = LaurentPoly({e: c for e, c in (geom * inner).items() if e >= floor})
     p_x = fsum[full].shift((alpha - 1) * n + shift)
-    lhs = RatFunc(p_x, group_order_gl(rank, alpha)).series_at_infinity(-order)
+    lhs = laurent.RatFunc(p_x, group_order_gl(rank, alpha)).series_at_infinity(-order)
     rhs = direct[full].shift(shift)
     rows = []
     for e in sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True):

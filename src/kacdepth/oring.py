@@ -15,13 +15,23 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from .laurent import LaurentPoly
+from .poly import LaurentPoly
 
 DEFAULT_GUARD = 2**24
 
 
 class GuardError(RuntimeError):
-    """An enumeration or subset DP would exceed the configured guard limit."""
+    """An enumeration or subset DP would exceed the configured guard limit.
+
+    ``route`` names the refused route, ``limit`` is the guard and
+    ``estimate`` the work estimate, which exceeds it (``None`` if not given).
+    ``guarded_power`` never forms its power: its ``estimate`` is the lower
+    bound 2^(bit length of limit + 1) that its test proves.
+    """
+
+    def __init__(self, message: str, route: str | None = None, estimate: int | None = None, limit: int | None = None):
+        super().__init__(message)
+        self.route, self.estimate, self.limit = route, estimate, limit
 
 
 def _check_prime(p: int) -> None:
@@ -35,14 +45,15 @@ def check_work(label: str, work: int, guard: int) -> None:
     int past 4300 digits."""
     if work > guard:
         shown = work if work.bit_length() <= 3322 else f">= 2^{work.bit_length() - 1}"
-        raise GuardError(f"{label} estimate {shown} > limit {guard}; raise --guard")
+        raise GuardError(f"{label} estimate {shown} > limit {guard}; raise --guard", label, work, guard)
 
 
 def guarded_power(base: int, exp: int, label: str, guard: int) -> int:
     """base**exp for a work estimate; GuardError, before the power is formed,
     when |base|^exp >= 2^(exp * (bit_length(base) - 1)) has more bits than guard."""
     if exp * (base.bit_length() - 1) > guard.bit_length():
-        raise GuardError(f"{label} estimate >= {base}^{exp} > limit {guard}; raise --guard")
+        message = f"{label} estimate >= {base}^{exp} > limit {guard}; raise --guard"
+        raise GuardError(message, label, 1 << guard.bit_length() + 1, guard)
     return base**exp
 
 

@@ -1,6 +1,7 @@
 """Quivers as ordered directed multigraphs, with the graph operations used by
 the counting machinery: restriction, deletion, Betti numbers, connectivity
-(one union-find, ``vertex_roots``), spanning trees and tree paths.
+(one union-find, ``vertex_roots``), the rank and connectivity of every edge
+subset at once (``subset_ranks``), spanning trees and tree paths.
 
 The arrow order is the list order; restriction and deletion preserve it.
 Loops and parallel arrows are allowed.
@@ -73,6 +74,46 @@ def vertex_roots(nvertices: int, arrows: Iterable[tuple[int, int]]) -> list[int]
         if rs != rt:
             parent[rs] = rt
     return [find(v) for v in range(nvertices)]
+
+
+def subset_ranks(nvertices: int, edges: Sequence[tuple[int, int]]) -> tuple[list[int], list[bool]]:
+    """Graphic rank and spanning connectivity of every subset mask of edges.
+
+    The rank of a subset is nvertices minus its number of components, so
+    its Betti number is its size minus its rank.  Masks run in increasing
+    order, so rest = mask ^ lowbit comes first: the vertex partition of mask
+    is that of rest with the ends of the lowest edge merged, and the rank
+    rises by one exactly when that merge joins two blocks.  Partitions are
+    interned by their canonical labelling (each vertex labelled by the
+    smallest vertex of its block), and the merge (partition, edge) ->
+    partition is memoised, so a mask costs one dict lookup; a memo miss
+    relabels the block with the larger label of the edge's two ends by the
+    smaller one.
+    """
+    m = len(edges)
+    labellings: list[tuple[int, ...]] = [tuple(range(nvertices))]
+    ids = {labellings[0]: 0}
+    ranks = [0]
+    merged: dict[int, int] = {}
+    part = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        rest = part[mask ^ low]
+        e = low.bit_length() - 1
+        key = rest * m + e
+        pid = merged.get(key)
+        if pid is None:
+            labelling = labellings[rest]
+            lo, hi = sorted(labelling[v] for v in edges[e])
+            labelling = tuple(lo if x == hi else x for x in labelling)
+            if labelling not in ids:  # a new labelling: the ends were in two blocks
+                ids[labelling] = len(labellings)
+                labellings.append(labelling)
+                ranks.append(ranks[rest] + 1)
+            pid = merged[key] = ids[labelling]
+        part[mask] = pid
+    full = nvertices - 1
+    return [ranks[p] for p in part], [ranks[p] == full for p in part]
 
 
 class Quiver(_Frozen):

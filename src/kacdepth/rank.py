@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .laurent import LaurentPoly, RatFunc, _CycloSum, _cyclo_sum, poly_divmod
+from .laurent import RatFunc, _CycloSum, _cyclo_sum, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
+from .poly import LaurentPoly
 from .plethysm import pleth_log
 from .series import TSeries
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import RatFunc
+from .poly import LaurentPoly
 
 Exponent = tuple[int, ...]
 Scalar = RatFunc | LaurentPoly | int | Fraction

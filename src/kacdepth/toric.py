@@ -5,18 +5,28 @@ locally free rank-one representations over F_q[t]/(t^alpha):
 
 * ``toric_kac_chain``   -- the chain sum over nested arrow subsets
   E_1 <= ... <= E_alpha with connected top, weighted by
-  (q-1)^b(E_alpha) * q^(sum_{k<alpha} b(E_k)), as subset zeta transforms on
-  integers that pack one W-bit field per power of q, W = bit length of
-  (alpha+1)^m for m arrows (a bound on every coefficient);
+  (q-1)^b(E_alpha) * q^(sum_{k<alpha} b(E_k)), as binomial transforms over
+  parallel-arrow classes on integers that pack one W-bit field per power of
+  q, W = bit length of (alpha+1)^m for m arrows (a bound on every
+  coefficient);
 * ``toric_kac_trees``   -- the stratification by valued spanning trees,
   where the stratum of a valued tree T contributes the monomial q^(n_T);
 * ``toric_orbit_count`` -- the orbit count over F_p[t]/(t^alpha) itself,
   by Burnside's lemma over the vertex torus: fixed points need only the
   shared base-p digits of torus coordinates, never a product in the ring.
 
+The subset sums of the chain sum, the depth limit and the orbit count run
+on one class table.  Arrows with the same two ends (in either direction)
+form a class, and so do the loops at one vertex.  The Betti number of an
+arrow set E is |E| - r(supp E) and its connectivity depends on supp E
+alone, so E matters only through its count vector N, 0 <= N_i <= c_i:
+prod (c_i + 1) states in place of 2^m masks.  There are prod C(c_i, N_i)
+sets with counts N, and prod C(N'_i, N_i) sets with counts N below a fixed
+set with counts N'.
+
 The module also computes the depth->infinity limits of the toric count and
 of the normalised moment-map fiber count, which are rational functions once
-the quiver is 2-connected.
+the quiver is 2-connected; only those limits load ``laurent``.
 """
 
 from __future__ import annotations
@@ -24,63 +34,81 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, count, product
-from math import comb, isqrt
-from operator import itemgetter
-from typing import Sequence
+from math import comb, isqrt, prod
+from operator import add, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
-from .laurent import ONE_MINUS_QINV, LaurentPoly, RatFunc, _CycloSum, _cyclo_sum
+from . import laurent
 from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
-from .quiver import Quiver, ValuedTree, tree_paths
+from .poly import LaurentPoly
+from .quiver import Quiver, ValuedTree, subset_ranks, tree_paths
 
 
-def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
-    """Betti number and spanning-connectivity for every arrow subset mask.
+def _arrow_classes(quiver: Quiver) -> Counter:
+    """Parallel-arrow classes: unordered ends (v, v for loops) -> arrow count."""
+    return Counter((s, t) if s <= t else (t, s) for s, t in quiver.arrows)
 
-    Masks run in increasing order, so rest = mask ^ lowbit comes first: the
-    vertex partition of mask is that of rest with the ends of the lowest
-    arrow merged.  The Betti number rises by one exactly when that arrow
-    leaves the number of blocks unchanged.  Partitions are interned by their
-    canonical labelling (each vertex labelled by the smallest vertex of its
-    block), and the merge (partition, arrow) -> partition is memoised, so a
-    mask costs one dict lookup; a memo miss relabels the block with the
-    larger label of the arrow's two ends by the smaller one.
+
+class _ClassTable(NamedTuple):
+    """Per state N (class 0 varies fastest in the state index): b(N), whether
+    supp N connects every vertex, and prod C(c_i, N_i), the arrow sets with
+    counts N.  ``classes`` maps the ends of each class to its size c_i, in
+    that order."""
+
+    classes: Counter
+    betti: list[int]
+    connected: list[bool]
+    sets: list[int]
+
+
+def _class_table(quiver: Quiver) -> _ClassTable:
+    classes = _arrow_classes(quiver)
+    ranks, spanning = subset_ranks(quiver.nvertices, list(classes))
+    supp, size, sets = [0], [0], [1]
+    for i, c in enumerate(classes.values()):
+        bit, row = 1 << i, [comb(c, j) for j in range(1, c + 1)]
+        supp += [x | bit for x in supp] * c
+        size += [x + j for j in range(1, c + 1) for x in size]
+        sets += [x * k for k in row for x in sets]
+    betti = [n - ranks[x] for n, x in zip(size, supp)]
+    return _ClassTable(classes, betti, [spanning[x] for x in supp], sets)
+
+
+def _binomial_transform(values: list[int], sizes: Iterable[int]) -> None:
+    """In place, values[N] becomes the sum of prod C(N_i, N'_i) values[N'] over N' <= N.
+
+    Class by class, with stride t the state distance of one count of the
+    class: passes k = c-1, ..., 0 each add, in increasing order of the
+    count n > k, the entries at count n - 1 (already passed) to those at
+    count n.  Pass k turns the entries at counts >= k into their prefix sums
+    from k on, and the c passes compose to Pascal's matrix: C(n, j) paths.
+    For c = 1 that is the one subset-zeta step of a mask.  The entries at
+    one count form a slice of step (c+1) t per offset below t, or of length t
+    per block of (c+1) t states; whichever needs fewer slices is taken.
     """
-    n, arrows = quiver.nvertices, quiver.arrows
-    m = len(arrows)
-    labellings: list[tuple[int, ...]] = [tuple(range(n))]
-    ids = {labellings[0]: 0}
-    ncomp = [n]
-    merged: dict[int, int] = {}
-    part = [0] * (1 << m)
-    betti = [0] * (1 << m)
-    connected = [n == 1] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        rest = mask ^ low
-        a = low.bit_length() - 1
-        key = part[rest] * m + a
-        pid = merged.get(key)
-        if pid is None:
-            labelling = labellings[part[rest]]
-            lo, hi = sorted(labelling[v] for v in arrows[a])
-            labelling = tuple(lo if x == hi else x for x in labelling)
-            if labelling not in ids:  # a new labelling: the ends were in two blocks
-                ids[labelling] = len(labellings)
-                labellings.append(labelling)
-                ncomp.append(ncomp[part[rest]] - 1)
-            pid = merged[key] = ids[labelling]
-        part[mask] = pid
-        betti[mask] = betti[rest] + (ncomp[pid] == ncomp[part[rest]])
-        connected[mask] = ncomp[pid] == 1
-    return betti, connected
+    total, stride = len(values), 1
+    for c in sizes:
+        block = stride * (c + 1)
+        for k in range(c - 1, -1, -1):
+            for n in range(k + 1, c + 1):
+                low = n * stride
+                if stride <= total // block:
+                    for lo in range(low, low + stride):
+                        values[lo::block] = map(add, values[lo::block], values[lo - stride::block])
+                else:
+                    for lo in range(low, total, block):
+                        hi = lo + stride
+                        values[lo:hi] = map(add, values[lo:hi], values[lo - stride:hi - stride])
+        stride = block
 
 
 def _chain_sum_work(quiver: Quiver, alpha: int) -> int:
     """The work estimate of ``toric_kac_chain`` (see there)."""
     m = quiver.narrows
+    states = prod(c + 1 for c in _arrow_classes(quiver).values())
     width = ((alpha + 1) ** m).bit_length()
     words = -(-width * (quiver.betti() * (alpha - 1) + 1) // 64)
-    return (1 << m) * max(m, 1) * max(alpha - 1, 1) * words
+    return states * max(m, 1) * max(alpha - 1, 1) * words
 
 
 def toric_kac_chain(
@@ -89,38 +117,36 @@ def toric_kac_chain(
     """Chain-sum formula for the depth-alpha toric count.
 
     The sum runs over nested subsets E_1 <= ... <= E_alpha of the arrow set
-    whose top makes the quiver connected on all vertices.  Nested sums over
-    subsets are evaluated as iterated subset (zeta) transforms; for a
-    disconnected quiver no chain survives and the result is 0.
+    whose top makes the quiver connected on all vertices.  Each nested sum
+    over subsets is a binomial transform over the class states (see the
+    module docstring), and the top weighs each state by its prod C(c_i, N_i)
+    arrow sets; for a disconnected quiver no chain survives and the result
+    is 0.
 
-    Integers pack each layer: layer[E] holds the coefficient of q^e in bits
-    [e*W, (e+1)*W).  Coefficients count chains below some E, at most
-    sum_E alpha^|E| = (alpha+1)^m < 2^W in all, so no field carries into the
-    next.  Each step adds up to W * b(Q) bits, so the top layer holds
-    ceil(W * (b(Q) * (alpha-1) + 1) / 64) machine words per entry.  The
-    work estimate 2^m * max(m, 1) * max(alpha-1, 1) times those words must
-    not exceed guard.
+    Integers pack each layer: layer[N] holds the coefficient of q^e in bits
+    [e*W, (e+1)*W).  Coefficients count chains below some arrow set E, at
+    most sum_E alpha^|E| = (alpha+1)^m < 2^W in all, so no field carries
+    into the next.  Each step adds up to W * b(Q) bits, so the top layer
+    holds ceil(W * (b(Q) * (alpha-1) + 1) / 64) machine words per entry.
+    The work estimate prod (c_i + 1) states times max(m, 1) passes (c_i per
+    class, m in all) times max(alpha-1, 1) layers times those words must not
+    exceed guard; for a quiver without parallel arrows it reads 2^m * ...
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     check_work("chain sum", _chain_sum_work(quiver, alpha), guard)
-    m = quiver.narrows
-    width = ((alpha + 1) ** m).bit_length()
-    betti, connected = _mask_betti_tables(quiver)
-    nmasks = 1 << m
-    # layer[E] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j))
-    layer = [1] * nmasks
+    width = ((alpha + 1) ** quiver.narrows).bit_length()
+    table = _class_table(quiver)
+    # layer[N] = sum over chains E_1 <= ... <= E_{k-1} <= E of q^(sum b(E_j)),
+    # for any E with counts N
+    layer = [1] * len(table.betti)
     for _ in range(alpha - 1):
-        layer = [c << b * width for c, b in zip(layer, betti)]
-        for bit in range(m):
-            step = 1 << bit
-            for mask in range(nmasks):
-                if mask & step:
-                    layer[mask] += layer[mask ^ step]
+        layer = [c << b * width for c, b in zip(layer, table.betti)]
+        _binomial_transform(layer, table.classes.values())
     # group the connected tops by Betti number: one (q-1)^b product each
     groups: dict[int, int] = {}
-    for mask in compress(range(nmasks), connected):
-        groups[betti[mask]] = groups.get(betti[mask], 0) + layer[mask]
+    for b, sets, packed in compress(zip(table.betti, table.sets, layer), table.connected):
+        groups[b] = groups.get(b, 0) + sets * packed
     field = (1 << width) - 1
     coeffs: dict[int, int] = {}
     for b, packed in groups.items():
@@ -206,23 +232,26 @@ def toric_orbit_count(
     elements, v the number of leading base-p digits the codes of u_t and u_s
     share (alpha for a loop).  So with connected spanning support
     |Fix(u)| = sum over connected spanning arrow sets S of
-    prod_{a in S} (p^(v_a) - 1), one product per arrow subset, memoised on
-    the vector (v_a).  The work estimate |T| * 2^m products times the squared
-    machine words of p^(alpha m), the largest count, plus isqrt(p) for the
-    primality test, must not exceed guard.
+    prod_{a in S} (p^(v_a) - 1), memoised on the vector (v_a).  v_a is the
+    same on a class of parallel arrows, so the sum runs over the class
+    states N: prod C(c_i, N_i) (p^(v_i) - 1)^(N_i) each.  The work estimate
+    |T| * 2^m products (2^m bounds the states) times the squared machine
+    words of p^(alpha m), the largest count, plus isqrt(p) for the primality
+    test, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     if p < 2:
         raise ValueError(f"{p} is not prime")
-    m, n, arrows = quiver.narrows, quiver.nvertices, quiver.arrows
+    m, n = quiver.narrows, quiver.nvertices
     k = max(n - 1, 0)
     torus = guarded_power(p - 1, k, "orbit count", guard)
     torus *= guarded_power(p, (alpha - 1) * k, "orbit count", guard)
     words = -(-alpha * m * p.bit_length() // 64) or 1
     check_work("orbit count", (torus << m) * words * words + isqrt(p), guard)
     _check_prime(p)
-    spanning = list(compress(range(1 << m), _mask_betti_tables(quiver)[1]))
+    table = _class_table(quiver)
+    spanning = list(compress(zip(count(), table.sets), table.connected))
 
     def shared_digits(a: int, b: int) -> int:
         # codes lie in range(p^alpha): unequal ones share fewer than alpha digits
@@ -233,14 +262,13 @@ def toric_orbit_count(
     total = 0
     for u in product(units, repeat=k):
         u = (1, *u)
-        vs = tuple(shared_digits(u[t], u[s]) for s, t in arrows)
+        vs = tuple(shared_digits(u[t], u[s]) for s, t in table.classes)
         if vs not in fixed:
-            # weight[mask] = prod of p^(v_a) - 1 over the arrows a in mask
-            weight = [1] * (1 << m)
-            for mask in range(1, 1 << m):
-                a = (mask & -mask).bit_length() - 1
-                weight[mask] = weight[mask & (mask - 1)] * (p ** vs[a] - 1)
-            fixed[vs] = sum(weight[mask] for mask in spanning)
+            # weight[N] = prod of (p^(v_i) - 1)^(N_i) over the classes i
+            weight = [1]
+            for v, c in zip(vs, table.classes.values()):
+                weight = [w * (p**v - 1) ** j for j in range(c + 1) for w in weight]
+            fixed[vs] = sum(sets * weight[state] for state, sets in spanning)
         total += fixed[vs]
     return total // torus
 
@@ -249,49 +277,61 @@ def toric_orbit_count(
 # depth -> infinity limits
 
 
-def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
+def _asymptotic_work(quiver: Quiver) -> int:
+    """The work estimate of ``asymptotic_kac`` (see there)."""
+    pairs = prod(comb(c + 2, 2) for c in _arrow_classes(quiver).values())
+    return pairs * (1 + (quiver.betti() + 1) ** 3 // 1024)
+
+
+def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> laurent.RatFunc:
     """Limit of q^(-alpha b(Q)) times the depth-alpha toric count.
 
     Exists exactly when the quiver is 2-connected, and equals
     (1-q^-1)^b(Q) times the sum over strictly increasing chains of arrow
     subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1),
-    summed over one common denominator.  The work estimate 3^m counts the
-    (subset, superset) steps of that sum, each one numerator addition of
-    2-4 us (Python 3.11, 2-core x86-64: Kronecker 12, 3^12 steps, takes
-    about 1 s), and must not exceed guard; the limit is cached per quiver,
-    whatever the guard.  The estimate is checked before the 2-connectivity
-    test, which deletes each arrow in turn (O(m^2)).
+    summed over one common denominator.  The work estimate, which must not
+    exceed guard, counts the prod C(c_i + 2, 2) (state, superstate) pairs
+    N <= N' over the class states (3^m without parallel arrows) at
+    1 + (b(Q) + 1)^3 // 1024 units of about 5 us each: a pair adds and lifts
+    a numerator of about b(Q)^2 / 2 coefficients, 5 us + 6 ns (b(Q) + 1)^3
+    (Python 3.11, 2-core x86-64; 3^12 pairs at b(Q) = 7: 2.8 s, Kronecker 60:
+    2.4 s).  The limit is cached per quiver, whatever the guard.  The
+    estimate comes before the O(m^2) 2-connectivity test.
     """
-    check_work("asymptotic sum", 3**quiver.narrows, guard)
+    check_work("asymptotic sum", _asymptotic_work(quiver), guard)
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
     return _asymptotic_chain_sum(quiver)
 
 
+def _scaled(term: laurent._CycloSum, k: int) -> laurent._CycloSum:
+    return term if k == 1 else term._replace(coeffs=[k * x for x in term.coeffs])
+
+
 @lru_cache(maxsize=None)
-def _asymptotic_chain_sum(quiver: Quiver) -> RatFunc:
-    m = quiver.narrows
-    betti, _ = _mask_betti_tables(quiver)
+def _asymptotic_chain_sum(quiver: Quiver) -> laurent.RatFunc:
+    table = _class_table(quiver)
     b = quiver.betti()
-    full = (1 << m) - 1
-    # weight[E] = sum over chains E < E' < ... < full of the product of
-    # 1/(q^(b - b(E_j)) - 1) over the proper chain entries E_j
-    weight = {full: _CycloSum(0, [1])}
-    for mask in range(full - 1, -1, -1):
-        # strict supersets of mask inside full
-        rest = full & ~mask
-        supersets = []
-        sub = rest
-        while sub:
-            supersets.append(weight[mask | sub])
-            sub = (sub - 1) & rest
-        weight[mask] = _cyclo_sum(supersets).divided(b - betti[mask])
-    return _cyclo_sum(weight.values()).times(ONE_MINUS_QINV.num**b).ratfunc()
+    full = len(table.betti) - 1
+    # weight[N] = sum over chains E < E' < ... < all arrows of the product of
+    # 1/(q^(b - b(E_j)) - 1) over the proper chain entries E_j, for any E
+    # with counts N; the E' > E with counts N' number prod C(c_i - N_i, N'_i - N_i)
+    weight = [None] * full + [laurent._CycloSum(0, [1])]
+    for state in range(full - 1, -1, -1):
+        ups, rest, stride = [(0, 1)], state, 1
+        for c in table.classes.values():
+            rest, n = divmod(rest, c + 1)
+            ups = [(up + d * stride, k * comb(c - n, d)) for d in range(c - n + 1) for up, k in ups]
+            stride *= c + 1
+        supersets = [_scaled(weight[state + up], k) for up, k in ups[1:]]
+        weight[state] = laurent._cyclo_sum(supersets).divided(b - table.betti[state])
+    total = laurent._cyclo_sum(map(_scaled, weight, table.sets))
+    return total.times(laurent.ONE_MINUS_QINV.num**b).ratfunc()
 
 
-def asymptotic_moment(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
+def asymptotic_moment(quiver: Quiver, guard: int = DEFAULT_GUARD) -> laurent.RatFunc:
     """Limit of the normalised moment-map zero-fiber count.
 
     Related to the toric limit by a factor (1-q^-1)^(#vertices - 1).
     """
-    return ONE_MINUS_QINV ** (quiver.nvertices - 1) * asymptotic_kac(quiver, guard)
+    return laurent.ONE_MINUS_QINV ** (quiver.nvertices - 1) * asymptotic_kac(quiver, guard)

@@ -24,7 +24,10 @@ against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle`
 normalised by a gcd, checked against the library's sums over one common
 denominator; the Hilbert oracle also lists every chain of the order complex
 (``chain_faces_oracle``), checked against the library's mask DP, which counts
-chains by exponent multiset without listing them.
+chains by exponent multiset without listing them.  ``chain_sum_mask_oracle``
+and ``asymptotic_chain_sum_mask_oracle`` run the chain sum and the depth
+limit over all 2^m arrow masks, checked against the library's sums over
+parallel-arrow class states.
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ from typing import Iterator, Sequence
 from kacdepth import (
     LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
 )
-from kacdepth.laurent import ONE_MINUS_QINV
+from kacdepth.laurent import ONE_MINUS_QINV, _CycloSum, _cyclo_sum
 from kacdepth.oring import ORing, _check_prime
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
 from kacdepth.rank import (
     _kac_from_totals, rank2_initial, rank2_transition, rank3_initial, rank3_transition,
 )
-from kacdepth.srcomplex import _specialized_exponents, lex_shelling, order_complex
-from kacdepth.toric import _mask_betti_tables
+from kacdepth.srcomplex import _mask_betti_tables, _specialized_exponents, lex_shelling, order_complex
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -501,6 +503,55 @@ def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
         sums = rank_class_sums_oracle(initial(g), transition(g), alpha)
         totals.append(sum(sums, RatFunc.zero()))
     return _kac_from_totals(totals)
+
+
+# ----------------------------------------------------------------------
+# subset sums over arrow masks, which the library runs over class states
+
+
+def chain_sum_mask_oracle(quiver: Quiver, alpha: int) -> LaurentPoly:
+    """The chain sum of ``toric_kac_chain`` by subset zeta transforms over all
+    2^m arrow masks, on the same packed integers, one mask per arrow set."""
+    m = quiver.narrows
+    width = ((alpha + 1) ** m).bit_length()
+    betti, connected = _mask_betti_tables(quiver)
+    nmasks = 1 << m
+    layer = [1] * nmasks
+    for _ in range(alpha - 1):
+        layer = [c << b * width for c, b in zip(layer, betti)]
+        for bit in range(m):
+            step = 1 << bit
+            for mask in range(nmasks):
+                if mask & step:
+                    layer[mask] += layer[mask ^ step]
+    groups: dict[int, int] = {}
+    for mask in compress(range(nmasks), connected):
+        groups[betti[mask]] = groups.get(betti[mask], 0) + layer[mask]
+    field = (1 << width) - 1
+    total = LaurentPoly.zero()
+    for b, packed in groups.items():
+        fields = {e: packed >> (e * width) & field for e in range(packed.bit_length() // width + 1)}
+        total = total + LaurentPoly(fields) * LaurentPoly({1: 1, 0: -1}) ** b
+    return total
+
+
+def asymptotic_chain_sum_mask_oracle(quiver: Quiver) -> RatFunc:
+    """The strict-chain sum of ``asymptotic_kac`` by the 3^m (mask, supermask)
+    walk, over one common denominator."""
+    m = quiver.narrows
+    betti, _ = _mask_betti_tables(quiver)
+    b = quiver.betti()
+    full = (1 << m) - 1
+    weight = {full: _CycloSum(0, [1])}
+    for mask in range(full - 1, -1, -1):
+        rest = full & ~mask
+        supersets = []
+        sub = rest
+        while sub:
+            supersets.append(weight[mask | sub])
+            sub = (sub - 1) & rest
+        weight[mask] = _cyclo_sum(supersets).divided(b - betti[mask])
+    return _cyclo_sum(weight.values()).times(ONE_MINUS_QINV.num**b).ratfunc()
 
 
 # ----------------------------------------------------------------------

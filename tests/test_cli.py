@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from kacdepth import cli
 from kacdepth.cli import build_parser, main
-from kacdepth.oring import ORing
+from kacdepth.oring import GuardError, ORing
 
 
 @pytest.fixture()
@@ -225,14 +225,16 @@ def test_generic_test_refused_fast(tmp_path, capsys):
     assert "generic test estimate >= 2^40 > limit 16777216" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, message",
-    [
-        (["asymptotic"], "asymptotic sum estimate 9 > limit 8"),
-        (["verify", "thm41"], "asymptotic sum estimate 9 > limit 8"),
-        (["shelling"], "order complex estimate 4 > limit 3"),
-    ],
-)
+# Kronecker 2 is one class of two parallel arrows: the depth limit walks
+# C(2 + 2, 2) = 6 state pairs N <= N'; the order complex has 2! * 2 entries
+SYMBOLIC_GUARDS = [
+    (["asymptotic"], "asymptotic sum estimate 6 > limit 5"),
+    (["verify", "thm41"], "asymptotic sum estimate 6 > limit 5"),
+    (["shelling"], "order complex estimate 4 > limit 3"),
+]
+
+
+@pytest.mark.parametrize("command, message", SYMBOLIC_GUARDS)
 def test_symbolic_routes_use_guard(command, message, kron_file, capsys):
     limit = int(message.rsplit(" ", 1)[1])
     assert main([*command, "--quiver", kron_file, "--guard", str(limit)]) == 3
@@ -250,21 +252,21 @@ def test_shelling_kronecker12_refused_fast(guard, tmp_path, capsys):
     assert "order complex estimate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "quiver, alpha, message",
-    [
-        # one loop: 2 * 1 * 99999 subset steps, each on a top layer of
-        # ceil(17 * (99999 + 1) / 64) = 26563 words; unguarded it runs for seconds
-        ({"vertices": 1, "arrows": [[0, 0]]}, "100000", "chain sum estimate 5312546874"),
-        # K4 passes the chain sum, but its census has up to C(6, 3) * 100^3
-        # = 2 * 10^7 strata; the estimate is that times 6 arrows
-        (
-            {"vertices": 4, "arrows": [[i, j] for i in range(4) for j in range(i + 1, 4)]},
-            "100",
-            "tree census estimate 120000000",
-        ),
-    ],
-)
+KAC_REFUSALS = [
+    # one loop: 2 * 1 * 99999 subset steps, each on a top layer of
+    # ceil(17 * (99999 + 1) / 64) = 26563 words; unguarded it runs for seconds
+    ({"vertices": 1, "arrows": [[0, 0]]}, "100000", "chain sum estimate 5312546874"),
+    # K4 passes the chain sum, but its census has up to C(6, 3) * 100^3
+    # = 2 * 10^7 strata; the estimate is that times 6 arrows
+    (
+        {"vertices": 4, "arrows": [[i, j] for i in range(4) for j in range(i + 1, 4)]},
+        "100",
+        "tree census estimate 120000000",
+    ),
+]
+
+
+@pytest.mark.parametrize("quiver, alpha, message", KAC_REFUSALS)
 def test_kac_refused_fast(quiver, alpha, message, tmp_path, capsys):
     path = tmp_path / "quiver.json"
     path.write_text(json.dumps(quiver))
@@ -318,7 +320,10 @@ def test_exp_identity_refused_before_chain_sum(tmp_path, capsys):
     assert main(args + ["--alpha", "2", "--guard", "49"]) == 0
 
 
-@pytest.mark.parametrize("nvertices, guard, estimate", [(22, 100, 127), (4, 7, 15)])
+RANK_VECTOR_REFUSALS = [(22, 100, 127), (4, 7, 15)]
+
+
+@pytest.mark.parametrize("nvertices, guard, estimate", RANK_VECTOR_REFUSALS)
 def test_exp_identity_counts_rank_vectors_first(nvertices, guard, estimate, tmp_path, capsys):
     # n isolated vertices have 2^n - 1 rank vectors at the default bound; the
     # count is refused before any is walked, multiplied out only until it
@@ -332,8 +337,12 @@ def test_exp_identity_counts_rank_vectors_first(nvertices, guard, estimate, tmp_
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nvertices", [10**400, 10**9], ids=["1e400", "1e9"])
-@pytest.mark.parametrize("command", [["kac"], ["verify", "exp-identity"], ["e-series"]])
+HUGE_VERTEX_COUNTS = [10**400, 10**9]
+VERTEX_COUNT_COMMANDS = [["kac"], ["verify", "exp-identity"], ["e-series"]]
+
+
+@pytest.mark.parametrize("nvertices", HUGE_VERTEX_COUNTS, ids=["1e400", "1e9"])
+@pytest.mark.parametrize("command", VERTEX_COUNT_COMMANDS)
 def test_huge_vertex_count_exits_3(nvertices, command, tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"vertices": nvertices, "arrows": []}))
@@ -343,27 +352,62 @@ def test_huge_vertex_count_exits_3(nvertices, command, tmp_path, capsys):
     assert f"vertex count estimate {nvertices} > limit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, narrows, message",
-    [
-        # str() refuses an int past 4300 digits: the f-string of these three
-        # GuardErrors raised ValueError, and the runs ended with exit 2
-        (["shelling"], 1800, "order complex estimate >= 2^16885 > limit"),
-        (["kac"], 14500, "chain sum estimate >= 2^14521 > limit"),
-        # 3^m comes before the 2-connectivity test, which took 47 s here
-        (["asymptotic"], 9100, "asymptotic sum estimate >= 2^14423 > limit"),
-        # the Hilbert estimate comes before the prefactor's gcd, which took 38 s
-        (["verify", "thm41"], 301, "hilbert series estimate "),
-    ],
-)
-def test_huge_estimates_refused_fast(command, narrows, message, tmp_path, capsys):
-    path = tmp_path / "kronecker.json"
-    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * narrows}))
+def _kronecker(narrows: int) -> dict:
+    return {"vertices": 2, "arrows": [[0, 1]] * narrows}
+
+
+def _cycle(n: int) -> dict:
+    return {"vertices": n, "arrows": [[i, (i + 1) % n] for i in range(n)]}
+
+
+HUGE_ESTIMATES = [
+    # str() refuses an int past 4300 digits: the f-string of these three
+    # GuardErrors raised ValueError, and the runs ended with exit 2
+    (["shelling"], _kronecker(1800), "order complex estimate >= 2^16885 > limit"),
+    # a cycle has no parallel arrows, so its 2^14500 states are masks:
+    # 2^14500 * 14500 * 1 * ceil(14501 / 64) words
+    (["kac"], _cycle(14500), "chain sum estimate >= 2^14521 > limit"),
+    # 3^m state pairs for the cycle's m = 9100 one-arrow classes, before the
+    # 2-connectivity test, which took 47 s on Kronecker 9100
+    (["asymptotic"], _cycle(9100), "asymptotic sum estimate >= 2^14423 > limit"),
+    # C(202, 2) = 20301 state pairs at 1 + 200^3 // 1024 = 7813 units each:
+    # counted as pairs alone, Kronecker 200 was admitted (about 15 min by the
+    # m^5 growth from Kronecker 80's 9.9 s)
+    (["asymptotic"], _kronecker(200), "asymptotic sum estimate 158611713 > limit"),
+    # the Hilbert estimate comes before the prefactor's gcd, which took 38 s
+    (["verify", "thm41"], _kronecker(301), "hilbert series estimate "),
+    # summed with running binomials: 4.2 s for the estimate alone when each
+    # term was computed anew
+    (["verify", "thm41"], _kronecker(4000), "hilbert series estimate >= 2^7998 > limit"),
+]
+
+
+@pytest.mark.parametrize("command, quiver, message", HUGE_ESTIMATES)
+def test_huge_estimates_refused_fast(command, quiver, message, tmp_path, capsys):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
     start = time.perf_counter()
     assert main([*command, "--quiver", str(path)]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and len(err) < 300
+
+
+@pytest.mark.parametrize("command", [["kac", "--alpha", "4"], ["asymptotic"]])
+def test_kronecker30_at_default_guard(command, tmp_path, capsys):
+    # one class of 30 arrows: 31 states (chain sum estimate 31 * 30 * 3 * 97
+    # words) and C(32, 2) = 496 state pairs at 1 + 30^3 // 1024 = 27 units
+    # each (asymptotic sum estimate 13392); over 2^30 masks both were refused
+    path = tmp_path / "kronecker30.json"
+    path.write_text(json.dumps(_kronecker(30)))
+    start = time.perf_counter()
+    assert main([*command, "--quiver", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"]
+    if command[0] == "asymptotic":
+        # (q^m - 1) / ((q - 1)(q^(m-1) - 1)), as the mask walk gives for m <= 12
+        assert report["A"] == f"({'+'.join(f'q^{e}' for e in range(29, 1, -1))}+q+1)/(q^29-1)"
 
 
 @pytest.mark.parametrize("lam", ["1", "1,-1,0"])
@@ -468,39 +512,40 @@ def test_report_envelope(kron_file, capsys):
 KRON2 = {"vertices": 2, "arrows": [[0, 1]] * 2}
 
 
-@pytest.mark.parametrize(
-    "quiver, mode, order, guard, message",
-    [
-        # two vertices: (3^2 - 1)/2 = 4 subset steps (S, B)
-        (KRON2, "zero-fiber", 10, 3, "subset walk estimate 4"),
-        (KRON2, "generic-fiber", 10, 3, "chain sum estimate 8"),
-        # before any chain sum: 4 pairs (S, B) times L^2, L = 20000 + alpha b(Q)
-        # + |shift| + n + 2 = 20000 + 2 + 0 + 2 + 2; unguarded the truncated
-        # products ran past 60 s
-        (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1600960144"),
-        # 10 points: each S splits off only {min S}, 1023 pairs times 42^2
-        ({"vertices": 10, "arrows": []}, "zero-fiber", 10, 100000,
-         "partition sum estimate 1804572"),
-        # 40 points are refused before 3^40 is formed
-        ({"vertices": 40, "arrows": []}, "zero-fiber", 10, 2**24,
-         "subset walk estimate >= 3^40"),
-        # a 12-cycle with 6 chords: each block's chain sum is within the guard
-        # (but the full one), their sum is not; block by block this ran 10 s
-        ({"vertices": 12,
-          "arrows": [[i, (i + 1) % 12] for i in range(12)]
-          + [[i, (i + 3) % 12] for i in range(0, 12, 2)]},
-         "zero-fiber", 10, 2**24, "chain sum estimate 49247472"),
-        # a 14-cycle: its 183 connected blocks pair with 49108 sets S, times
-        # L^2, L = 10 + 2 + 0 + 14 + 2 = 28, known before any chain sum; the
-        # walk over (3^14 - 1)/2 pairs ran 2.6 s
-        ({"vertices": 14, "arrows": [[i, (i + 1) % 14] for i in range(14)]},
-         "zero-fiber", 10, 2**24, "partition sum estimate 38500672"),
-        # a 15-cycle: 211 connected blocks, 98257 pairs times (10 + 2 + 0 + 15
-        # + 2)^2, after its 2^15 - 1 connectivity tests
-        ({"vertices": 15, "arrows": [[i, (i + 1) % 15] for i in range(15)]},
-         "zero-fiber", 10, 2**24, "partition sum estimate 82634137"),
-    ],
-)
+E_SERIES_REFUSALS = [
+    # two vertices: (3^2 - 1)/2 = 4 subset steps (S, B)
+    (KRON2, "zero-fiber", 10, 3, "subset walk estimate 4"),
+    # 3 class states * 2 arrows * 1 layer * 1 word
+    (KRON2, "generic-fiber", 10, 3, "chain sum estimate 6"),
+    # before any chain sum: 4 pairs (S, B) times L^2, L = 20000 + alpha b(Q)
+    # + |shift| + n + 2 = 20000 + 2 + 0 + 2 + 2; unguarded the truncated
+    # products ran past 60 s
+    (KRON2, "zero-fiber", 20000, 100, "partition sum estimate 1600960144"),
+    # 10 points: each S splits off only {min S}, 1023 pairs times 42^2
+    ({"vertices": 10, "arrows": []}, "zero-fiber", 10, 100000,
+     "partition sum estimate 1804572"),
+    # 40 points are refused before 3^40 is formed
+    ({"vertices": 40, "arrows": []}, "zero-fiber", 10, 2**24,
+     "subset walk estimate >= 3^40"),
+    # a 12-cycle with 6 chords: each block's chain sum is within the guard
+    # (but the full one), their sum is not; block by block this ran 10 s
+    ({"vertices": 12,
+      "arrows": [[i, (i + 1) % 12] for i in range(12)]
+      + [[i, (i + 3) % 12] for i in range(0, 12, 2)]},
+     "zero-fiber", 10, 2**24, "chain sum estimate 49247472"),
+    # a 14-cycle: its 183 connected blocks pair with 49108 sets S, times
+    # L^2, L = 10 + 2 + 0 + 14 + 2 = 28, known before any chain sum; the
+    # walk over (3^14 - 1)/2 pairs ran 2.6 s
+    ({"vertices": 14, "arrows": [[i, (i + 1) % 14] for i in range(14)]},
+     "zero-fiber", 10, 2**24, "partition sum estimate 38500672"),
+    # a 15-cycle: 211 connected blocks, 98257 pairs times (10 + 2 + 0 + 15
+    # + 2)^2, after its 2^15 - 1 connectivity tests
+    ({"vertices": 15, "arrows": [[i, (i + 1) % 15] for i in range(15)]},
+     "zero-fiber", 10, 2**24, "partition sum estimate 82634137"),
+]
+
+
+@pytest.mark.parametrize("quiver, mode, order, guard, message", E_SERIES_REFUSALS)
 def test_e_series_refused_fast(quiver, mode, order, guard, message, tmp_path, capsys):
     path = tmp_path / "quiver.json"
     path.write_text(json.dumps(quiver))
@@ -542,15 +587,15 @@ def test_rank_table_depth_is_a_user_error(alpha, capsys):
     assert "depth must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "g, alpha, estimate",
-    [
-        # 200 * (9 * 2 * 202)^2; unguarded both ran past 15 s
-        ("2", "200", 2644099200),
-        # 1 * (9 * 10^6 * 3)^2: degree-10^7 polynomials before any step
-        ("1000000", "1", 729000000000000),
-    ],
-)
+RANK_TABLE_REFUSALS = [
+    # 200 * (9 * 2 * 202)^2; unguarded both ran past 15 s
+    ("2", "200", 2644099200),
+    # 1 * (9 * 10^6 * 3)^2: degree-10^7 polynomials before any step
+    ("1000000", "1", 729000000000000),
+]
+
+
+@pytest.mark.parametrize("g, alpha, estimate", RANK_TABLE_REFUSALS)
 def test_rank_table_refused_fast(g, alpha, estimate, capsys):
     start = time.perf_counter()
     assert main(["rank-table", "--g", g, "--alpha", alpha]) == 3
@@ -566,6 +611,47 @@ def test_rank_table_uses_guard(capsys):
     assert "rank-table estimate 178605 > limit 178604" in capsys.readouterr().err
     assert main([*args, "--guard", "178605"]) == 0
     assert main(args) == 0
+
+
+def _guard_table_calls():
+    """(quiver JSON or None, argv) for every refusal in the guard tables above."""
+    for command, message in SYMBOLIC_GUARDS:
+        yield _kronecker(2), [*command, "--guard", message.rsplit(" ", 1)[1]]
+    for quiver, alpha, _ in KAC_REFUSALS:
+        yield quiver, ["kac", "--alpha", alpha]
+    for command, quiver, _ in HUGE_ESTIMATES:
+        yield quiver, command
+    for quiver, mode, order, guard, _ in E_SERIES_REFUSALS:
+        yield quiver, ["e-series", "--alpha", "2", "--mode", mode, f"--order={order}", f"--guard={guard}"]
+    for g, alpha, _ in RANK_TABLE_REFUSALS:
+        yield None, ["rank-table", "--g", g, "--alpha", alpha]
+    for nvertices, guard, _ in RANK_VECTOR_REFUSALS:
+        yield {"vertices": nvertices, "arrows": []}, ["verify", "exp-identity", f"--guard={guard}"]
+    for nvertices in HUGE_VERTEX_COUNTS:
+        for command in VERTEX_COUNT_COMMANDS:
+            yield {"vertices": nvertices, "arrows": []}, command
+
+
+@pytest.mark.parametrize("quiver, argv", _guard_table_calls())
+def test_every_refusal_carries_route_estimate_and_limit(quiver, argv, tmp_path, monkeypatch):
+    raised = []
+    init = GuardError.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        raised.append(self)
+
+    monkeypatch.setattr(GuardError, "__init__", record)
+    if quiver is not None:
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps(quiver))
+        argv = [*argv, "--quiver", str(path)]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == 3
+    (exc,) = raised
+    assert exc.estimate > exc.limit
+    assert str(exc).startswith(f"{exc.route} estimate ")
+    assert err.getvalue() == f"error: {exc}\n"
 
 
 def test_deterministic_output(kron_file, capsys):

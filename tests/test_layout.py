@@ -118,6 +118,10 @@ def triangle_file(tmp_path):
     return str(path)
 
 
+# the source lines a kac process compiles: cli, oring, poly, quiver, toric
+# and __init__
+KAC_LINES = 1394
+
 # the kacdepth layers a process has executed: LazyLoader swaps an unexecuted
 # module's class for a subclass of ModuleType until its first attribute access
 _EXECUTED = (
@@ -140,10 +144,11 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_layer():
     # every layer is registered (perfbench/trace_cli.py reads them all from
     # sys.modules), though a job executes only the ones it uses
     layers = {f"kacdepth.{p.stem}" for p in (ROOT / "src" / "kacdepth").glob("*.py")} - {"kacdepth.__init__"}
-    assert len(layers) == 10 and layers <= added
+    assert len(layers) == 11 and layers <= added
 
 
-def test_each_subcommand_executes_only_its_layers(triangle_file):
+def _layers_run_by(*argv: str) -> set[str]:
+    """The layers a CLI call executes in a new process; it must exit 0."""
     run = (
         "import io, sys, types\n"
         "from contextlib import redirect_stdout\n"
@@ -152,27 +157,43 @@ def test_each_subcommand_executes_only_its_layers(triangle_file):
         "    code = kacdepth.cli.main(sys.argv[1:])\n"
         "print(code)\n"
     ) + _EXECUTED
+    code, layers = _python("-c", run, *argv).stdout.splitlines()
+    assert code == "0", argv
+    return set(layers.split())
 
-    def executed(*argv: str) -> set[str]:
-        code, layers = _python("-c", run, *argv).stdout.splitlines()
-        assert code == "0", argv
-        return set(layers.split())
 
-    toric_only = {"cli", "laurent", "oring", "quiver", "toric"}
-    assert executed("kac", "--quiver", triangle_file, "--alpha", "2") == toric_only
-    assert executed("oracle", "orbit-count", "--quiver", triangle_file, "--p", "2,3") == toric_only
+def test_each_subcommand_executes_only_its_layers(triangle_file):
+    # a toric count forms no rational function: no laurent
+    toric_only = {"cli", "oring", "poly", "quiver", "toric"}
+    assert _layers_run_by("kac", "--quiver", triangle_file, "--alpha", "2") == toric_only
+    assert _layers_run_by("oracle", "orbit-count", "--quiver", triangle_file, "--p", "2,3") == toric_only
     for argv in (["shelling"], ["verify", "thm41"], ["asymptotic"]):
-        assert executed(*argv, "--quiver", triangle_file).isdisjoint({"moment", "rank"}), argv
-    assert executed("rank-table", "--g", "2", "--alpha", "2").isdisjoint({"toric", "srcomplex", "moment"})
-    # the moment suites reach plethysm, series and rank as lazy modules
-    fiber = {"cli", "laurent", "moment", "oring", "quiver", "toric"}
-    assert executed("oracle", "moment-fiber", "--quiver", triangle_file, "--p", "3") == fiber
+        layers = _layers_run_by(*argv, "--quiver", triangle_file)
+        assert layers.isdisjoint({"moment", "rank"}), argv
+        # srcomplex reaches toric lazily, for the asymptotic side of thm41
+        assert ("toric" in layers) == (argv != ["shelling"]), argv
+    assert _layers_run_by("rank-table", "--g", "2", "--alpha", "2").isdisjoint({"toric", "srcomplex", "moment"})
+    # the moment suites reach laurent, toric, plethysm, series and rank as
+    # lazy modules; a fiber count alone runs none of them
+    fiber = {"cli", "moment", "oring", "poly", "quiver"}
+    assert _layers_run_by("oracle", "moment-fiber", "--quiver", triangle_file, "--p", "3") == fiber
+    fiber |= {"laurent", "toric"}
     generic = ["--quiver", triangle_file, "--p", "5", "--lam=1,-2,1"]
-    assert executed("verify", "generic-fiber", *generic) == fiber
-    assert executed("e-series", "--quiver", triangle_file, "--alpha", "2") == fiber
-    exp_identity = executed("verify", "exp-identity", "--quiver", triangle_file)
+    assert _layers_run_by("verify", "generic-fiber", *generic) == fiber
+    assert _layers_run_by("e-series", "--quiver", triangle_file, "--alpha", "2") == fiber
+    exp_identity = _layers_run_by("verify", "exp-identity", "--quiver", triangle_file)
     assert exp_identity == fiber | {"plethysm", "series"}
     assert _python("-c", "import sys, types\nimport kacdepth\n" + _EXECUTED).stdout == "\n"
+
+
+def test_kac_compiles_at_most_its_pinned_line_count(triangle_file):
+    # without a bytecode cache a kac job compiles every module it executes,
+    # the package's __init__.py included: about a quarter of the job's time,
+    # so this path must not silently regrow
+    files = ["__init__", *_layers_run_by("kac", "--quiver", triangle_file, "--alpha", "2")]
+    source = ROOT / "src" / "kacdepth"
+    lines = sum(len((source / f"{name}.py").read_text(encoding="utf-8").splitlines()) for name in files)
+    assert lines <= KAC_LINES, (lines, files)
 
 
 def test_lazy_package_runs_clean_and_refuses_unknown_names(triangle_file):

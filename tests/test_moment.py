@@ -17,7 +17,7 @@ from kacdepth import (
     verify_exp_identity,
     verify_generic_fiber,
 )
-from kacdepth import moment
+from kacdepth import moment, toric
 from kacdepth.moment import _connected_blocks
 
 from helpers import (
@@ -281,7 +281,7 @@ class TestESeries:
         # the estimate is (pairs (S, B) walked, A_B != 0) * floor^2, the floor
         # set by the largest degree of a set partition with every A_B != 0
         events = []
-        real_check, real_chain = moment.check_work, moment.toric_kac_chain
+        real_check, real_chain = moment.check_work, toric.toric_kac_chain
 
         def check_work(label, work, guard):
             events.append((label, work))
@@ -292,7 +292,7 @@ class TestESeries:
             return real_chain(quiver, alpha, guard)
 
         monkeypatch.setattr(moment, "check_work", check_work)
-        monkeypatch.setattr(moment, "toric_kac_chain", chain)
+        monkeypatch.setattr(toric, "toric_kac_chain", chain)
         for q in quiver_catalog(4, 5, connected=False):
             n, full = q.nvertices, (1 << q.nvertices) - 1
             for alpha in (1, 2, 3):

@@ -1,5 +1,6 @@
 """Truncated polynomial ring tables, element arithmetic and GL orders."""
 
+import pickle
 import random
 from itertools import product
 
@@ -120,3 +121,12 @@ def test_check_work_names_a_huge_estimate_by_its_power_of_two():
         check_work("x", 2**3322, 5)
     with pytest.raises(GuardError, match=r"^x estimate >= 2\^50000 > limit 5; raise --guard$"):
         check_work("x", 3 * 2**49999, 5)
+
+
+def test_guard_error_from_a_message_alone_and_through_pickle():
+    bare = GuardError("refused")
+    assert (str(bare), bare.route, bare.estimate, bare.limit) == ("refused", None, None, None)
+    with pytest.raises(GuardError) as info:
+        check_work("x", 7, 5)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.route, copy.estimate, copy.limit) == ("x estimate 7 > limit 5; raise --guard", "x", 7, 5)

@@ -1,8 +1,10 @@
 """Toric counts: chain sum, valued-tree strata, Burnside orbits, depth limits."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -17,7 +19,8 @@ from kacdepth import (
     toric_orbit_count,
     tree_stratum_census,
 )
-from kacdepth.toric import _mask_betti_tables, toric_kac_trees
+from kacdepth.srcomplex import _mask_betti_tables
+from kacdepth.toric import _binomial_transform, _class_table, toric_kac_trees
 
 from helpers import (
     cached_ring,
@@ -29,8 +32,10 @@ from helpers import (
 )
 from oracles import (
     OElem,
+    asymptotic_chain_sum_mask_oracle,
     asymptotic_chain_sum_oracle,
     assign_valued_tree,
+    chain_sum_mask_oracle,
     quiver_catalog,
     toric_orbit_count_oracle,
     tree_stratum_census_oracle,
@@ -48,6 +53,22 @@ DOUBLED_K4 = Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)) * 2)
 
 def kronecker(k: int, loops: int = 0) -> Quiver:
     return Quiver(2, ((0, 1),) * k + ((0, 0), (1, 1))[:loops])
+
+
+# parallel arrows in either direction, loops, and classes interleaved in
+# arrow order: the class states of the chain and asymptotic sums
+MULTIGRAPHS = [
+    kronecker(4, loops=2),
+    Quiver(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))),  # doubled triangle
+    THETA,
+    Quiver(1, ((0, 0),) * 3),
+    Quiver(2, ((0, 1), (0, 0), (1, 0), (0, 0), (1, 1), (0, 1))),
+    Quiver(3, ((0, 1), (1, 1), (1, 2), (0, 1), (1, 1), (2, 0), (1, 0))),
+    Quiver(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (2, 2))),
+    Quiver(4, ((0, 1), (2, 3), (1, 0), (3, 2), (1, 2), (0, 3), (2, 1))),
+    *(kronecker(k) for k in range(1, 13)),
+    Quiver(4, tuple(DOUBLED_K4.arrows[i] for i in (3, 7, 0, 11, 5, 9, 1, 6, 10, 2, 8, 4))),
+]
 
 
 def permuted_sample():
@@ -102,11 +123,57 @@ class TestChainSum:
             assert toric_kac_chain(q, alpha) == chain_sum_dict(q, alpha), (q, alpha)
 
     def test_guard_names_estimate_limit_and_flag(self):
-        # work estimate 2^m * m * max(alpha-1, 1) * words = 4 * 2 * 2 * 1 = 16 for
-        # KRON at alpha 3: W = 5 bits per field, 5 * (1 * 2 + 1) = 15 bits in the top layer
-        assert toric_kac_chain(KRON, 3, guard=16) == toric_kac_chain(KRON, 3)
-        with pytest.raises(GuardError, match=r"estimate 16 .*limit 15.*--guard"):
-            toric_kac_chain(KRON, 3, guard=15)
+        # work estimate states * m * max(alpha-1, 1) * words = 3 * 2 * 2 * 1 = 12 for
+        # KRON at alpha 3: one class of 2 arrows has 3 states; W = 5 bits per
+        # field, 5 * (1 * 2 + 1) = 15 bits in the top layer
+        assert toric_kac_chain(KRON, 3, guard=12) == toric_kac_chain(KRON, 3)
+        with pytest.raises(GuardError, match=r"estimate 12 .*limit 11.*--guard"):
+            toric_kac_chain(KRON, 3, guard=11)
+
+    def test_guard_counts_masks_without_parallel_arrows(self):
+        # no two arrows share their ends: 2^3 states * 3 * 2 * 1 word for the
+        # triangle at alpha 3 (W = 6, b = 1), as over masks
+        with pytest.raises(GuardError, match=r"chain sum estimate 48 > limit 47"):
+            toric_kac_chain(TRIANGLE, 3, guard=47)
+
+    def test_class_kernel_matches_mask_oracle(self):
+        for q in [*quiver_catalog(3, 4), *MULTIGRAPHS]:
+            for alpha in (1, 2, 3, 4):
+                assert toric_kac_chain(q, alpha) == chain_sum_mask_oracle(q, alpha), (q, alpha)
+
+    def test_class_table_matches_dfs(self):
+        # b(N), connectivity and the number of arrow sets with counts N
+        for q in [*quiver_catalog(3, 4, connected=False), *MULTIGRAPHS[:8]]:
+            table = _class_table(q)
+            found = Counter()
+            for mask in range(1 << q.narrows):
+                arrows = [q.arrows[a] for a in range(q.narrows) if mask >> a & 1]
+                state, stride = 0, 1
+                for ends, c in table.classes.items():
+                    state += stride * sum(tuple(sorted(e)) == ends for e in arrows)
+                    stride *= c + 1
+                ncomp = len(dfs_components(q.nvertices, arrows))
+                assert table.betti[state] == ncomp - q.nvertices + len(arrows), (q, mask)
+                assert table.connected[state] == (ncomp == 1), (q, mask)
+                found[state] += 1
+            assert [found[s] for s in range(len(table.sets))] == table.sets, q
+
+    def test_binomial_transform_is_the_nested_subset_sum(self):
+        rng = random.Random(7)
+        for sizes in ([1], [3], [2, 1, 3], [1, 1, 1, 1], [4, 2], [1, 5, 1]):
+            states = list(product(*(range(c + 1) for c in reversed(sizes))))
+            states = [n[::-1] for n in states]  # class 0 varies fastest
+            values = [rng.randrange(-50, 50) for _ in states]
+            expected = [
+                sum(
+                    v * prod(comb(a, b) for a, b in zip(top, low))
+                    for low, v in zip(states, values)
+                    if all(b <= a for a, b in zip(top, low))
+                )
+                for top in states
+            ]
+            _binomial_transform(values, sizes)
+            assert values == expected, sizes
 
     def test_mask_tables_match_dfs_catalog(self):
         for q in quiver_catalog(4, 5, connected=False):
@@ -315,6 +382,26 @@ class TestAsymptotics:
     def test_common_denominator_matches_oracle(self, two_connected_3v_5a):
         for quiver in [*two_connected_3v_5a, Quiver(2, ((0, 1),) * 8)]:
             assert asymptotic_kac(quiver) == asymptotic_chain_sum_oracle(quiver), quiver
+
+    def test_class_kernel_matches_mask_oracle(self, two_connected_3v_5a):
+        multigraphs = [q for q in MULTIGRAPHS if q.is_two_connected()]
+        assert len(multigraphs) == 20
+        for quiver in [*two_connected_3v_5a, *multigraphs]:
+            assert asymptotic_kac(quiver) == asymptotic_chain_sum_mask_oracle(quiver), quiver
+
+    def test_guard_counts_state_pairs(self):
+        # one class of 2 arrows: C(4, 2) = 6 pairs N <= N'; the triangle has
+        # three classes of one arrow, 3^3 = 27 pairs as over masks
+        with pytest.raises(GuardError, match="asymptotic sum estimate 6 > limit 5"):
+            asymptotic_kac(KRON, guard=5)
+        assert asymptotic_kac(KRON, guard=6) == asymptotic_kac(KRON)
+        with pytest.raises(GuardError, match="asymptotic sum estimate 27 > limit 26"):
+            asymptotic_kac(TRIANGLE, guard=26)
+        # b(Q) = 9 and 11: a pair counts 1 + 10^3 // 1024 = 1 and
+        # 1 + 12^3 // 1024 = 2 units, for C(12, 2) = 66 and C(14, 2) = 91 pairs
+        for arrows, estimate in [(10, 66), (12, 182)]:
+            with pytest.raises(GuardError, match=f"asymptotic sum estimate {estimate} > limit {estimate - 1}"):
+                asymptotic_kac(Quiver(2, ((0, 1),) * arrows), guard=estimate - 1)
 
     def test_depth_limit_oracle(self):
         # q^(-alpha b) A_alpha approaches the limit at q=2, error shrinking
