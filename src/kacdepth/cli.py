@@ -63,7 +63,10 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _primes(args) -> list[int]:
-    return _parse_ints(args.p) if args.p else [2]
+    primes = [2] if args.p is None else _parse_ints(args.p)
+    if not primes:
+        raise ValueError("--p lists no primes")
+    return primes
 
 
 def _kac(args, quiver: Quiver):

@@ -6,8 +6,12 @@ Rational functions are reduced to a canonical form (coprime after clearing
 q-powers, denominator with constant term and monic leading coefficient) so
 that equality of values is equality of representations.
 
-Sums of terms over products of (q^c - 1) run on ``_CycloSum``, which adds
-numerators over a common denominator and forms one ``RatFunc`` at the end.
+The expansion at q = infinity is one long division by the denominator.
+
+Sums of terms over products of (q^c - 1) whose denominators vary from term
+to term (the depth limit, the Hilbert series and the certificate) run on
+``_CycloSum``, which adds numerators over a common denominator and forms
+one ``RatFunc`` at the end.
 
 Gcds are taken fraction-free: denominators are cleared into dense integer
 coefficient lists and a primitive pseudo-remainder sequence runs on them
@@ -265,35 +269,18 @@ class RatFunc:
     def series_at_infinity(self, min_exp: int) -> dict[int, Rational]:
         """Laurent expansion in q**-1 around q = infinity.
 
-        Returns coefficients for every exponent >= ``min_exp``.
+        Returns coefficients for every exponent >= ``min_exp``.  One long
+        division: with a the lowest exponent of the numerator and
+        k = max(a - min_exp, 0), the quotient of q^(k-a) num by den, times
+        q^(a-k), is the expansion down to q^(a-k) <= q^min_exp; the
+        remainder over den only reaches exponents below a - k.
         """
         if self.num.is_zero():
             return {}
-        d = self.den.max_exp()
-        den_lower = [(i - d, c) for i, c in self.den.items() if i != d]
-        # 1/den = q^-d * (1 + u)^-1, expanded far enough to cover min_exp
-        inv: dict[int, Rational] = {-d: 1}
-        floor = min_exp - self.num.max_exp()
-        for e in range(-d - 1, floor - 1, -1):
-            s = 0
-            for off, c in den_lower:
-                t = inv.get(e - off)
-                if t is not None:
-                    s -= c * t
-            if s:
-                inv[e] = s
-        out: dict[int, Rational] = {}
-        for e1, c1 in self.num.items():
-            for e2, c2 in inv.items():
-                e = e1 + e2
-                if e < min_exp:
-                    continue
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
+        a = self.num.min_exp()
+        k = max(a - min_exp, 0)
+        quo, _ = poly_divmod(self.num.shift(k - a), self.den)
+        return {e: c for e, c in quo.shift(a - k).items() if e >= min_exp}
 
     # ------------------------------------------------------------------
 

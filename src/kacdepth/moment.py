@@ -272,7 +272,7 @@ def verify_generic_fiber(
     rhs = (
         qp ** (-alpha * quiver.euler_form(rank, rank))
         * a_poly.evaluate(qp)
-        / laurent.ONE_MINUS_QINV.evaluate(qp)
+        / (1 - 1 / qp)
     )
     return {
         "prime": p,

@@ -5,8 +5,11 @@ F_q[t]/(t^alpha) are counted by Burnside sums over conjugacy classes of the
 automorphism group, split by class type.  The per-type sums satisfy linear
 recursions in the depth (4 types in rank 2, 10 types in rank 3, with
 lower-triangular transition matrices); iterating them from the depth-1
-values gives the total count M, and the plethystic logarithm of the
-generating series 1 + M_1 t + M_2 t^2 + M_3 t^3 extracts the absolutely
+values gives the total count M.  Every per-type sum at every depth is a
+Laurent-polynomial numerator over the one denominator (q-1)(q^2-1)(q^3-1),
+so the recursion runs on numerators alone and a sum becomes a ``RatFunc``,
+with its one gcd, only where it is returned.  The plethystic logarithm of
+the generating series 1 + M_1 t + M_2 t^2 + M_3 t^3 extracts the absolutely
 indecomposable counts A, which must come out as integer polynomials.
 
 Closed-form expressions for the rank-2 and rank-3 A are provided as an
@@ -20,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .laurent import RatFunc, _CycloSum, _cyclo_sum, poly_divmod
+from .laurent import RatFunc, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .poly import LaurentPoly
 from .plethysm import pleth_log
@@ -102,50 +105,48 @@ def rank3_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
 
 
 # The depth-1 per-type denominators all divide (q-1)(q^2-1)(q^3-1) and the
-# transition entries are polynomials, so the sums at every depth run as
+# transition entries are polynomials, so the sums at every depth are
 # numerators over that one product, with the constants 2, 3 and 6 in them.
-_CYCLO = (1, 2, 3)
 _CYCLO_DEN = (_Q - 1) * (_Q**2 - 1) * (_Q**3 - 1)
 
 
-def _step(vec: tuple[_CycloSum, ...], rows) -> tuple[_CycloSum, ...]:
+def _step(vec: tuple[LaurentPoly, ...], rows) -> tuple[LaurentPoly, ...]:
     """One depth step: each row sums its nonzero entries times ``vec``."""
-    return tuple(_cyclo_sum(vec[j].times(m) for j, m in row) for row in rows)
+    return tuple(sum((m * vec[j] for j, m in row), LaurentPoly()) for row in rows)
 
 
 def _depths(
     initial: tuple[RatFunc, ...],
     matrix: tuple[tuple[RatFunc, ...], ...],
     alpha: int,
-) -> Iterator[tuple[_CycloSum, ...]]:
-    """The per-type sums at depths 1..alpha, one step per depth."""
+) -> Iterator[tuple[LaurentPoly, ...]]:
+    """The numerators over ``_CYCLO_DEN`` of the per-type sums at depths
+    1..alpha, one step per depth."""
     rows = [
         [(j, m.as_polynomial()) for j, m in enumerate(row) if not m.is_zero()] for row in matrix
     ]
-    vec = tuple(
-        _CycloSum.over(value.num * poly_divmod(_CYCLO_DEN, value.den)[0], _CYCLO)
-        for value in initial
-    )
+    vec = tuple(value.num * poly_divmod(_CYCLO_DEN, value.den)[0] for value in initial)
     yield vec
     for _ in range(alpha - 1):
         vec = _step(vec, rows)
         yield vec
 
 
-def rank2_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
-    """Per-type Burnside sums at the given depth (types I, II1, II2, II3)."""
+def _class_sums(initial, transition, g: int, alpha: int) -> tuple[RatFunc, ...]:
     if alpha < 1:
         raise ValueError("depth must be >= 1")
-    *_, sums = _depths(rank2_initial(g), rank2_transition(g), alpha)
-    return tuple(s.ratfunc() for s in sums)
+    *_, sums = _depths(initial(g), transition(g), alpha)
+    return tuple(RatFunc(s, _CYCLO_DEN) for s in sums)
+
+
+def rank2_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
+    """Per-type Burnside sums at the given depth (types I, II1, II2, II3)."""
+    return _class_sums(rank2_initial, rank2_transition, g, alpha)
 
 
 def rank3_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
     """Per-type Burnside sums at the given depth (ten types)."""
-    if alpha < 1:
-        raise ValueError("depth must be >= 1")
-    *_, sums = _depths(rank3_initial(g), rank3_transition(g), alpha)
-    return tuple(s.ratfunc() for s in sums)
+    return _class_sums(rank3_initial, rank3_transition, g, alpha)
 
 
 def moment_total(g: int, alpha: int, rank: int) -> RatFunc:
@@ -272,7 +273,8 @@ def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple
     sums2 = _depths(rank2_initial(g), rank2_transition(g), alpha)
     sums3 = _depths(rank3_initial(g), rank3_transition(g), alpha)
     for a, (s2, s3) in enumerate(zip(sums2, sums3), start=1):
-        totals = [moment_total(g, a, 1), _cyclo_sum(s2).ratfunc(), _cyclo_sum(s3).ratfunc()]
+        totals = [moment_total(g, a, 1)]
+        totals += [RatFunc(sum(s, LaurentPoly()), _CYCLO_DEN) for s in (s2, s3)]
         polys = _kac_from_totals(totals)
         routes = [
             ("closed rank-2 route", closed_form_rank2(g, a).as_polynomial(), 1),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import compress, count, product, zip_longest
 from math import comb, isqrt, prod
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -119,9 +119,9 @@ def toric_kac_chain(
     The sum runs over nested subsets E_1 <= ... <= E_alpha of the arrow set
     whose top makes the quiver connected on all vertices.  Each nested sum
     over subsets is a binomial transform over the class states (see the
-    module docstring), and the top weighs each state by its prod C(c_i, N_i)
-    arrow sets; for a disconnected quiver no chain survives and the result
-    is 0.
+    module docstring).  The top sums the connected states, times their
+    prod C(c_i, N_i) arrow sets, by Betti number b, then takes sum_b (q-1)^b
+    top_b by Horner in (q-1); a disconnected quiver gives 0.
 
     Integers pack each layer: layer[N] holds the coefficient of q^e in bits
     [e*W, (e+1)*W).  Coefficients count chains below some arrow set E, at
@@ -143,19 +143,15 @@ def toric_kac_chain(
     for _ in range(alpha - 1):
         layer = [c << b * width for c, b in zip(layer, table.betti)]
         _binomial_transform(layer, table.classes.values())
-    # group the connected tops by Betti number: one (q-1)^b product each
-    groups: dict[int, int] = {}
+    tops = [0] * (quiver.betti() + 1)
     for b, sets, packed in compress(zip(table.betti, table.sets, layer), table.connected):
-        groups[b] = groups.get(b, 0) + sets * packed
+        tops[b] += sets * packed
     field = (1 << width) - 1
-    coeffs: dict[int, int] = {}
-    for b, packed in groups.items():
-        qm1 = [(-1) ** (b - j) * comb(b, j) for j in range(b + 1)]
-        for e in range(packed.bit_length() // width + 1):
-            c = packed >> (e * width) & field
-            for j, binom in enumerate(qm1):
-                coeffs[e + j] = coeffs.get(e + j, 0) + c * binom
-    return LaurentPoly(coeffs)
+    coeffs: list[int] = []
+    for packed in reversed(tops):
+        top = [packed >> shift & field for shift in range(0, packed.bit_length(), width)]
+        coeffs = [t + qc - c for t, qc, c in zip_longest(top, [0, *coeffs], coeffs, fillvalue=0)]
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 def tree_stratum_census(
@@ -235,9 +231,9 @@ def toric_orbit_count(
     prod_{a in S} (p^(v_a) - 1), memoised on the vector (v_a).  v_a is the
     same on a class of parallel arrows, so the sum runs over the class
     states N: prod C(c_i, N_i) (p^(v_i) - 1)^(N_i) each.  The work estimate
-    |T| * 2^m products (2^m bounds the states) times the squared machine
-    words of p^(alpha m), the largest count, plus isqrt(p) for the primality
-    test, must not exceed guard.
+    |T| * prod (c_i + 1) state products (2^m without parallel arrows) times
+    the squared machine words of p^(alpha m), the largest count, plus
+    isqrt(p) for the primality test, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
@@ -248,7 +244,8 @@ def toric_orbit_count(
     torus = guarded_power(p - 1, k, "orbit count", guard)
     torus *= guarded_power(p, (alpha - 1) * k, "orbit count", guard)
     words = -(-alpha * m * p.bit_length() // 64) or 1
-    check_work("orbit count", (torus << m) * words * words + isqrt(p), guard)
+    states = prod(c + 1 for c in _arrow_classes(quiver).values())
+    check_work("orbit count", torus * states * words * words + isqrt(p), guard)
     _check_prime(p)
     table = _class_table(quiver)
     spanning = list(compress(zip(count(), table.sets), table.connected))

@@ -13,11 +13,13 @@ by facet-pair search, checked against the library's descent rule.
 representatives over the ring tables, checked against the library's
 Burnside count; ``e_series_partition_oracle`` builds the ``e-series`` report
 by summing over all set partitions, checked against the library's subset DP.
-``quiver_catalog`` lists small quivers up to isomorphism of the underlying
-multigraph for the exhaustive suites.  ``kac_from_moments`` extracts the
-one-vertex rank-2/3 counts at a single depth, checked against the library's
-one-pass ``rank_table``.  ``series_exp_oracle`` and ``series_log_oracle`` sum
-the power series of exp and log through truncated series powers, checked
+``series_at_infinity_oracle`` expands a rational function at q = infinity
+through the inverse series of its denominator, checked against the
+library's long division.  ``quiver_catalog`` lists small quivers up to
+isomorphism of the underlying multigraph for the exhaustive suites.
+``kac_from_moments`` extracts the one-vertex rank-2/3 counts at a single
+depth, checked against the library's one-pass ``rank_table``.
+``series_exp_oracle`` and ``series_log_oracle`` sum the power series of exp and log through truncated series powers, checked
 against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle``,
 ``hilbert_specialized_oracle``, ``certificate_total_oracle`` and
 ``rank_class_sums_oracle`` add one ``RatFunc`` at a time, each addition
@@ -465,6 +467,42 @@ def single_denominator_oracle(series: RatFunc) -> dict | None:
                     "denominator_exponents": list(exps),
                 }
     return None
+
+
+# ----------------------------------------------------------------------
+# expansion at infinity
+
+
+def series_at_infinity_oracle(r: RatFunc, min_exp: int) -> dict:
+    """``RatFunc.series_at_infinity`` by an inverse series: 1/den is expanded
+    as q^-d (1 + u)^-1 far enough to cover min_exp and convolved with the
+    numerator."""
+    if r.num.is_zero():
+        return {}
+    d = r.den.max_exp()
+    den_lower = [(i - d, c) for i, c in r.den.items() if i != d]
+    inv = {-d: 1}
+    floor = min_exp - r.num.max_exp()
+    for e in range(-d - 1, floor - 1, -1):
+        s = 0
+        for off, c in den_lower:
+            t = inv.get(e - off)
+            if t is not None:
+                s -= c * t
+        if s:
+            inv[e] = s
+    out: dict = {}
+    for e1, c1 in r.num.items():
+        for e2, c2 in inv.items():
+            e = e1 + e2
+            if e < min_exp:
+                continue
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 # ----------------------------------------------------------------------

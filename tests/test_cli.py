@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacdepth import cli
+from kacdepth import Quiver, cli, toric_orbit_count
 from kacdepth.cli import build_parser, main
 from kacdepth.oring import GuardError, ORing
 
@@ -179,6 +179,37 @@ def test_orbit_count_guard_counts_primality(point_file, monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert "orbit count estimate 1001 > limit 1000; raise --guard" in capsys.readouterr().err
     assert main(args + ["--guard", "1001"]) == 0
+
+
+def test_orbit_count_estimate_counts_class_states(tmp_path, capsys):
+    # one class of 30 parallel arrows: 2 torus elements times 31 states times
+    # 2^2 squared words, plus isqrt(2); counted as 2^30 masks it was refused
+    path = tmp_path / "kronecker30.json"
+    path.write_text(json.dumps(_kronecker(30)))
+    args = ["oracle", "orbit-count", "--quiver", str(path), "--p", "2", "--alpha", "2"]
+    start = time.perf_counter()
+    assert main([*args, "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["count"] == row["polynomial_at_p"]
+    with pytest.raises(GuardError) as refused:
+        toric_orbit_count(Quiver.from_json(_kronecker(30)), 2, 2, guard=248)
+    assert refused.value.estimate == 249
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["oracle", "orbit-count"],
+        ["oracle", "moment-fiber"],
+        ["verify", "exp-identity"],
+        ["verify", "generic-fiber", "--lam=1,-1"],
+    ],
+)
+def test_empty_prime_list_is_a_user_error(command, a2_file, capsys):
+    # "--p ," used to check nothing and report "ok": true with no rows
+    assert main([*command, "--quiver", a2_file, "--p", ","]) == 2
+    assert "--p lists no primes" in capsys.readouterr().err
 
 
 def test_orbit_count_composite_modulus_is_a_user_error(kron_file, capsys):

@@ -17,6 +17,7 @@ from helpers import (
     random_nonzero_laurent,
     random_ratfunc,
 )
+from oracles import series_at_infinity_oracle
 
 Q = LaurentPoly.q()
 
@@ -202,6 +203,18 @@ class TestRatFuncArithmetic:
             prod = LaurentPoly(series) * r.den
             diff = prod - r.num
             assert diff.is_zero() or diff.max_exp() < -6 + r.den.max_exp()
+
+    def test_series_at_infinity_matches_inverse_series_oracle(self):
+        # the long division against the inverse-series expansion, at floors
+        # below, inside and above the numerator's exponents
+        rng = random.Random(23)
+        negative = 0
+        for _ in range(300):
+            r = random_ratfunc(rng)
+            negative += bool(r.num) and r.num.min_exp() < 0
+            for min_exp in range(-30, 13):
+                assert r.series_at_infinity(min_exp) == series_at_infinity_oracle(r, min_exp), (r, min_exp)
+        assert negative > 50
 
 
 class TestFractionFreeGcd:
