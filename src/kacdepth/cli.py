@@ -27,8 +27,11 @@ _encode_key = json.encoder.encode_basestring_ascii
 
 def _dumps(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` byte for byte, without the pure-Python
-    encoder that ``json`` runs whenever ``indent`` is set.  Unlike
-    ``json.dumps``, a dict key that is not a ``str`` raises ``TypeError``."""
+    encoder that ``json`` runs whenever ``indent`` is set.  A list of dicts
+    with one key sequence (``tuple(d)``: ``d.keys()`` views compare as sets)
+    renders through one row template, and an object that recurs among their
+    values is rendered once, keyed by ``id`` (every object is alive for the
+    call).  Unlike ``json.dumps``, a non-``str`` dict key raises ``TypeError``."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = [
@@ -37,7 +40,18 @@ def _dumps(obj, pad: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        items = [repr(item) if type(item) is int else _dumps(item, inner) for item in obj]
+        keys = tuple(obj[0]) if len(obj) > 1 and isinstance(obj[0], dict) else ()
+        if keys and all(isinstance(row, dict) and tuple(row) == keys for row in obj):
+            cell = inner + "  "
+            fields = [_encode_key(key).replace("%", "%%") + ": %s" for key in keys]
+            template = "{" + cell + ("," + cell).join(fields) + inner + "}"
+            values = [v for row in obj for v in row.values()]
+            unique = {id(v): v for v in values}
+            texts = {key: repr(v) if type(v) is int else _dumps(v, cell) for key, v in unique.items()}
+            cells = iter([texts[id(v)] for v in values])
+            items = [template % row for row in zip(*[cells] * len(keys))]  # len(keys) cells a row
+        else:
+            items = [repr(item) if type(item) is int else _dumps(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return repr(obj) if type(obj) is int else _encode(obj)
 
@@ -82,10 +96,7 @@ def _kac(args, quiver: Quiver):
         census = toric.tree_stratum_census(quiver, args.alpha, guard=args.guard)
         trees = toric.census_polynomial(census)
         body["tree_polynomial"] = str(trees)
-        body["census"] = [
-            {"tree": list(t.arrows), "valuation": list(t.values), "exponent": n}
-            for t, n in census
-        ]
+        body["census"] = [{"tree": t.arrows, "valuation": t.values, "exponent": n} for t, n in census]
         ok = chain == trees
         text.append(f"tree route        = {trees}")
         text.append(f"strata            = {len(census)}")
@@ -94,16 +105,14 @@ def _kac(args, quiver: Quiver):
     # no indecomposables; expose the per-component counts whose product
     # enters the partition sums of the fiber identities
     product = LaurentPoly.one()
-    components = []
+    body["components"] = []
+    text.append("(disconnected quiver: no indecomposables, tree route skipped)")
     for block in quiver.components():
         poly = toric.toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
         product = product * poly
-        components.append({"vertices": list(block), "polynomial": str(poly)})
-    body["components"] = components
+        body["components"].append({"vertices": list(block), "polynomial": str(poly)})
+        text.append(f"component {list(block)}: {poly}")
     body["component_product"] = str(product)
-    text.append("(disconnected quiver: no indecomposables, tree route skipped)")
-    for entry in components:
-        text.append(f"component {entry['vertices']}: {entry['polynomial']}")
     text.append(f"component product  = {product}")
     return body, chain.is_zero(), text
 

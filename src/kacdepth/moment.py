@@ -199,9 +199,10 @@ def verify_exp_identity(
     The left side divides brute-force fiber counts by the group order and
     rescales by q^(alpha <r, r>); the right side is the plethystic
     exponential of sum_r A_r / (1 - q^-1) t^r evaluated at q = p.  Both are
-    exact rationals, compared coefficientwise for every r <= bound.  The
-    count prod(b_i + 1) - 1 of rank vectors, then every fiber count's work
-    estimate, is checked before any A-polynomial is built.
+    exact rationals, compared coefficientwise for every r <= bound.  A bound
+    that selects no rank vector (all zero, or a negative entry) raises
+    ``ValueError``.  The count prod(b_i + 1) - 1 of rank vectors, then every
+    fiber count's work estimate, is checked before any A-polynomial is built.
     """
     bound = tuple(int(b) for b in bound)
     if len(bound) != quiver.nvertices:
@@ -214,6 +215,8 @@ def verify_exp_identity(
         if count - 1 > guard:
             break
         count *= b + 1
+    if count <= 1:
+        raise ValueError("bound selects no rank vector")
     check_work("rank vectors", count - 1, guard)
     for r in _rank_vectors(bound):
         _check_fiber_work(quiver, r, p, alpha, guard)
@@ -224,24 +227,14 @@ def verify_exp_identity(
     rhs_series = plethysm.pleth_exp(a_series)
     qp = Fraction(p)
     rows = []
-    all_equal = True
     for r in _rank_vectors(bound):
         fiber = moment_fiber_count(quiver, r, p, alpha, guard=guard)
         gl = group_order_gl(r, alpha).evaluate(qp)
         lhs = Fraction(fiber) * qp ** (alpha * quiver.euler_form(r, r)) / gl
         rhs = rhs_series.coefficient(r).evaluate(qp)
-        equal = lhs == rhs
-        all_equal = all_equal and equal
-        rows.append(
-            {
-                "rank": list(r),
-                "fiber": fiber,
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "equal": equal,
-            }
-        )
-    return {"prime": p, "alpha": alpha, "bound": list(bound), "rows": rows, "equal": all_equal}
+        rows.append({"rank": list(r), "fiber": fiber, "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs})
+    equal = all(row["equal"] for row in rows)
+    return {"prime": p, "alpha": alpha, "bound": list(bound), "rows": rows, "equal": equal}
 
 
 def verify_generic_fiber(

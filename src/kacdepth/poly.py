@@ -214,10 +214,7 @@ class LaurentPoly:
         from fractions import Fraction
 
         x = Fraction(x)
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * x**e
-        return total
+        return sum([c * x**e for e, c in self._coeffs.items()], Fraction(0))
 
     # ------------------------------------------------------------------
     # presentation
@@ -234,10 +231,7 @@ class LaurentPoly:
             else:
                 var = "q" if e == 1 else f"q^{e}"
                 body = var if mag == 1 else f"{_fmt_coeff(mag)}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if c > 0 else f"-{body}")
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
         return "".join(parts)
 
     def __repr__(self) -> str:

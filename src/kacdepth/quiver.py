@@ -1,5 +1,5 @@
 """Quivers as ordered directed multigraphs, with the graph operations used by
-the counting machinery: restriction, deletion, Betti numbers, connectivity
+the counting machinery: vertex restriction, deletion, Betti numbers, connectivity
 (one union-find, ``vertex_roots``), the rank and connectivity of every edge
 subset at once (``subset_ranks``), spanning trees and tree paths.
 
@@ -196,13 +196,6 @@ class Quiver(_Frozen):
         )
         return Quiver(len(keep), arrows)
 
-    def restrict_arrows(self, arrow_subset: Iterable[int]) -> "Quiver":
-        """Subquiver with all vertices and only the given arrows."""
-        keep = sorted(set(arrow_subset))
-        if any(not 0 <= a < self.narrows for a in keep):
-            raise QuiverFormatError("arrow subset out of range")
-        return Quiver(self.nvertices, tuple(self.arrows[a] for a in keep))
-
     def delete_arrow(self, a: int) -> "Quiver":
         if not 0 <= a < self.narrows:
             raise QuiverFormatError("arrow index out of range")
@@ -218,12 +211,11 @@ class Quiver(_Frozen):
         if not self.is_connected():
             raise ValueError("no spanning tree")
         nonloops = [a for a in range(self.narrows) if not self.is_loop(a)]
-        size = self.nvertices - 1
-        trees = []
-        for subset in combinations(nonloops, size):
-            if self.restrict_arrows(subset).is_connected():
-                trees.append(subset)
-        return trees
+        # n - 1 arrows span a tree exactly when they leave one component
+        return [
+            subset for subset in combinations(nonloops, self.nvertices - 1)
+            if len(set(vertex_roots(self.nvertices, map(self.arrows.__getitem__, subset)))) == 1
+        ]
 
     # ------------------------------------------------------------------
     # JSON

@@ -10,7 +10,8 @@ locally free rank-one representations over F_q[t]/(t^alpha):
   q, W = bit length of (alpha+1)^m for m arrows (a bound on every
   coefficient);
 * ``toric_kac_trees``   -- the stratification by valued spanning trees,
-  where the stratum of a valued tree T contributes the monomial q^(n_T);
+  where the stratum of a valued tree T contributes the monomial q^(n_T),
+  summed per tree path from a table over the valuations of that path;
 * ``toric_orbit_count`` -- the orbit count over F_p[t]/(t^alpha) itself,
   by Burnside's lemma over the vertex torus: fixed points need only the
   shared base-p digits of torus coordinates, never a product in the ring.
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count, product, zip_longest
+from itertools import compress, count, product, repeat, zip_longest
 from math import comb, isqrt, prod
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from . import laurent
@@ -159,12 +160,16 @@ def tree_stratum_census(
 ) -> list[tuple[ValuedTree, int]]:
     """Valued spanning trees with their stratum exponents n_T.
 
-    Each valuation label ranges over [0, alpha-1].  A loop contributes alpha
-    to n_T (its coordinate ranges over the whole ring inside a stratum); a
-    non-loop arrow outside the tree contributes
-    alpha - v_max(path) - [a > critical edge].  The work estimate
-    C(k, n-1) * alpha^(n-1) * max(m, 1), for k non-loop arrows (a bound on
-    the spanning trees) and n vertices, must not exceed guard.
+    Each valuation label ranges over [0, alpha-1], in ``product`` order per
+    tree.  A loop adds alpha to n_T (its coordinate ranges over the whole
+    ring inside a stratum); a non-loop arrow a outside the tree adds
+    alpha - v_max(P) - [a > critical edge], P its tree path and the critical
+    edge the first maximum on P in arrow order.  So the arrows A sharing P
+    add a table over the alpha^|P| valuations of P that depends only on |A|
+    and on the count of A above each arrow of P; each table is built once,
+    spread over a tree's alpha^(n-1) valuations and added.  The work
+    estimate C(k, n-1) * alpha^(n-1) * max(m, 1), for k non-loop arrows (a
+    bound on the spanning trees) and n vertices, must not exceed guard.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
@@ -174,30 +179,30 @@ def tree_stratum_census(
     n, m = quiver.nvertices, quiver.narrows
     strata = guarded_power(alpha, n - 1, "tree census", guard)
     check_work("tree census", comb(m - nloops, n - 1) * strata * max(m, 1), guard)
+    valuations = list(product(range(alpha), repeat=n - 1))
+    tables: dict[tuple, list[int]] = {}  # (|A|, count of A above each arrow of P) -> table
+    spreads: dict[tuple, list[int]] = {}  # positions of P in the tree -> table index per valuation
     census: list[tuple[ValuedTree, int]] = []
     for tree in quiver.spanning_trees():
-        pos = {a: i for i, a in enumerate(tree)}
-        # per outside non-loop arrow a: the valuations along its tree path in
-        # arrow order, and [a > e] for each path arrow e; the first maximum
-        # in arrow order is the critical edge
-        outside = []
+        groups: dict[tuple[int, ...], list[int]] = {}
         for a, path in tree_paths(quiver, tree).items():
-            index = [pos[e] for e in path]
-            if len(index) > 1:
-                get = itemgetter(*index)
-            else:  # a one-arrow path still needs a tuple
-                get = itemgetter(slice(index[0], index[0] + 1))
-            outside.append((get, [int(a > e) for e in path]))
-        for values in product(range(alpha), repeat=len(tree)):
-            exponent = alpha * nloops
-            for get, flags in outside:
-                vals = get(values)
-                vmax = max(vals)
-                term = alpha - vmax - flags[vals.index(vmax)]
-                if term < 0:
+            groups.setdefault(path, []).append(a)
+        exponents = [alpha * nloops] * strata
+        for path, group in groups.items():
+            k, above = len(group), tuple([sum(a > e for a in group) for e in path])
+            key = (k, above)
+            if key not in tables:
+                vals = product(range(alpha), repeat=len(path))
+                table = tables[key] = [k * (alpha - max(v)) - above[v.index(max(v))] for v in vals]
+                if min(table) < 0:
                     raise AssertionError("negative stratum exponent")
-                exponent += term
-            census.append((ValuedTree(tree, values), exponent))
+            positions = tuple([tree.index(e) for e in path])
+            if positions not in spreads:
+                # the table index reads the valuations at P as base-alpha digits
+                weights = [(i, alpha**j) for j, i in enumerate(reversed(positions))]
+                spreads[positions] = [sum([v[i] * w for i, w in weights]) for v in valuations]
+            exponents = list(map(add, exponents, map(tables[key].__getitem__, spreads[positions])))
+        census += zip(map(ValuedTree, repeat(tree), valuations), exponents)
     return census
 
 

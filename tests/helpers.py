@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree
 from kacdepth.oring import ORing
 
-from oracles import OElem, tree_path_data
+from oracles import OElem, restrict_arrows, tree_path_data
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +225,11 @@ def chain_sum_naive(quiver: Quiver, alpha: int) -> LaurentPoly:
         masks = []
         for k in range(1, alpha + 1):
             masks.append([a for a in range(m) if entry[a] <= k])
-        top = quiver.restrict_arrows(masks[-1])
+        top = restrict_arrows(quiver, masks[-1])
         if not top.is_connected():
             continue
         weight = qm1 ** top.betti()
-        exponent = sum(quiver.restrict_arrows(mk).betti() for mk in masks[:-1])
+        exponent = sum(restrict_arrows(quiver, mk).betti() for mk in masks[:-1])
         total = total + weight * LaurentPoly.q(exponent)
     return total
 
@@ -243,7 +243,7 @@ def chain_sum_dict(quiver: Quiver, alpha: int) -> LaurentPoly:
     m = quiver.narrows
     nmasks = 1 << m
     tops = [
-        quiver.restrict_arrows([a for a in range(m) if mask >> a & 1])
+        restrict_arrows(quiver, [a for a in range(m) if mask >> a & 1])
         for mask in range(nmasks)
     ]
     betti = [top.betti() for top in tops]

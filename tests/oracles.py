@@ -6,7 +6,10 @@ tuples, checked against the library's integer-coded ring tables.
 ``assign_valued_tree`` runs the contraction-deletion algorithm of
 Abdelgadir-Mellit-Rodriguez-Villegas on an explicit rank-one representation,
 and its strata are checked against the library's valued-tree census;
-``tree_stratum_census_oracle`` lists that census by direct path scans.
+``tree_stratum_census_oracle`` lists that census by direct path scans over
+the spanning trees of ``spanning_trees_oracle``, which tests every
+(n-1)-subset by ``restrict_arrows``, checked against the library's
+union-find test.
 ``shelling_restrictions_oracle`` finds the restriction faces of a shelling
 by facet-pair search, checked against the library's descent rule.
 ``toric_orbit_count_oracle`` counts torus orbits by lexicographically minimal
@@ -37,8 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress, permutations, product
-from typing import Iterator, Sequence
+from itertools import combinations, combinations_with_replacement, compress, permutations, product
+from typing import Iterable, Iterator, Sequence
 
 from kacdepth import (
     LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
@@ -164,6 +167,24 @@ def contract_arrow(quiver: Quiver, a: int) -> tuple[Quiver, tuple[int, ...]]:
     return Quiver(quiver.nvertices - 1, arrows), relabel
 
 
+def restrict_arrows(quiver: Quiver, arrow_subset: Iterable[int]) -> Quiver:
+    """Subquiver with all vertices and only the given arrows, in arrow order."""
+    keep = sorted(set(arrow_subset))
+    if any(not 0 <= a < quiver.narrows for a in keep):
+        raise QuiverFormatError("arrow subset out of range")
+    return Quiver(quiver.nvertices, tuple(quiver.arrows[a] for a in keep))
+
+
+def spanning_trees_oracle(quiver: Quiver) -> list[tuple[int, ...]]:
+    """Spanning trees by restriction: each (n-1)-subset of non-loop arrows
+    whose subquiver is connected, in ``combinations`` order."""
+    nonloops = [a for a in range(quiver.narrows) if not quiver.is_loop(a)]
+    return [
+        subset for subset in combinations(nonloops, quiver.nvertices - 1)
+        if restrict_arrows(quiver, subset).is_connected()
+    ]
+
+
 def tree_path_data(
     quiver: Quiver, tree: ValuedTree, a: int
 ) -> tuple[tuple[int, ...], int, int]:
@@ -182,13 +203,14 @@ def tree_path_data(
 def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedTree, int]]:
     """The valued-tree census by direct scans, in the library's order.
 
-    For every spanning tree and valuation, each non-loop arrow outside the
-    tree scans its path twice: once for the largest valuation, once for the
-    smallest-index arrow achieving it (the critical edge).  Loops add alpha.
+    For every spanning tree (found by restriction) and valuation, each
+    non-loop arrow outside the tree scans its path twice: once for the
+    largest valuation, once for the smallest-index arrow achieving it (the
+    critical edge).  Loops add alpha.
     """
     nloops = len(quiver.loops())
     census: list[tuple[ValuedTree, int]] = []
-    for tree in quiver.spanning_trees():
+    for tree in spanning_trees_oracle(quiver):
         pos = {a: i for i, a in enumerate(tree)}
         paths = tree_paths(quiver, tree)
         for values in product(range(alpha), repeat=len(tree)):
@@ -219,7 +241,7 @@ def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
     if len(x) != quiver.narrows:
         raise ValueError("one ring element per arrow required")
     support = [a for a in range(quiver.narrows) if not x[a].is_zero()]
-    if not quiver.restrict_arrows(support).is_connected():
+    if not restrict_arrows(quiver, support).is_connected():
         raise ValueError("decomposable representation")
 
     arrows = dict(enumerate(quiver.arrows))

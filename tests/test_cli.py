@@ -351,6 +351,14 @@ def test_exp_identity_refused_before_chain_sum(tmp_path, capsys):
     assert main(args + ["--alpha", "2", "--guard", "49"]) == 0
 
 
+@pytest.mark.parametrize("bound", ["0,0", "0,-1", "-1,1"])
+def test_exp_identity_bound_selecting_no_rank_vector_is_a_user_error(bound, a2_file, capsys):
+    # an all-zero bound walked no rank vector and reported "ok": true
+    assert main(["--format", "json", "verify", "exp-identity", "--quiver", a2_file, f"--bound={bound}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bound selects no rank vector\n"
+
+
 RANK_VECTOR_REFUSALS = [(22, 100, 127), (4, 7, 15)]
 
 
@@ -751,13 +759,16 @@ def test_oracle_commands_fuzz(fuzz_quivers, command, index, p, alpha, rank, lam,
 
 
 STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "\U0001f4a1"])
-JSON_VALUES = st.recursive(
+SCALARS = (
     st.integers()
     | st.integers(-(2**200), 2**200)
     | st.booleans()
     | st.none()
     | st.floats(allow_nan=True, allow_infinity=True)
-    | STRINGS,
+    | STRINGS
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(STRINGS, inner, max_size=4),
@@ -765,8 +776,29 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
+KEYS = STRINGS | st.sampled_from(["%", "%s", "%%", "a%(b)s", "100%"])
+
+
+@st.composite
+def shared_rows(draw):
+    """Lists of dicts with one key set, in one or in permuted key orders, keys
+    with "%", and one tuple or list object in many cells at one depth and,
+    through a nested list of such dicts, at several depths."""
+    shared = draw(st.lists(SCALARS, min_size=1, max_size=3).map(draw(st.sampled_from([list, tuple]))))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    permuted = draw(st.booleans())
+
+    def rows(cells):
+        orders = [draw(st.permutations(keys)) if permuted else keys for _ in range(draw(st.integers(2, 5)))]
+        return [{key: draw(cells) for key in order} for order in orders]
+
+    inner = rows(st.just(shared) | SCALARS)
+    outer = rows(st.sampled_from([shared, inner]) | SCALARS)
+    return draw(st.sampled_from([outer, {"rows": outer, "shared": shared}, [shared, [outer], inner]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | shared_rows())
 def test_dumps_matches_json_indent(obj):
     assert cli._dumps(obj) == json.dumps(obj, indent=2)
 

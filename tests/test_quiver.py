@@ -11,7 +11,9 @@ from kacdepth import Quiver, ValuedTree, toric
 from kacdepth.quiver import QuiverFormatError, tree_paths
 
 from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
-from oracles import _set_partitions, contract_arrow, quiver_catalog, tree_path_data
+from oracles import (
+    _set_partitions, contract_arrow, quiver_catalog, restrict_arrows, spanning_trees_oracle, tree_path_data,
+)
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
@@ -141,7 +143,7 @@ class TestOperations:
     def test_restrict_and_delete(self):
         assert TRIANGLE.restrict_vertices([0, 1]) == Quiver(2, ((0, 1),))
         assert KRON.delete_arrow(0) == A2
-        empty = TRIANGLE.restrict_arrows([])
+        empty = restrict_arrows(TRIANGLE, [])
         assert empty == Quiver(3, ())
         assert empty.betti() == 0
 
@@ -161,6 +163,14 @@ class TestSpanningTrees:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="no spanning tree"):
             Quiver(2, ()).spanning_trees()
+
+    def test_matches_restriction_oracle(self):
+        # the union-find test against one restricted subquiver per subset,
+        # over the catalog and random multigraphs with loops
+        rng = random.Random(808)
+        quivers = [*quiver_catalog(3, 4), *(random_connected_quiver(rng, 5, 8) for _ in range(200))]
+        for q in quivers:
+            assert q.spanning_trees() == spanning_trees_oracle(q), q
 
     def test_matrix_tree_oracle_random(self):
         rng = random.Random(123)
@@ -229,7 +239,7 @@ def _contract_forest_inside_parts(quiver, parts):
     # intra-part arrows not in the forest are loops now; the contracted
     # quiver keeps only the arrows joining distinct parts
     keep = [a for a in range(current.narrows) if not current.is_loop(a)]
-    return current.restrict_arrows(keep)
+    return restrict_arrows(current, keep)
 
 
 class TestBettiIdentities:
