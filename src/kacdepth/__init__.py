@@ -9,7 +9,8 @@ Importing the package executes none of its layer modules.  Each layer is
 put in ``sys.modules`` (and bound as a package attribute) through
 ``importlib.util.LazyLoader``, so it is compiled and run on the first access
 to one of its attributes; a process compiles only the layers it uses.  The
-names in ``__all__`` resolve through the module ``__getattr__`` below.
+exported names, and ``__all__`` itself, resolve through the module
+``__getattr__`` below.
 ``cli`` is not registered: ``python -m kacdepth.cli`` must find it unloaded.
 """
 
@@ -27,47 +28,11 @@ del layer, spec, module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPoly",
-    "RatFunc",
-    "TSeries",
-    "adams",
-    "pleth_exp",
-    "pleth_log",
-    "Quiver",
-    "ValuedTree",
-    "DEFAULT_GUARD",
-    "GuardError",
-    "group_order_gl",
-    "asymptotic_kac",
-    "asymptotic_moment",
-    "toric_kac_chain",
-    "toric_orbit_count",
-    "tree_stratum_census",
-    "OrderComplex",
-    "hilbert_specialized",
-    "lex_shelling",
-    "order_complex",
-    "positivity_certificate",
-    "verify_hilbert_identity",
-    "e_series_check",
-    "is_generic",
-    "kac_polynomial",
-    "moment_fiber_count",
-    "verify_exp_identity",
-    "verify_generic_fiber",
-    "closed_form_rank2",
-    "closed_form_rank3",
-    "moment_total",
-    "rank2_class_sums",
-    "rank3_class_sums",
-    "__version__",
-]
-
 
 def __getattr__(name):
-    """Resolve an exported name from its layer module (PEP 562)."""
-    for layer, names in (
+    """Resolve an exported name from its layer module (PEP 562); ``__all__``
+    lists the names of every layer and ``__version__``."""
+    exports = (
         ("poly", "LaurentPoly"),
         ("laurent", "RatFunc"),
         ("series", "TSeries"),
@@ -80,7 +45,10 @@ def __getattr__(name):
         ("moment", "e_series_check is_generic kac_polynomial moment_fiber_count verify_exp_identity"
                    " verify_generic_fiber"),
         ("rank", "closed_form_rank2 closed_form_rank3 moment_total rank2_class_sums rank3_class_sums"),
-    ):
+    )
+    if name == "__all__":
+        return [*" ".join(names for _, names in exports).split(), "__version__"]
+    for layer, names in exports:
         if name in names.split():
             return getattr(globals()[layer], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -221,7 +221,7 @@ def _orbit_count(args, quiver: Quiver):
     rows = []
     for p in primes:
         count = toric.toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
-        rows.append({"p": p, "count": count, "polynomial_at_p": int(chain.evaluate(p))})
+        rows.append({"p": p, "count": count, "polynomial_at_p": chain.evaluate(p)})
     body = {"alpha": args.alpha, "polynomial": str(chain), "rows": rows}
     text = [f"p={r['p']}: orbits={r['count']} polynomial={r['polynomial_at_p']}" for r in rows]
     return body, all(r["count"] == r["polynomial_at_p"] for r in rows), text
@@ -254,6 +254,20 @@ HANDLERS = {
 }
 
 
+class _LazySubParsers(argparse._SubParsersAction):
+    """Subparsers that add a parser's arguments (``fill``) only when argparse
+    selects it: a call builds the flags of one leaf, not of all ten."""
+
+    def add_parser(self, name, fill, **kwargs):
+        parser = super().add_parser(name, **kwargs)
+        vars(self).setdefault("fills", {})[name] = lambda: fill(parser)
+        return parser
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fills.pop(values[0], lambda: None)()
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kacdepth",
@@ -261,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-
-    sub = parser.add_subparsers(dest="command", required=True)
     vectors = {"p": "comma-separated primes", "bound": "rank truncation r1,r2,...",
                "rank": "rank vector r1,r2,...", "lam": "generic parameter l1,l2,..."}
 
@@ -279,33 +291,36 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", help=vectors[flag])
 
-    add_common(sub.add_parser("kac", help="toric count by chain and tree routes"))
+    def common(**kwargs):
+        return lambda p: add_common(p, **kwargs)
 
-    add_common(sub.add_parser("asymptotic", help="depth limits A_Q and B_mu"), alpha=False)
+    def targets(dest, leaves):
+        def fill(p):
+            sub = p.add_subparsers(dest=dest, required=True, action=_LazySubParsers)
+            for name, kwargs in leaves.items():
+                sub.add_parser(name, common(**kwargs))
+        return fill
 
-    targets = sub.add_parser("verify", help="identity verification suites").add_subparsers(
-        dest="identity", required=True)
-    add_common(targets.add_parser("exp-identity"), flags=("p", "bound"))
-    add_common(targets.add_parser("generic-fiber"), flags=("p", "lam"))
-    add_common(targets.add_parser("thm41"), alpha=False)
+    def rank_table(p):
+        p.add_argument("--g", type=int, required=True)
+        add_common(p, quiver=False)
 
-    add_common(sub.add_parser("shelling", help="shelling order and positivity certificate"),
-               alpha=False)
+    def e_series(p):
+        add_common(p)
+        p.add_argument("--mode", choices=("zero-fiber", "generic-fiber"), default="zero-fiber")
+        p.add_argument("--order", type=int, default=10)
 
-    p = sub.add_parser("rank-table", help="one-vertex ranks 1..3 for g loops")
-    p.add_argument("--g", type=int, required=True)
-    add_common(p, quiver=False)
-
-    p = sub.add_parser("e-series", help="graded-dimension series bookkeeping")
-    add_common(p)
-    p.add_argument("--mode", choices=("zero-fiber", "generic-fiber"), default="zero-fiber")
-    p.add_argument("--order", type=int, default=10)
-
-    targets = sub.add_parser("oracle", help="brute-force enumeration oracles").add_subparsers(
-        dest="oracle", required=True)
-    add_common(targets.add_parser("orbit-count"), flags=("p",))
-    add_common(targets.add_parser("moment-fiber"), flags=("p", "rank", "lam"))
-
+    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubParsers)
+    sub.add_parser("kac", add_common, help="toric count by chain and tree routes")
+    sub.add_parser("asymptotic", common(alpha=False), help="depth limits A_Q and B_mu")
+    identities = {"exp-identity": {"flags": ("p", "bound")}, "generic-fiber": {"flags": ("p", "lam")},
+                  "thm41": {"alpha": False}}
+    sub.add_parser("verify", targets("identity", identities), help="identity verification suites")
+    sub.add_parser("shelling", common(alpha=False), help="shelling order and positivity certificate")
+    sub.add_parser("rank-table", rank_table, help="one-vertex ranks 1..3 for g loops")
+    sub.add_parser("e-series", e_series, help="graded-dimension series bookkeeping")
+    oracles = {"orbit-count": {"flags": ("p",)}, "moment-fiber": {"flags": ("p", "rank", "lam")}}
+    sub.add_parser("oracle", targets("oracle", oracles), help="brute-force enumeration oracles")
     return parser
 
 

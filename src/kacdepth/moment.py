@@ -3,9 +3,13 @@ counting identities they verify.
 
 The moment map on the doubled quiver sends (x_a, y_a) to the vertexwise
 commutator sums (sum_{t(a)=i} x_a y_a - sum_{s(a)=i} y_a x_a).  For fixed x
-it is F_p-linear in y, so a fiber count enumerates the p^(alpha h) choices
-of x (h = sum of r_s r_t over the arrows) and solves one linear system mod p
-per x, instead of enumerating every pair (x, y).  The work estimate is
+it is F_p-linear in y, so a fiber count solves one linear system mod p per
+x instead of enumerating every pair (x, y); and the y-count of x is constant
+on the orbits of two symmetries of mu, so x runs over one representative per
+orbit, weighted by its size.  On an arrow with r_s = r_t = 1, y_a -> u y_a
+(u a unit) takes x_a = u t^v to t^v; on a loop, [x_a + c Id, y_a] =
+[x_a, y_a] for every c in O.  The work estimate still bounds all p^(alpha h)
+points (h = sum of r_s r_t over the arrows):
 p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p), with
 R = alpha * sum r_i^2 equations, C = alpha h unknowns and isqrt(p) for the
 primality test; h counts as at least 1 because the identity checks form
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import laurent, plethysm, series, toric
@@ -60,12 +64,7 @@ def is_generic(lam: Sequence[int], rank: Sequence[int]) -> bool:
 
 
 def _check_fiber_work(
-    quiver: Quiver,
-    rank: Sequence[int],
-    p: int,
-    alpha: int,
-    guard: int,
-    lam: Sequence[int] | None = None,
+    quiver: Quiver, rank: Sequence[int], p: int, alpha: int, guard: int, lam: Sequence[int] | None = None
 ) -> tuple[int, ...]:
     """Validate a fiber count's inputs and check its work estimate (see the
     module docstring) before p is tested for primality; return the rank tuple."""
@@ -104,11 +103,7 @@ def _reduce(vec: list[int], basis: dict[int, list[int]], p: int) -> int | None:
 
 
 def moment_fiber_count(
-    quiver: Quiver,
-    rank: Sequence[int],
-    p: int,
-    alpha: int,
-    lam: Sequence[int] | None = None,
+    quiver: Quiver, rank: Sequence[int], p: int, alpha: int, lam: Sequence[int] | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> int:
     """Exact number of points (x, y) on the doubled quiver with
@@ -118,27 +113,31 @@ def moment_fiber_count(
     For each x the y-count is 0 or p^(C - rank) of one linear system mod p,
     whose column for y_a[k][l] = t^d is mu(x, t^d e_kl): it adds t^d x_a[u][k]
     to entry (u, l) at t(a) and subtracts t^d x_a[l][v] from entry (k, v) at
-    s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
-    coordinates; vertices of rank zero impose no condition.  The work
-    estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p)
-    must not exceed guard (see the module docstring).
+    s(a), truncated at t^alpha.  x_a runs over one representative per orbit
+    (see the module docstring): on a loop its last diagonal entry is 0, for
+    p^alpha shifts; on a rank-one arrow it is t^v, for the
+    p^(alpha-v-1) (p-1) elements of valuation v < alpha, or 0; elsewhere all
+    of O.  Arrows with a zero-rank endpoint carry no coordinates; vertices of
+    rank zero impose no condition.  The work estimate (see the module
+    docstring) must not exceed guard.
     """
     rank = _check_fiber_work(quiver, rank, p, alpha, guard, lam)
     _check_prime(p)
-    verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
     # one block of alpha rows (the coefficients of 1, t, ..., t^(alpha-1)) per
     # target entry (i, u, v); only a diagonal entry has a nonzero t^(alpha-1) term
     block: dict[tuple[int, int, int], int] = {}
     rhs: list[int] = []
-    for i in verts:
+    for i in range(quiver.nvertices):
         for u, v in product(range(rank[i]), repeat=2):
             block[i, u, v] = len(block)
             rhs += [0] * (alpha - 1)
             rhs.append(lam[i] % p if lam is not None and u == v else 0)
-    # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier arrows
+    # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier
+    # arrows; x_a runs over its (digits, orbit size) choices
     columns: list[list[tuple[int, int, int]]] = []
+    choices: list[list[tuple[tuple[int, ...], int]]] = []
     nx = 0
-    for a, (s, t) in enumerate(quiver.arrows):
+    for s, t in quiver.arrows:
         rs, rt = rank[s], rank[t]
         for k, l in product(range(rs), range(rt)):
             terms = [(block[t, u, l], nx + u * rs + k, 1) for u in range(rt)]
@@ -152,8 +151,16 @@ def moment_fiber_count(
                 for d in range(alpha)
             ]
         nx += rs * rt
+        zero, loop = (0,) * alpha, s == t and rs > 0
+        if rs == rt == 1 and not loop:
+            units = [(zero[:v] + (1,) + zero[v + 1 :], p ** (alpha - v - 1) * (p - 1)) for v in range(alpha)]
+            choices.append([*units, (zero, 1)])
+        else:  # a loop's last diagonal entry is 0; the other digits run free
+            free = product(range(p), repeat=alpha * (rs * rt - loop))
+            choices.append([(x + zero * loop, p ** (alpha * loop)) for x in free])
     count = 0
-    for x in product(range(p), repeat=alpha * nx):
+    for choice in product(*choices):
+        x = [digit for digits, _ in choice for digit in digits]
         basis: dict[int, list[int]] = {}
         for entries in columns:
             col = [0] * len(rhs)
@@ -163,7 +170,7 @@ def moment_fiber_count(
             if lead is not None:
                 basis[lead] = col
         if _reduce(rhs[:], basis, p) is None:
-            count += p ** (len(columns) - len(basis))
+            count += prod([size for _, size in choice]) * p ** (len(columns) - len(basis))
     return count
 
 
@@ -188,11 +195,7 @@ def kac_polynomial(
 
 
 def verify_exp_identity(
-    quiver: Quiver,
-    p: int,
-    alpha: int,
-    bound: Sequence[int],
-    guard: int = DEFAULT_GUARD,
+    quiver: Quiver, p: int, alpha: int, bound: Sequence[int], guard: int = DEFAULT_GUARD
 ) -> dict:
     """Compare normalised zero-fiber counts with Exp of the A-series at q = p.
 
@@ -238,11 +241,7 @@ def verify_exp_identity(
 
 
 def verify_generic_fiber(
-    quiver: Quiver,
-    lam: Sequence[int],
-    p: int,
-    alpha: int,
-    guard: int = DEFAULT_GUARD,
+    quiver: Quiver, lam: Sequence[int], p: int, alpha: int, guard: int = DEFAULT_GUARD
 ) -> dict:
     """Check the generic-fiber count identity for the all-ones rank vector.
 

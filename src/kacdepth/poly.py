@@ -210,11 +210,13 @@ class LaurentPoly:
             raise ValueError("invalid Adams index")
         return LaurentPoly._settled({e * m: c for e, c in self._coeffs.items()})
 
-    def evaluate(self, x: Rational) -> Fraction:
-        from fractions import Fraction
+    def evaluate(self, x: Rational) -> Rational:
+        """The value at q = x; an ``int`` for an ``int`` x, ``int`` coefficients and no q^-k."""
+        if type(x) is not int or any(e < 0 or type(c) is not int for e, c in self._coeffs.items()):
+            from fractions import Fraction
 
-        x = Fraction(x)
-        return sum([c * x**e for e, c in self._coeffs.items()], Fraction(0))
+            x = Fraction(x)
+        return sum([c * x**e for e, c in self._coeffs.items()], x - x)
 
     # ------------------------------------------------------------------
     # presentation

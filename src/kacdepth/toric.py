@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count, product, repeat, zip_longest
+from itertools import chain, compress, count, product, repeat, zip_longest
 from math import comb, isqrt, prod
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
@@ -182,8 +182,8 @@ def tree_stratum_census(
     valuations = list(product(range(alpha), repeat=n - 1))
     tables: dict[tuple, list[int]] = {}  # (|A|, count of A above each arrow of P) -> table
     spreads: dict[tuple, list[int]] = {}  # positions of P in the tree -> table index per valuation
-    census: list[tuple[ValuedTree, int]] = []
-    for tree in quiver.spanning_trees():
+    trees, n_t = quiver.spanning_trees(), []  # n_t: the exponent of every stratum
+    for tree in trees:
         groups: dict[tuple[int, ...], list[int]] = {}
         for a, path in tree_paths(quiver, tree).items():
             groups.setdefault(path, []).append(a)
@@ -202,8 +202,10 @@ def tree_stratum_census(
                 weights = [(i, alpha**j) for j, i in enumerate(reversed(positions))]
                 spreads[positions] = [sum([v[i] * w for i, w in weights]) for v in valuations]
             exponents = list(map(add, exponents, map(tables[key].__getitem__, spreads[positions])))
-        census += zip(map(ValuedTree, repeat(tree), valuations), exponents)
-    return census
+        n_t += exponents
+    # a tree's strata are consecutive, in product order of their valuations
+    arrows = chain.from_iterable(map(repeat, trees, repeat(strata)))
+    return list(zip(ValuedTree.many(arrows, valuations * len(trees)), n_t))
 
 
 def census_polynomial(census: Sequence[tuple[ValuedTree, int]]) -> LaurentPoly:

@@ -14,8 +14,11 @@ union-find test.
 by facet-pair search, checked against the library's descent rule.
 ``toric_orbit_count_oracle`` counts torus orbits by lexicographically minimal
 representatives over the ring tables, checked against the library's
-Burnside count; ``e_series_partition_oracle`` builds the ``e-series`` report
-by summing over all set partitions, checked against the library's subset DP.
+Burnside count; ``moment_fiber_count_per_point_oracle`` solves one linear
+system mod p for every point x of a moment-map fiber count, checked against
+the library's sum over orbit representatives; ``e_series_partition_oracle``
+builds the ``e-series`` report by summing over all set partitions, checked
+against the library's subset DP.
 ``series_at_infinity_oracle`` expands a rational function at q = infinity
 through the inverse series of its denominator, checked against the
 library's long division.  ``quiver_catalog`` lists small quivers up to
@@ -47,7 +50,8 @@ from kacdepth import (
     LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
 )
 from kacdepth.laurent import ONE_MINUS_QINV, _CycloSum, _cyclo_sum
-from kacdepth.oring import ORing, _check_prime
+from kacdepth.moment import _check_fiber_work, _reduce
+from kacdepth.oring import DEFAULT_GUARD, ORing, _check_prime
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
 from kacdepth.rank import (
     _kac_from_totals, rank2_initial, rank2_transition, rank3_initial, rank3_transition,
@@ -318,7 +322,7 @@ def shelling_restrictions_oracle(
 
 
 # ----------------------------------------------------------------------
-# enumeration oracles: torus orbits and set partitions
+# enumeration oracles: torus orbits, fiber points and set partitions
 
 
 def toric_orbit_count_oracle(quiver: Quiver, p: int, alpha: int) -> int:
@@ -342,6 +346,71 @@ def toric_orbit_count_oracle(quiver: Quiver, p: int, alpha: int) -> int:
             for u in torus
         ):
             count += 1
+    return count
+
+
+def moment_fiber_count_per_point_oracle(
+    quiver: Quiver,
+    rank: Sequence[int],
+    p: int,
+    alpha: int,
+    lam: Sequence[int] | None = None,
+    guard: int = DEFAULT_GUARD,
+) -> int:
+    """Exact number of points (x, y) on the doubled quiver with
+    mu(x, y) = t^(alpha-1) lam_i Id at every vertex i; no lam means the zero
+    fiber.
+
+    For each x the y-count is 0 or p^(C - rank) of one linear system mod p,
+    whose column for y_a[k][l] = t^d is mu(x, t^d e_kl): it adds t^d x_a[u][k]
+    to entry (u, l) at t(a) and subtracts t^d x_a[l][v] from entry (k, v) at
+    s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
+    coordinates; vertices of rank zero impose no condition.  The work
+    estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p)
+    must not exceed guard (see ``kacdepth.moment``).  Every one of the
+    p^(alpha h) points x is solved for, one linear system each.
+    """
+    rank = _check_fiber_work(quiver, rank, p, alpha, guard, lam)
+    _check_prime(p)
+    verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
+    # one block of alpha rows (the coefficients of 1, t, ..., t^(alpha-1)) per
+    # target entry (i, u, v); only a diagonal entry has a nonzero t^(alpha-1) term
+    block: dict[tuple[int, int, int], int] = {}
+    rhs: list[int] = []
+    for i in verts:
+        for u, v in product(range(rank[i]), repeat=2):
+            block[i, u, v] = len(block)
+            rhs += [0] * (alpha - 1)
+            rhs.append(lam[i] % p if lam is not None and u == v else 0)
+    # digit e of x_a[u][k] is x[(nx + u r_s + k) alpha + e], nx counting earlier arrows
+    columns: list[list[tuple[int, int, int]]] = []
+    nx = 0
+    for a, (s, t) in enumerate(quiver.arrows):
+        rs, rt = rank[s], rank[t]
+        for k, l in product(range(rs), range(rt)):
+            terms = [(block[t, u, l], nx + u * rs + k, 1) for u in range(rt)]
+            terms += [(block[s, k, v], nx + l * rs + v, -1) for v in range(rs)]
+            columns += [
+                [
+                    (rb * alpha + e, xi * alpha + e - d, sign)
+                    for rb, xi, sign in terms
+                    for e in range(d, alpha)
+                ]
+                for d in range(alpha)
+            ]
+        nx += rs * rt
+    count = 0
+    for x in product(range(p), repeat=alpha * nx):
+        basis: dict[int, list[int]] = {}
+        for entries in columns:
+            col = [0] * len(rhs)
+            for r, f, sign in entries:
+                col[r] += sign * x[f]
+            lead = _reduce(col, basis, p)
+            if lead is not None:
+                basis[lead] = col
+        if _reduce(rhs[:], basis, p) is None:
+            count += p ** (len(columns) - len(basis))
     return count
 
 

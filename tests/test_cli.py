@@ -477,11 +477,40 @@ def test_identity_failure_exits_1(kron_file, monkeypatch, capsys):
     assert "forced diff" in capsys.readouterr().out
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def _selected(*path: str) -> argparse.ArgumentParser:
+    """The parser of a subcommand path with its arguments, which argparse adds
+    only once it selects the path (here for ``--help``)."""
+    parser = build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+        parser.parse_args([*path, "--help"])
+    for name in path:
+        parser = _subparsers(parser).choices[name]
+    return parser
+
+
+def test_a_call_adds_the_flags_of_its_leaf_alone(kron_file):
+    parser = build_parser()
+    parser.parse_args(["oracle", "moment-fiber", "--quiver", kron_file, "--rank=1,1"])
+    oracle = _subparsers(parser).choices["oracle"]
+    filled = {
+        name: len(leaf._actions) > 1  # every parser has -h
+        for group in (parser, oracle)
+        for name, leaf in _subparsers(group).choices.items()
+    }
+    assert [name for name, full in filled.items() if full] == ["oracle", "moment-fiber"]
+    assert len(filled) == 9
+
+
 def _parser_commands() -> set[str]:
     """Every subcommand the parser accepts, joined with each positional target."""
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     commands = set()
-    for name, parser in sub.choices.items():
+    for name in _subparsers(build_parser()).choices:
+        parser = _selected(name)
         positional = [a for a in parser._actions if not a.option_strings]
         assert len(positional) <= 1, name
         targets = positional[0].choices if positional else [None]
@@ -509,10 +538,7 @@ def _flags_read(fn) -> set[str]:
 
 @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
 def test_each_subcommand_accepts_only_the_flags_it_reads(command):
-    parser = build_parser()
-    for name in command.split():
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        parser = sub.choices[name]
+    parser = _selected(*command.split())
     accepted = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
     # main reads --format and --seed for every command
     assert accepted == _flags_read(cli.HANDLERS[command]) | {"format", "seed"}

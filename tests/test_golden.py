@@ -8,7 +8,12 @@ Each case runs in process through ``cli.main`` with its quiver file under
 ``tmp_path``; no report mentions the file path, so the bytes do not depend
 on where it lives.
 
-A change that alters a report on purpose regenerates the digests with
+A second corpus, ``tests/golden/help.json``, keeps the full text of every
+parser's ``--help`` and of its argument errors at ``COLUMNS=80``: the top
+level, the ``verify`` and ``oracle`` groups and their ten leaves.
+
+A change that alters a report or a parser message on purpose regenerates
+both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +27,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +37,7 @@ import pytest
 from kacdepth.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+HELP = GOLDEN.with_name("help.json")
 
 QUIVERS = {
     # shapes of the benchmark jobs, relabelled as seed 0 relabels them
@@ -164,6 +171,53 @@ def test_golden_file_has_exactly_the_cases():
     assert set(_expected()) == keys
 
 
+# every parser, with the arguments that complete a call below it
+PARSERS = [
+    ([], ["kac", "--quiver", "q.json"]),
+    (["kac"], ["--quiver", "q.json"]),
+    (["asymptotic"], ["--quiver", "q.json"]),
+    (["verify"], ["thm41", "--quiver", "q.json"]),
+    (["verify", "exp-identity"], ["--quiver", "q.json"]),
+    (["verify", "generic-fiber"], ["--quiver", "q.json"]),
+    (["verify", "thm41"], ["--quiver", "q.json"]),
+    (["shelling"], ["--quiver", "q.json"]),
+    (["rank-table"], ["--g", "1"]),
+    (["e-series"], ["--quiver", "q.json"]),
+    (["oracle"], ["orbit-count", "--quiver", "q.json"]),
+    (["oracle", "orbit-count"], ["--quiver", "q.json"]),
+    (["oracle", "moment-fiber"], ["--quiver", "q.json"]),
+]
+
+# --help; an unknown flag alone (a leaf reports its missing required flag
+# first); an unknown flag in an otherwise complete call
+HELP_CASES = [
+    argv
+    for path, rest in PARSERS
+    for argv in ([*path, "--help"], [*path, "--nope"], [*path, "--nope", *rest])
+]
+
+
+def run_parser_case(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of a call that argparse ends; the caller
+    sets COLUMNS=80."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    return {"exit": exc.value.code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("argv", HELP_CASES, ids=[" ".join(a) for a in HELP_CASES])
+def test_parser_messages_match_golden(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(HELP.read_text())[" ".join(argv)]
+    assert run_parser_case(argv) == expected
+
+
+def test_help_golden_file_has_exactly_the_cases():
+    assert set(json.loads(HELP.read_text())) == {" ".join(a) for a in HELP_CASES}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {
@@ -174,3 +228,7 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+    os.environ["COLUMNS"] = "80"
+    messages = {" ".join(argv): run_parser_case(argv) for argv in HELP_CASES}
+    HELP.write_text(json.dumps(messages, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(messages)} parser messages to {HELP}", file=sys.stderr)

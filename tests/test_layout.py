@@ -192,6 +192,23 @@ def test_each_subcommand_executes_only_its_layers(triangle_file):
     assert _python("-c", "import sys, types\nimport kacdepth\n" + _EXECUTED).stdout == "\n"
 
 
+def test_toric_counts_never_import_fractions(triangle_file):
+    # fractions imports decimal, about 4 ms of every process start; the
+    # integer counts of kac and the orbit count need neither
+    run = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import kacdepth.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = kacdepth.cli.main(sys.argv[1:])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    for argv in (["kac", "--alpha", "3"], ["oracle", "orbit-count", "--alpha", "2", "--p", "2,3"]):
+        for fmt in ("text", "json"):
+            proc = _python("-c", run, *argv, "--quiver", triangle_file, "--format", fmt)
+            assert proc.stdout == "0 []\n", (argv, fmt)
+
+
 def test_kac_compiles_at_most_its_pinned_line_count(triangle_file):
     # without a bytecode cache a kac job compiles every module it executes,
     # the package's __init__.py included: about a quarter of the job's time,

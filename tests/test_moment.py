@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,11 +30,17 @@ from helpers import (
     scalar_fiber_count,
     zero_target,
 )
-from oracles import _set_partitions, e_series_partition_oracle, quiver_catalog
+from oracles import (
+    _set_partitions,
+    e_series_partition_oracle,
+    moment_fiber_count_per_point_oracle,
+    quiver_catalog,
+)
 
 KRON = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
+LOOP2 = Quiver(1, ((0, 0), (0, 0)))
 A2_LOOP = Quiver(2, ((0, 1), (1, 1)))
 TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -110,6 +117,51 @@ class TestFiberCounts:
             assert moment_fiber_count(q, rank, p, alpha, lam=lam) == expected, (
                 q, rank, p, alpha, lam
             )
+
+    def test_matches_per_point_oracle_on_rank_one_catalog(self):
+        # every rank vector in {0, 1}^n, the zero fiber and a lam target with
+        # lam . r = 0, wherever the oracle solves at most 3^6 points x
+        cases = 0
+        for q in quiver_catalog(3, 4):
+            for rank in product((0, 1), repeat=q.nvertices):
+                support = [i for i in range(q.nvertices) if rank[i]]
+                lam = [1 if i in support else 5 for i in range(q.nvertices)]
+                if support:
+                    lam[support[-1]] = 1 - len(support)
+                h = sum(rank[s] * rank[t] for s, t in q.arrows)
+                for p, alpha in product((2, 3, 5), (1, 2, 3)):
+                    if p ** (alpha * h) > 729:
+                        continue
+                    for target in (None, lam):
+                        expected = moment_fiber_count_per_point_oracle(q, rank, p, alpha, lam=target)
+                        got = moment_fiber_count(q, rank, p, alpha, lam=target)
+                        assert got == expected, (q, rank, p, alpha, target)
+                        cases += 1
+        assert cases > 1000
+
+    @pytest.mark.parametrize(
+        "quiver, rank, lam, cases",
+        [
+            # one and two loops at rank 2: the last diagonal entry is fixed
+            (LOOP1, (2,), (1,), ((2, 1), (2, 2), (3, 1), (3, 2))),
+            (LOOP2, (2,), (1,), ((2, 1), (3, 1))),
+            (A2, (1, 2), (-2, 1), ((2, 1), (2, 2), (3, 1), (5, 1))),
+            (A2, (2, 1), (1, -2), ((2, 1), (2, 2), (3, 1), (5, 1))),
+            (A2_LOOP, (1, 2), (-2, 1), ((2, 1), (2, 2), (3, 1))),
+            (A2_LOOP, (2, 1), (1, -2), ((2, 1), (2, 2), (3, 1))),
+            # arrows between the rank-one vertices take the rank-one choices,
+            # the arrow and the loop at the rank-two vertex run free
+            (Quiver(3, ((0, 1), (1, 2), (2, 1), (2, 2))), (2, 1, 1), (1, -1, -1), ((2, 1), (3, 1))),
+            (Quiver(3, ((1, 0), (1, 2), (0, 0))), (1, 2, 1), (1, -1, 1), ((2, 1), (2, 2), (3, 1))),
+        ],
+    )
+    def test_matches_per_point_oracle_at_rank_two(self, quiver, rank, lam, cases):
+        # a lam target with lam . r = 0, and the zero fiber
+        for p, alpha in cases:
+            for target in (None, lam):
+                expected = moment_fiber_count_per_point_oracle(quiver, rank, p, alpha, lam=target)
+                got = moment_fiber_count(quiver, rank, p, alpha, lam=target)
+                assert got == expected, (p, alpha, target)
 
     def test_zero_rank_vertices(self):
         for q, rank, p, alpha in (
@@ -224,6 +276,16 @@ class TestGenericFiber:
             for alpha in (1, 2):
                 report = verify_generic_fiber(quiver, (1, -1), 3, alpha)
                 assert report["equal"], (quiver, alpha)
+
+    def test_reach_a2_at_p101(self, monkeypatch):
+        # x runs over t^0, t^1 and 0, not over the 101^2 points of O: three
+        # systems of two columns, one reduction per column and one of the target
+        reductions = []
+        real = moment._reduce
+        monkeypatch.setattr(moment, "_reduce", lambda *args: reductions.append(1) or real(*args))
+        report = verify_generic_fiber(A2, (1, -1), 101, 2)
+        assert report["equal"] and report["fiber"] == 2 * 100 * 101
+        assert len(reductions) == 9
 
     def test_non_generic_rejected(self):
         with pytest.raises(ValueError, match="lambda not generic"):
