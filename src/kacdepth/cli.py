@@ -132,10 +132,7 @@ def _asymptotic(args, quiver: Quiver):
 
 def _exp_identity(args, quiver: Quiver):
     bound = tuple(_parse_ints(args.bound)) if args.bound else (1,) * quiver.nvertices
-    reports = [
-        moment.verify_exp_identity(quiver, p, args.alpha, bound, guard=args.guard)
-        for p in _primes(args)
-    ]
+    reports = moment.verify_exp_identity(quiver, _primes(args), args.alpha, bound, guard=args.guard)
     text = [
         f"exp-identity p={r['prime']} alpha={r['alpha']}: "
         + ("ok" if r["equal"] else "FAILED")
@@ -152,10 +149,7 @@ def _generic_fiber(args, quiver: Quiver):
     if not args.lam:
         raise QuiverFormatError("generic-fiber requires --lam")
     lam = _parse_ints(args.lam)
-    reports = [
-        moment.verify_generic_fiber(quiver, lam, p, args.alpha, guard=args.guard)
-        for p in _primes(args)
-    ]
+    reports = moment.verify_generic_fiber(quiver, lam, _primes(args), args.alpha, guard=args.guard)
     text = [
         f"generic-fiber p={r['prime']} alpha={r['alpha']}: lhs={r['lhs']} rhs={r['rhs']} "
         + ("ok" if r["equal"] else "FAILED")

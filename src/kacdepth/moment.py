@@ -29,7 +29,6 @@ feed three symbolic checks:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 from typing import Iterable, Iterator, Sequence
@@ -195,86 +194,96 @@ def kac_polynomial(
 
 
 def verify_exp_identity(
-    quiver: Quiver, p: int, alpha: int, bound: Sequence[int], guard: int = DEFAULT_GUARD
-) -> dict:
-    """Compare normalised zero-fiber counts with Exp of the A-series at q = p.
+    quiver: Quiver, primes: Sequence[int], alpha: int, bound: Sequence[int], guard: int = DEFAULT_GUARD
+) -> list[dict]:
+    """Compare normalised zero-fiber counts with Exp of the A-series at q = p
+    for each p in primes; one report per prime, in order.
 
     The left side divides brute-force fiber counts by the group order and
     rescales by q^(alpha <r, r>); the right side is the plethystic
     exponential of sum_r A_r / (1 - q^-1) t^r evaluated at q = p.  Both are
     exact rationals, compared coefficientwise for every r <= bound.  A bound
     that selects no rank vector (all zero, or a negative entry) raises
-    ``ValueError``.  The count prod(b_i + 1) - 1 of rank vectors, then every
-    fiber count's work estimate, is checked before any A-polynomial is built.
+    ``ValueError``.  The count box - 1 of rank vectors (box = prod(b_i + 1)),
+    the Exp walk over box (box - 1) pairs of exponents, then every prime's
+    fiber estimates are checked before the A-series and its Exp are built,
+    once; every prime's primality before the first fiber count.
     """
+    from fractions import Fraction
+
     bound = tuple(int(b) for b in bound)
     if len(bound) != quiver.nvertices:
         raise ValueError("bound length must match the vertex count")
     if any(b > 1 for b in bound) and not (quiver.nvertices == 1 and bound[0] <= 2):
         raise ValueError("rank out of implemented range")
     # multiplied out only while the partial count is within the guard
-    count = 0 if any(b < 0 for b in bound) else 1
+    box = 0 if any(b < 0 for b in bound) else 1
     for b in bound:
-        if count - 1 > guard:
+        if box - 1 > guard:
             break
-        count *= b + 1
-    if count <= 1:
+        box *= b + 1
+    if box <= 1:
         raise ValueError("bound selects no rank vector")
-    check_work("rank vectors", count - 1, guard)
-    for r in _rank_vectors(bound):
+    check_work("rank vectors", box - 1, guard)
+    check_work("Exp walk", box * (box - 1), guard)
+    for p, r in product(primes, _rank_vectors(bound)):
         _check_fiber_work(quiver, r, p, alpha, guard)
     a_series = series.TSeries(bound, {
         r: laurent.RatFunc(kac_polynomial(quiver, r, alpha, guard)) / laurent.ONE_MINUS_QINV
         for r in _rank_vectors(bound)
     })
     rhs_series = plethysm.pleth_exp(a_series)
-    qp = Fraction(p)
-    rows = []
-    for r in _rank_vectors(bound):
-        fiber = moment_fiber_count(quiver, r, p, alpha, guard=guard)
-        gl = group_order_gl(r, alpha).evaluate(qp)
-        lhs = Fraction(fiber) * qp ** (alpha * quiver.euler_form(r, r)) / gl
-        rhs = rhs_series.coefficient(r).evaluate(qp)
-        rows.append({"rank": list(r), "fiber": fiber, "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs})
-    equal = all(row["equal"] for row in rows)
-    return {"prime": p, "alpha": alpha, "bound": list(bound), "rows": rows, "equal": equal}
+    for p in primes:
+        _check_prime(p)
+    reports = []
+    for p in primes:
+        qp = Fraction(p)
+        rows = []
+        for r in _rank_vectors(bound):
+            fiber = moment_fiber_count(quiver, r, p, alpha, guard=guard)
+            gl = group_order_gl(r, alpha).evaluate(qp)
+            lhs = Fraction(fiber) * qp ** (alpha * quiver.euler_form(r, r)) / gl
+            rhs = rhs_series.coefficient(r).evaluate(qp)
+            rows.append({"rank": list(r), "fiber": fiber, "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs})
+        equal = all(row["equal"] for row in rows)
+        reports.append({"prime": p, "alpha": alpha, "bound": list(bound), "rows": rows, "equal": equal})
+    return reports
 
 
 def verify_generic_fiber(
-    quiver: Quiver, lam: Sequence[int], p: int, alpha: int, guard: int = DEFAULT_GUARD
-) -> dict:
-    """Check the generic-fiber count identity for the all-ones rank vector.
+    quiver: Quiver, lam: Sequence[int], primes: Sequence[int], alpha: int, guard: int = DEFAULT_GUARD
+) -> list[dict]:
+    """Check the generic-fiber count identity for the all-ones rank vector
+    for each p in primes; one report per prime, in order.
 
-    Requires lam generic for the rank vector and p larger than
+    Requires lam generic for the rank vector and every p larger than
     sum |lam_i| r_i (the characteristic bound, enforced rather than assumed).
     The genericity test walks the prod(r_i + 1) = 2^n sub-vectors of the
-    rank vector; that estimate is checked against guard first.
+    rank vector; that estimate is checked first, then each prime's bound,
+    fiber estimate and primality.  A is built once, after the first count.
     """
+    from fractions import Fraction
+
     rank = (1,) * quiver.nvertices
     check_work("generic test", guarded_power(2, len(rank), "generic test", guard), guard)
     if not is_generic(lam, rank):
         raise ValueError("lambda not generic")
-    if p <= sum(abs(x) * r for x, r in zip(lam, rank)):
-        raise ValueError("characteristic bound violated")
-    fiber = moment_fiber_count(quiver, rank, p, alpha, lam=lam, guard=guard)
-    qp = Fraction(p)
-    gl = group_order_gl(rank, alpha).evaluate(qp)
-    lhs = Fraction(fiber) / gl
-    a_poly = kac_polynomial(quiver, rank, alpha, guard)
-    rhs = (
-        qp ** (-alpha * quiver.euler_form(rank, rank))
-        * a_poly.evaluate(qp)
-        / (1 - 1 / qp)
-    )
-    return {
-        "prime": p,
-        "alpha": alpha,
-        "lambda": list(lam),
-        "fiber": fiber,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "equal": lhs == rhs,
-    }
+    for p in primes:
+        if p <= sum(abs(x) * r for x, r in zip(lam, rank)):
+            raise ValueError("characteristic bound violated")
+        _check_fiber_work(quiver, rank, p, alpha, guard, lam)
+        _check_prime(p)
+    reports = []
+    for p in primes:
+        fiber = moment_fiber_count(quiver, rank, p, alpha, lam=lam, guard=guard)
+        if not reports:  # after the first count, as for a single prime
+            a_poly = kac_polynomial(quiver, rank, alpha, guard)
+        qp = Fraction(p)
+        lhs = Fraction(fiber) / group_order_gl(rank, alpha).evaluate(qp)
+        rhs = qp ** (-alpha * quiver.euler_form(rank, rank)) * a_poly.evaluate(qp) / (1 - 1 / qp)
+        reports.append({"prime": p, "alpha": alpha, "lambda": list(lam), "fiber": fiber,
+                        "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs})
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +391,7 @@ def e_series_check(
     rows = []
     for e in sorted(set(lhs) | {e for e, _ in rhs.items()}, reverse=True):
         if e >= -order:
-            le, re = lhs.get(e, Fraction(0)), rhs.coeff(e)
+            le, re = lhs.get(e, 0), rhs.coeff(e)
             rows.append({"exponent": e, "lhs": str(le), "rhs": str(re), "equal": le == re})
     equal = all(row["equal"] for row in rows)
     return {"mode": mode, "alpha": alpha, "order": order, "rows": rows, "equal": equal}

@@ -82,12 +82,12 @@ def test_criterion_3_exp_identity(catalog_2v_3a):
         bound = (1,) * quiver.nvertices
         for p in (2, 3):
             for alpha in (1, 2):
-                report = verify_exp_identity(quiver, p, alpha, bound)
+                (report,) = verify_exp_identity(quiver, [p], alpha, bound)
                 assert report["equal"], (quiver, p, alpha, report)
                 checked += 1
     # rank-2 coefficient on the one-loop quiver against the exhaustive
     # commuting-pair count over F_2
-    report = verify_exp_identity(LOOP1, 2, 1, (2,))
+    (report,) = verify_exp_identity(LOOP1, [2], 1, (2,))
     assert report["equal"], report
     row = next(r for r in report["rows"] if r["rank"] == [2])
     assert row["fiber"] == 88
@@ -103,7 +103,7 @@ def test_criterion_4_generic_fiber():
         (A2, (1, -1), 3, 2),
         (KRON, (1, -1), 5, 1),
     ):
-        report = verify_generic_fiber(quiver, lam, p, alpha)
+        (report,) = verify_generic_fiber(quiver, lam, [p], alpha)
         assert report["equal"], report
     print("\n[PASS] criterion 4: generic-fiber identity exact on all three configurations")
 

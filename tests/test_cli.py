@@ -376,6 +376,34 @@ def test_exp_identity_counts_rank_vectors_first(nvertices, guard, estimate, tmp_
     assert message in capsys.readouterr().err
 
 
+EXP_WALK_REFUSALS = [(13, 2**24, 67100672), (3, 50, 56)]
+
+
+@pytest.mark.parametrize("nvertices, guard, estimate", EXP_WALK_REFUSALS)
+def test_exp_identity_counts_the_exp_walk(nvertices, guard, estimate, tmp_path, capsys):
+    # TSeries.exp scans each of the box - 1 weighted terms at each of the box
+    # exponents; 13 isolated vertices (box 2^13) ran 7.7 s when it was not
+    # counted, and each vertex more about doubles that
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"vertices": nvertices, "arrows": []}))
+    start = time.perf_counter()
+    assert main(["verify", "exp-identity", "--quiver", str(path), f"--guard={guard}"]) == 3
+    assert time.perf_counter() - start < 1.0
+    message = f"Exp walk estimate {estimate} > limit {guard}; raise --guard"
+    assert message in capsys.readouterr().err
+
+
+def test_exp_identity_refuses_a_later_prime_before_any_count(tmp_path, capsys, monkeypatch):
+    # every prime's fiber estimates are checked before the first count
+    path = tmp_path / "triangle.json"
+    path.write_text('{"vertices": 3, "arrows": [[0, 1], [1, 2], [0, 2]]}')
+    counts = []
+    monkeypatch.setattr(cli.moment, "moment_fiber_count", lambda *args, **kwargs: counts.append(args))
+    assert main(["verify", "exp-identity", "--quiver", str(path), "--p", "2,1000003"]) == 3
+    assert counts == []
+    assert "fiber enumeration estimate >= 1000003^" in capsys.readouterr().err
+
+
 HUGE_VERTEX_COUNTS = [10**400, 10**9]
 VERTEX_COUNT_COMMANDS = [["kac"], ["verify", "exp-identity"], ["e-series"]]
 
@@ -690,7 +718,7 @@ def _guard_table_calls():
         yield quiver, ["e-series", "--alpha", "2", "--mode", mode, f"--order={order}", f"--guard={guard}"]
     for g, alpha, _ in RANK_TABLE_REFUSALS:
         yield None, ["rank-table", "--g", g, "--alpha", alpha]
-    for nvertices, guard, _ in RANK_VECTOR_REFUSALS:
+    for nvertices, guard, _ in RANK_VECTOR_REFUSALS + EXP_WALK_REFUSALS:
         yield {"vertices": nvertices, "arrows": []}, ["verify", "exp-identity", f"--guard={guard}"]
     for nvertices in HUGE_VERTEX_COUNTS:
         for command in VERTEX_COUNT_COMMANDS:

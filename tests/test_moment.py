@@ -18,7 +18,7 @@ from kacdepth import (
     verify_exp_identity,
     verify_generic_fiber,
 )
-from kacdepth import moment, toric
+from kacdepth import moment, plethysm, toric
 from kacdepth.moment import _connected_blocks
 
 from helpers import (
@@ -233,18 +233,18 @@ class TestExpIdentity:
         for g in (1, 2, 3):
             quiver = Quiver(1, ((0, 0),) * g)
             for p in (2, 3):
-                report = verify_exp_identity(quiver, p, 1, (1,))
+                (report,) = verify_exp_identity(quiver, [p], 1, (1,))
                 row = next(r for r in report["rows"] if r["rank"] == [1])
                 expected = RatFunc(LaurentPoly.q(g + 1), LaurentPoly.q() - 1)
                 assert Fraction(row["lhs"]) == expected.evaluate(p)
                 assert report["equal"]
 
     def test_two_vertex_example(self):
-        report = verify_exp_identity(A2, 2, 2, (1, 1))
+        (report,) = verify_exp_identity(A2, [2], 2, (1, 1))
         assert report["equal"]
 
     def test_rank_two_coefficient(self):
-        report = verify_exp_identity(LOOP1, 2, 1, (2,))
+        (report,) = verify_exp_identity(LOOP1, [2], 1, (2,))
         assert report["equal"]
         row = next(r for r in report["rows"] if r["rank"] == [2])
         assert row["fiber"] == 88
@@ -252,7 +252,30 @@ class TestExpIdentity:
 
     def test_bound_out_of_range(self):
         with pytest.raises(ValueError, match="rank out of implemented range"):
-            verify_exp_identity(KRON, 2, 1, (2, 1))
+            verify_exp_identity(KRON, [2], 1, (2, 1))
+
+    def test_two_primes_build_the_a_series_and_its_exp_once(self, monkeypatch):
+        exps, ranks = [], []
+        pleth_exp, kac = plethysm.pleth_exp, moment.kac_polynomial
+        monkeypatch.setattr(plethysm, "pleth_exp", lambda *args: exps.append(1) or pleth_exp(*args))
+        monkeypatch.setattr(moment, "kac_polynomial", lambda q, r, *args: ranks.append(r) or kac(q, r, *args))
+        reports = verify_exp_identity(TRIANGLE, [2, 3], 1, (1, 1, 1))
+        assert len(exps) == 1
+        assert sorted(ranks) == sorted(set(ranks)) == sorted(product((0, 1), repeat=3))[1:]
+        assert reports == [verify_exp_identity(TRIANGLE, [p], 1, (1, 1, 1))[0] for p in (2, 3)]
+
+    def test_twelve_points_pass_every_guard(self, monkeypatch):
+        # the Exp walk of 12 points is 4096 * 4095 <= 2^24 (13 points are
+        # refused), so the call reaches its first A-polynomial
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(moment, "kac_polynomial", reached)
+        with pytest.raises(Reached):
+            verify_exp_identity(Quiver(12, ()), [2], 1, (1,) * 12)
 
 
 class TestGenericFiber:
@@ -262,19 +285,19 @@ class TestGenericFiber:
             (KRON, (1, -1), 5, (1,)),
         ):
             for alpha in alphas:
-                report = verify_generic_fiber(quiver, lam, p, alpha)
+                (report,) = verify_generic_fiber(quiver, lam, [p], alpha)
                 assert report["equal"], report
 
     def test_hand_computed_values(self):
-        assert verify_generic_fiber(A2, (1, -1), 3, 1)["lhs"] == "1/2"
-        assert verify_generic_fiber(KRON, (1, -1), 5, 1)["lhs"] == "15/2"
+        assert verify_generic_fiber(A2, (1, -1), [3], 1)[0]["lhs"] == "1/2"
+        assert verify_generic_fiber(KRON, (1, -1), [5], 1)[0]["lhs"] == "15/2"
 
     def test_two_vertex_family(self, catalog_2v_3a):
         for quiver in catalog_2v_3a:
             if quiver.nvertices != 2 or quiver.narrows > 2:
                 continue
             for alpha in (1, 2):
-                report = verify_generic_fiber(quiver, (1, -1), 3, alpha)
+                (report,) = verify_generic_fiber(quiver, (1, -1), [3], alpha)
                 assert report["equal"], (quiver, alpha)
 
     def test_reach_a2_at_p101(self, monkeypatch):
@@ -283,17 +306,37 @@ class TestGenericFiber:
         reductions = []
         real = moment._reduce
         monkeypatch.setattr(moment, "_reduce", lambda *args: reductions.append(1) or real(*args))
-        report = verify_generic_fiber(A2, (1, -1), 101, 2)
+        (report,) = verify_generic_fiber(A2, (1, -1), [101], 2)
         assert report["equal"] and report["fiber"] == 2 * 100 * 101
         assert len(reductions) == 9
 
     def test_non_generic_rejected(self):
         with pytest.raises(ValueError, match="lambda not generic"):
-            verify_generic_fiber(A2, (0, 0), 3, 1)
+            verify_generic_fiber(A2, (0, 0), [3], 1)
 
     def test_characteristic_bound_enforced(self):
         with pytest.raises(ValueError, match="characteristic bound"):
-            verify_generic_fiber(A2, (1, -1), 2, 1)
+            verify_generic_fiber(A2, (1, -1), [2], 1)
+
+    def test_two_primes_run_one_chain_sum(self, monkeypatch):
+        chains = []
+        chain = toric.toric_kac_chain
+        monkeypatch.setattr(toric, "toric_kac_chain", lambda *args: chains.append(1) or chain(*args))
+        reports = verify_generic_fiber(A2, (1, -1), [3, 5], 2)
+        assert len(chains) == 1
+        assert reports == [verify_generic_fiber(A2, (1, -1), [p], 2)[0] for p in (3, 5)]
+
+    def test_a_later_prime_is_refused_before_any_count(self, monkeypatch):
+        def counted(*args, **kwargs):
+            pytest.fail("a fiber was counted")
+
+        monkeypatch.setattr(moment, "moment_fiber_count", counted)
+        with pytest.raises(ValueError, match="characteristic bound"):
+            verify_generic_fiber(A2, (1, -1), [3, 2], 1)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            verify_generic_fiber(A2, (1, -1), [3, 4], 1)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            verify_exp_identity(A2, [3, 4], 1, (1, 1))
 
 
 class TestESeries:
