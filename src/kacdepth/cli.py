@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import moment, rank, srcomplex, toric
+from . import quiver as quivers  # lazy, like the layers above; ``quiver`` names a handler's input
 from .poly import LaurentPoly
-from .oring import DEFAULT_GUARD, GuardError, check_work
-from .quiver import Quiver, QuiverFormatError
+from .oring import DEFAULT_GUARD, GuardError, _check_prime, check_work
 
 SCHEMA = "kacdepth/1"
 
@@ -56,13 +56,13 @@ def _dumps(obj, pad: str = "\n") -> str:
     return repr(obj) if type(obj) is int else _encode(obj)
 
 
-def _load_quiver(path: str) -> Quiver:
+def _load_quiver(path: str) -> quivers.Quiver:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise QuiverFormatError(f"cannot read quiver file {path}: {exc}") from exc
-    return Quiver.from_json(data)
+        raise quivers.QuiverFormatError(f"cannot read quiver file {path}: {exc}") from exc
+    return quivers.Quiver.from_json(data)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -83,7 +83,7 @@ def _primes(args) -> list[int]:
     return primes
 
 
-def _kac(args, quiver: Quiver):
+def _kac(args, quiver: quivers.Quiver):
     chain = toric.toric_kac_chain(quiver, args.alpha, guard=args.guard)
     body = {
         "alpha": args.alpha,
@@ -117,7 +117,7 @@ def _kac(args, quiver: Quiver):
     return body, chain.is_zero(), text
 
 
-def _asymptotic(args, quiver: Quiver):
+def _asymptotic(args, quiver: quivers.Quiver):
     a_q = toric.asymptotic_kac(quiver, guard=args.guard)
     b_q = toric.asymptotic_moment(quiver, guard=args.guard)
     body = {
@@ -130,7 +130,7 @@ def _asymptotic(args, quiver: Quiver):
     return body, True, [f"A_Q = {a_q}", f"B_mu = {b_q}"]
 
 
-def _exp_identity(args, quiver: Quiver):
+def _exp_identity(args, quiver: quivers.Quiver):
     bound = tuple(_parse_ints(args.bound)) if args.bound else (1,) * quiver.nvertices
     reports = moment.verify_exp_identity(quiver, _primes(args), args.alpha, bound, guard=args.guard)
     text = [
@@ -145,9 +145,9 @@ def _exp_identity(args, quiver: Quiver):
     return {"reports": reports}, all(r["equal"] for r in reports), text
 
 
-def _generic_fiber(args, quiver: Quiver):
+def _generic_fiber(args, quiver: quivers.Quiver):
     if not args.lam:
-        raise QuiverFormatError("generic-fiber requires --lam")
+        raise quivers.QuiverFormatError("generic-fiber requires --lam")
     lam = _parse_ints(args.lam)
     reports = moment.verify_generic_fiber(quiver, lam, _primes(args), args.alpha, guard=args.guard)
     text = [
@@ -158,7 +158,7 @@ def _generic_fiber(args, quiver: Quiver):
     return {"reports": reports}, all(r["equal"] for r in reports), text
 
 
-def _thm41(args, quiver: Quiver):
+def _thm41(args, quiver: quivers.Quiver):
     report = srcomplex.verify_hilbert_identity(quiver, guard=args.guard)
     text = [
         f"asymptotic count   = {report['lhs']}",
@@ -168,7 +168,7 @@ def _thm41(args, quiver: Quiver):
     return report, report["equal"], text
 
 
-def _shelling(args, quiver: Quiver):
+def _shelling(args, quiver: quivers.Quiver):
     cert = srcomplex.positivity_certificate(quiver, guard=args.guard)
     body = {"facets": len(cert["terms"]), "certificate": cert["terms"], "total": cert["total"]}
     if "single_denominator" in cert:
@@ -197,7 +197,7 @@ def _rank_table(args, quiver: None):
     return {"rows": rows}, ok, text
 
 
-def _e_series(args, quiver: Quiver):
+def _e_series(args, quiver: quivers.Quiver):
     report = moment.e_series_check(quiver, args.alpha, args.mode, args.order, guard=args.guard)
     text = [
         f"mode={args.mode} alpha={args.alpha} order={args.order}: "
@@ -209,9 +209,14 @@ def _e_series(args, quiver: Quiver):
     return report, report["equal"], text
 
 
-def _orbit_count(args, quiver: Quiver):
+def _orbit_count(args, quiver: quivers.Quiver):
     primes = _primes(args)  # a malformed --p is reported before any guard error
     chain = toric.toric_kac_chain(quiver, args.alpha, guard=args.guard)
+    # every prime's estimate, then every prime's primality, before the first count
+    for p in primes:
+        toric._check_orbit_work(quiver, p, args.alpha, args.guard)
+    for p in primes:
+        _check_prime(p)
     rows = []
     for p in primes:
         count = toric.toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
@@ -221,10 +226,14 @@ def _orbit_count(args, quiver: Quiver):
     return body, all(r["count"] == r["polynomial_at_p"] for r in rows), text
 
 
-def _moment_fiber(args, quiver: Quiver):
+def _moment_fiber(args, quiver: quivers.Quiver):
     ranks = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
     primes = _primes(args)  # a malformed --p is reported before a malformed --lam
     lam = _parse_ints(args.lam) if args.lam else None
+    for p in primes:
+        moment._check_fiber_work(quiver, ranks, p, args.alpha, args.guard, lam)
+    for p in primes:
+        _check_prime(p)
     rows = []
     for p in primes:
         count = moment.moment_fiber_count(quiver, ranks, p, args.alpha, lam=lam, guard=args.guard)
@@ -331,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QuiverFormatError, ValueError, ZeroDivisionError) as exc:
+    except (quivers.QuiverFormatError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -22,12 +22,11 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .poly import LaurentPoly
+from .poly import LaurentPoly, _scalar
 
 if TYPE_CHECKING:
     from .poly import Rational
@@ -51,9 +50,7 @@ def _dense(p: LaurentPoly) -> list[Rational]:
 def _sparse(dense: list[Rational], scale: Rational = 1) -> LaurentPoly:
     """The polynomial with coefficients ``dense`` (leading first), times ``scale``."""
     top = len(dense) - 1
-    return LaurentPoly._settled(
-        {top - i: c * scale for i, c in enumerate(dense) if c}
-    )
+    return LaurentPoly._settled({top - i: c * scale for i, c in enumerate(dense) if c})
 
 
 def _primitive(a: list[Rational]) -> list[int]:
@@ -96,9 +93,10 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Quotient and remainder over Q of ordinary polynomials (min_exp >= 0).
 
-    Long division on dense coefficient lists; a quotient coefficient stays an
-    ``int`` whenever the leading coefficient of b divides it exactly, so an
-    exact division in Z[q] forms no ``Fraction``.
+    Long division on dense coefficient lists, over the nonzero terms of b
+    only; a quotient coefficient stays an ``int`` whenever the leading
+    coefficient of b divides it exactly, and ``fractions`` is imported only
+    for a leading coefficient other than 1 or -1.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
@@ -106,17 +104,19 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         return LaurentPoly(), LaurentPoly()
     r, d = _dense(a), _dense(b)
     lead, m = d[0], len(d)
+    tail = [(j, c) for j, c in enumerate(d) if c and j]
+    inverse = _inverse(lead)
     quo: list[Rational] = []
     for i in range(len(r) - m + 1):
         c = r[i]
         if type(c) is int and type(lead) is int and c % lead == 0:
             c //= lead
         else:
-            c = Fraction(c) / lead
+            c *= inverse
         quo.append(c)
         if c:
-            for j in range(1, m):
-                r[i + j] -= c * d[j]
+            for j, dj in tail:
+                r[i + j] -= c * dj
     return _sparse(quo), _sparse(r[len(quo):])
 
 
@@ -139,7 +139,16 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         g, h = h, (_primitive(r) if r else [])
     if h:  # a nonzero constant, [1] once primitive
         g = h
-    return _sparse(g, 1 if g[0] == 1 else Fraction(1, g[0]))
+    return _sparse(g, _inverse(g[0]))
+
+
+def _inverse(c: Rational) -> Rational:
+    """1 / c, an ``int`` for c = +-1: ``fractions`` is imported only for another c."""
+    if c in (1, -1):
+        return int(c)
+    from fractions import Fraction
+
+    return 1 / Fraction(c)
 
 
 class RatFunc:
@@ -154,9 +163,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly | Rational, den: LaurentPoly | Rational = 1) -> None:
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.term(num)
-        if isinstance(den, (int, Fraction)):
+        if not isinstance(den, LaurentPoly):
             den = LaurentPoly.term(den)
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
@@ -166,14 +175,15 @@ class RatFunc:
             return
         a, b = num.min_exp(), den.min_exp()
         nu, de = num.shift(-a), den.shift(-b)
-        g = poly_gcd(nu, de)
-        if g.max_exp() > 0:
-            nu, _ = poly_divmod(nu, g)
-            de, _ = poly_divmod(de, g)
+        if len(de) > 1:  # a monomial denominator needs no gcd
+            g = poly_gcd(nu, de)
+            if g.max_exp() > 0:
+                nu, _ = poly_divmod(nu, g)
+                de, _ = poly_divmod(de, g)
         nu = nu.shift(a - b)
-        lead = de.coeff(de.max_exp())
-        if lead != 1:
-            nu, de = nu * Fraction(1, lead), de * Fraction(1, lead)
+        inverse = _inverse(de.coeff(de.max_exp()))
+        if inverse != 1:
+            nu, de = nu * inverse, de * inverse
         self.num, self.den = nu, de
 
     # ------------------------------------------------------------------
@@ -211,10 +221,10 @@ class RatFunc:
     # arithmetic
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not (isinstance(other, LaurentPoly) or _scalar(other)):
+                return NotImplemented
+            other = RatFunc(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -257,14 +267,14 @@ class RatFunc:
         """Adams substitution q -> q**m (m >= 1), a ring homomorphism."""
         if m < 1:
             raise ValueError("invalid Adams index")
-        return RatFunc(self.num.scale_exponents(m), self.den.scale_exponents(m))
+        num, den = (LaurentPoly({e * m: c for e, c in p.items()}) for p in (self.num, self.den))
+        return RatFunc(num, den)
 
-    def evaluate(self, x: Rational) -> Fraction:
-        x = Fraction(x)
+    def evaluate(self, x: Rational) -> Rational:
         d = self.den.evaluate(x)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return self.num.evaluate(x) / d
+        return self.num.evaluate(x) * _inverse(d)
 
     def series_at_infinity(self, min_exp: int) -> dict[int, Rational]:
         """Laurent expansion in q**-1 around q = infinity.

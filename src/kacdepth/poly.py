@@ -204,12 +204,6 @@ class LaurentPoly:
         """Multiply by q**k."""
         return LaurentPoly._settled({e + k: c for e, c in self._coeffs.items()})
 
-    def scale_exponents(self, m: int) -> "LaurentPoly":
-        """Substitute q -> q**m (m >= 1), i.e. multiply all exponents by m."""
-        if m < 1:
-            raise ValueError("invalid Adams index")
-        return LaurentPoly._settled({e * m: c for e, c in self._coeffs.items()})
-
     def evaluate(self, x: Rational) -> Rational:
         """The value at q = x; an ``int`` for an ``int`` x, ``int`` coefficients and no q^-k."""
         if type(x) is not int or any(e < 0 or type(c) is not int for e, c in self._coeffs.items()):
@@ -241,7 +235,4 @@ class LaurentPoly:
 
     def to_triples(self) -> list[list]:
         """JSON form: [exponent, numerator string, denominator string] triples."""
-        return [
-            [e, str(c.numerator), str(c.denominator)]
-            for e, c in sorted(self._coeffs.items())
-        ]
+        return [[e, str(c.numerator), str(c.denominator)] for e, c in sorted(self._coeffs.items())]

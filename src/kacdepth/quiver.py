@@ -165,10 +165,7 @@ class Quiver(_Frozen):
         """Connected with at least one arrow and no bridges."""
         if self.narrows == 0 or not self.is_connected():
             return False
-        return all(
-            self.is_loop(a) or self.delete_arrow(a).is_connected()
-            for a in range(self.narrows)
-        )
+        return all(self.is_loop(a) or self.delete_arrow(a).is_connected() for a in range(self.narrows))
 
     # ------------------------------------------------------------------
     # Euler form
@@ -191,17 +188,13 @@ class Quiver(_Frozen):
         if any(not 0 <= v < self.nvertices for v in keep):
             raise QuiverFormatError("vertex subset out of range")
         index = {v: i for i, v in enumerate(keep)}
-        arrows = tuple(
-            (index[s], index[t]) for s, t in self.arrows if s in index and t in index
-        )
+        arrows = tuple((index[s], index[t]) for s, t in self.arrows if s in index and t in index)
         return Quiver(len(keep), arrows)
 
     def delete_arrow(self, a: int) -> "Quiver":
         if not 0 <= a < self.narrows:
             raise QuiverFormatError("arrow index out of range")
-        return Quiver(
-            self.nvertices, self.arrows[:a] + self.arrows[a + 1 :]
-        )
+        return Quiver(self.nvertices, self.arrows[:a] + self.arrows[a + 1 :])
 
     # ------------------------------------------------------------------
     # spanning trees

@@ -6,10 +6,11 @@ automorphism group, split by class type.  The per-type sums satisfy linear
 recursions in the depth (4 types in rank 2, 10 types in rank 3, with
 lower-triangular transition matrices); iterating them from the depth-1
 values gives the total count M.  Every per-type sum at every depth is a
-Laurent-polynomial numerator over the one denominator (q-1)(q^2-1)(q^3-1),
-so the recursion runs on numerators alone and a sum becomes a ``RatFunc``,
-with its one gcd, only where it is returned.  The plethystic logarithm of
-the generating series 1 + M_1 t + M_2 t^2 + M_3 t^3 extracts the absolutely
+numerator over the one denominator (q-1)(q^2-1)(q^3-1), with coefficient
+denominators dividing 6, so the recursion runs on 6 times the numerators,
+in integers; M_2, M_3 and the closed forms are each one exact division, and
+an inexact one raises ``ValueError``.  The plethystic logarithm of the
+generating series 1 + M_1 t + M_2 t^2 + M_3 t^3 extracts the absolutely
 indecomposable counts A, which must come out as integer polynomials.
 
 Closed-form expressions for the rank-2 and rank-3 A are provided as an
@@ -20,7 +21,7 @@ guarded pass and checks each depth against both.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm, prod
 from typing import Iterator
 
 from .laurent import RatFunc, poly_divmod
@@ -30,15 +31,8 @@ from .plethysm import pleth_log
 from .series import TSeries
 
 
-def _qp(e: int) -> LaurentPoly:
-    return LaurentPoly.q(e)
-
-
-def _half(poly: LaurentPoly) -> LaurentPoly:
-    return poly * Fraction(1, 2)
-
-
-_Q = LaurentPoly.q()
+_qp = LaurentPoly.q
+_Q = _qp(1)
 
 
 def rank2_initial(g: int) -> tuple[RatFunc, ...]:
@@ -58,9 +52,9 @@ def rank2_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
     d = RatFunc(_qp(2 * g))
     return (
         (RatFunc(_qp(4 * g - 3)), zero, zero, zero),
-        (RatFunc(_half(_qp(2 * g - 2) * (_Q - 1) * (_Q + 1))), d, zero, zero),
+        (RatFunc(_qp(2 * g - 2) * (_Q - 1) * (_Q + 1), 2), d, zero, zero),
         (RatFunc(_qp(2 * g - 3) * (_Q - 1) * (_Q + 1)), zero, d, zero),
-        (RatFunc(_half(_qp(2 * g - 2) * (_Q - 1) * (_Q - 1))), zero, zero, d),
+        (RatFunc(_qp(2 * g - 2) * (_Q - 1) * (_Q - 1), 2), zero, zero, d),
     )
 
 
@@ -91,8 +85,8 @@ def rank3_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
         [RatFunc(_qp(9 * g - 8)), z, z, z, z, z, z, z, z, z],
         [RatFunc(_qp(5 * g - 6) * q3m1), RatFunc(_qp(5 * g - 3)), z, z, z, z, z, z, z, z],
         [RatFunc(_qp(5 * g - 8) * q2m1 * q3m1, _Q - 1), z, RatFunc(_qp(5 * g - 3)), z, z, z, z, z, z, z],
-        [RatFunc(_qp(3 * g - 5) * (_Q - 2) * q2m1 * q3m1, 6 * (_Q - 1)), RatFunc(_half(_qp(3 * g - 2) * q2m1)), z, d, z, z, z, z, z, z],
-        [RatFunc(_half(_qp(3 * g - 4) * (_Q - 1) * q3m1)), RatFunc(_half(_qp(3 * g - 2) * (_Q - 1) ** 2)), z, z, d, z, z, z, z, z],
+        [RatFunc(_qp(3 * g - 5) * (_Q - 2) * q2m1 * q3m1, 6 * (_Q - 1)), RatFunc(_qp(3 * g - 2) * q2m1, 2), z, d, z, z, z, z, z, z],
+        [RatFunc(_qp(3 * g - 4) * (_Q - 1) * q3m1, 2), RatFunc(_qp(3 * g - 2) * (_Q - 1) ** 2, 2), z, z, d, z, z, z, z, z],
         [RatFunc(_qp(3 * g - 5) * (_Q - 1) * q2m1 * q2m1, 3), z, z, z, z, d, z, z, z, z],
         [RatFunc(_qp(3 * g - 6) * q2m1 * q3m1), RatFunc(_qp(3 * g - 3) * q2m1), RatFunc(_qp(3 * g - 1) * (_Q - 1)), z, z, z, d, z, z, z],
         [RatFunc(_qp(3 * g - 7) * q2m1 * q3m1), z, RatFunc(_qp(3 * g - 3) * (_Q - 1) ** 2), z, z, z, z, d, z, z],
@@ -104,10 +98,21 @@ def rank3_transition(g: int) -> tuple[tuple[RatFunc, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-# The depth-1 per-type denominators all divide (q-1)(q^2-1)(q^3-1) and the
-# transition entries are polynomials, so the sums at every depth are
-# numerators over that one product, with the constants 2, 3 and 6 in them.
+# every per-type denominator divides this one (see the module docstring)
 _CYCLO_DEN = (_Q - 1) * (_Q**2 - 1) * (_Q**3 - 1)
+
+
+def _exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """num / den, which must be a Laurent polynomial: one long division once
+    the q-powers are shifted out (at g = 1 the closed forms hold q^-1 - 1),
+    ``ValueError`` if it leaves a remainder."""
+    if not num or den == 1:
+        return num
+    a, b = num.min_exp(), den.min_exp()
+    quo, rem = poly_divmod(num.shift(-a), den.shift(-b))
+    if rem:
+        raise ValueError("polynomiality violated")
+    return quo.shift(a - b)
 
 
 def _step(vec: tuple[LaurentPoly, ...], rows) -> tuple[LaurentPoly, ...]:
@@ -120,15 +125,18 @@ def _depths(
     matrix: tuple[tuple[RatFunc, ...], ...],
     alpha: int,
 ) -> Iterator[tuple[LaurentPoly, ...]]:
-    """The numerators over ``_CYCLO_DEN`` of the per-type sums at depths
-    1..alpha, one step per depth."""
-    rows = [
-        [(j, m.as_polynomial()) for j, m in enumerate(row) if not m.is_zero()] for row in matrix
-    ]
-    vec = tuple(value.num * poly_divmod(_CYCLO_DEN, value.den)[0] for value in initial)
+    """6 times the numerators over ``_CYCLO_DEN`` of the per-type sums at
+    depths 1..alpha, with integer coefficients, one step per depth: row i
+    is scaled by the lcm s_i of its coefficient denominators (2 for the
+    halved entries, 3 and 6 in rank 3), and a step divides its sum by s_i."""
+    rows = [[(j, m.as_polynomial()) for j, m in enumerate(row) if not m.is_zero()] for row in matrix]
+    scales = [LaurentPoly.term(lcm(*(c.denominator for _, m in row for _, c in m.items()))) for row in rows]
+    rows = [[(j, m * s) for j, m in row] for row, s in zip(rows, scales)]
+    top = 6 * _CYCLO_DEN
+    vec = tuple(value.num * _exact_quotient(top, value.den) for value in initial)
     yield vec
     for _ in range(alpha - 1):
-        vec = _step(vec, rows)
+        vec = tuple(map(_exact_quotient, _step(vec, rows), scales))
         yield vec
 
 
@@ -136,7 +144,7 @@ def _class_sums(initial, transition, g: int, alpha: int) -> tuple[RatFunc, ...]:
     if alpha < 1:
         raise ValueError("depth must be >= 1")
     *_, sums = _depths(initial(g), transition(g), alpha)
-    return tuple(RatFunc(s, _CYCLO_DEN) for s in sums)
+    return tuple(RatFunc(s, 6 * _CYCLO_DEN) for s in sums)
 
 
 def rank2_class_sums(g: int, alpha: int) -> tuple[RatFunc, ...]:
@@ -160,14 +168,14 @@ def moment_total(g: int, alpha: int, rank: int) -> RatFunc:
     raise ValueError("rank out of implemented range")
 
 
-def _kac_from_totals(totals: list[RatFunc]) -> list[LaurentPoly]:
+def _kac_from_totals(totals: list[RatFunc | LaurentPoly]) -> list[LaurentPoly]:
     """A_1..A_r from M_1..M_r by plethystic logarithm.
 
     The generating series identity sum_r M_r t^r = Exp(sum_r A_r t^r) is
     inverted; each extracted A must be a polynomial in q with integer
     coefficients, anything else signals a regression.
     """
-    terms = {(r,): m for r, m in enumerate([RatFunc.one(), *totals])}
+    terms = {(r,): m for r, m in enumerate([1, *totals])}
     a_series = pleth_log(TSeries((len(totals),), terms))
     out = []
     for r in range(1, len(totals) + 1):
@@ -180,26 +188,20 @@ def _kac_from_totals(totals: list[RatFunc]) -> list[LaurentPoly]:
 
 
 # ----------------------------------------------------------------------
-# closed forms
+# closed forms: one exact division of a numerator product by a denominator
 
 
 def closed_form_rank2(g: int, alpha: int) -> RatFunc:
-    """Closed expression for the rank-2 count; reduces to a polynomial."""
+    """Closed expression for the rank-2 count; a polynomial (``ValueError`` otherwise)."""
     num = _qp(2 * alpha * g - 1) * (_qp(2 * g) - 1) * (_qp(alpha * (2 * g - 3)) - 1)
     den = (_Q**2 - 1) * (_qp(2 * g - 3) - 1)
-    return RatFunc(num, den)
+    return RatFunc(_exact_quotient(num, den))
 
 
 def closed_form_rank3(g: int, alpha: int) -> RatFunc:
-    """Closed expression for the rank-3 count; reduces to a polynomial."""
-    front = RatFunc(
-        _qp(3 * alpha * g - 2) * (_qp(2 * g) - 1) * (_qp(2 * g - 1) - 1),
-        (_Q**2 - 1)
-        * (_Q**3 - 1)
-        * (_qp(2 * g - 3) - 1)
-        * (_qp(6 * g - 8) - 1)
-        * (_qp(4 * g - 5) - 1),
-    )
+    """Closed expression for the rank-3 count; a polynomial (``ValueError`` otherwise)."""
+    front = _qp(3 * alpha * g - 2) * (_qp(2 * g) - 1) * (_qp(2 * g - 1) - 1)
+    den = prod(_qp(e) - 1 for e in (2, 3, 2 * g - 3, 6 * g - 8, 4 * g - 5))
     bracket = (
         _qp(alpha * (6 * g - 8) - 1) * (_qp(6 * g - 7) - 1) * (_qp(2 * g) + 1)
         - _qp(alpha * (6 * g - 8) + 2 * g - 4) * (_Q**2 - 1) * (_qp(4 * g - 3) + 1)
@@ -210,7 +212,7 @@ def closed_form_rank3(g: int, alpha: int) -> RatFunc:
         + (_Q + 1) * (_qp(8 * g - 10) - 1)
         + _qp(2 * g - 4) * (_Q**4 + 1) * (_qp(4 * g - 5) - 1)
     )
-    return front * bracket
+    return RatFunc(_exact_quotient(front * bracket, den))
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +261,11 @@ def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple
     forms and, where it has the entry, the stored rank-3 table.
 
     The work estimate alpha * (9 g (alpha + 2))^2 is checked before any
-    rational function is built: alpha depths on rational functions of degree
-    up to about 9 g (alpha + 2) (9 g alpha for the rank-3 sums, plus the
-    degree-(12 g - 11) denominator of the closed rank-3 form), quadratic in
-    the degree.  Tables just under the default guard 2^24, from g = 150 at
-    alpha = 1 to g = 2 at alpha = 35, took 0.25-0.45 s in process.
+    polynomial is built: alpha depths on polynomials of degree up to about
+    9 g (alpha + 2) (9 g alpha for the rank-3 sums, plus the degree-(12 g - 11)
+    denominator of the closed rank-3 form), quadratic in the degree.  Tables
+    just under the default guard 2^24, from g = 150 at alpha = 1 to g = 2 at
+    alpha = 35, took 0.01-0.06 s in process.
     """
     if alpha < 1:
         raise ValueError("depth must be >= 1")
@@ -272,9 +274,9 @@ def rank_table(g: int, alpha: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple
     check_work("rank-table", alpha * (9 * g * (alpha + 2)) ** 2, guard)
     sums2 = _depths(rank2_initial(g), rank2_transition(g), alpha)
     sums3 = _depths(rank3_initial(g), rank3_transition(g), alpha)
+    top = 6 * _CYCLO_DEN
     for a, (s2, s3) in enumerate(zip(sums2, sums3), start=1):
-        totals = [moment_total(g, a, 1)]
-        totals += [RatFunc(sum(s, LaurentPoly()), _CYCLO_DEN) for s in (s2, s3)]
+        totals = [moment_total(g, a, 1)] + [_exact_quotient(sum(s, LaurentPoly()), top) for s in (s2, s3)]
         polys = _kac_from_totals(totals)
         routes = [
             ("closed rank-2 route", closed_form_rank2(g, a).as_polynomial(), 1),

@@ -19,15 +19,17 @@ at a time: no factorial, no series power, no series difference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .laurent import RatFunc
 from .poly import LaurentPoly
 
+if TYPE_CHECKING:
+    from .poly import Rational
+    Scalar = RatFunc | LaurentPoly | Rational
+
 Exponent = tuple[int, ...]
-Scalar = RatFunc | LaurentPoly | int | Fraction
 
 
 class TSeries:

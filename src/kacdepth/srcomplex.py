@@ -132,9 +132,7 @@ def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
         if mask < full:
             c = (exponents[mask],)
             ending[mask] = [(key + c, n) for key, n in below.items()]
-    return _cyclo_sum(
-        _CycloSum.over(LaurentPoly.term(mult), key) for key, mult in below.items()
-    ).ratfunc()
+    return _cyclo_sum(_CycloSum.over(LaurentPoly.term(mult), key) for key, mult in below.items()).ratfunc()
 
 
 def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
@@ -149,12 +147,7 @@ def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
     lhs = toric.asymptotic_kac(quiver, guard)
     b = quiver.betti()
     rhs = ONE_MINUS_QINV**b / (RatFunc.one() - RatFunc.q(-b)) * hilbert
-    return {
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "equal": lhs == rhs,
-        "betti": b,
-    }
+    return {"lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs, "betti": b}
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +207,7 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
         _CycloSum.over(LaurentPoly.term(n, shift), fac) for (fac, shift), n in shifts.items()
     ).ratfunc()
     direct = hilbert_specialized(quiver, guard)
-    report = {
-        "terms": terms,
-        "total": str(total),
-        "matches_face_sum": total == direct,
-    }
+    report = {"terms": terms, "total": str(total), "matches_face_sum": total == direct}
     single = _single_denominator_presentation(total)
     if single is not None:
         report["single_denominator"] = single
@@ -253,10 +242,7 @@ def _single_denominator_presentation(series: RatFunc) -> dict | None:
             if num.is_zero() or num.max_exp() > 0:
                 continue
             if num.is_nonnegative() and num.is_integral():
-                return {
-                    "numerator": str(num),
-                    "denominator_exponents": list(exps),
-                }
+                return {"numerator": str(num), "denominator_exponents": list(exps)}
     return None
 
 

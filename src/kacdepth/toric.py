@@ -112,9 +112,7 @@ def _chain_sum_work(quiver: Quiver, alpha: int) -> int:
     return states * max(m, 1) * max(alpha - 1, 1) * words
 
 
-def toric_kac_chain(
-    quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD
-) -> LaurentPoly:
+def toric_kac_chain(quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD) -> LaurentPoly:
     """Chain-sum formula for the depth-alpha toric count.
 
     The sum runs over nested subsets E_1 <= ... <= E_alpha of the arrow set
@@ -222,9 +220,23 @@ def toric_kac_trees(quiver: Quiver, alpha: int) -> LaurentPoly:
 # orbit count by Burnside
 
 
-def toric_orbit_count(
-    quiver: Quiver, p: int, alpha: int, guard: int = DEFAULT_GUARD
-) -> int:
+def _check_orbit_work(quiver: Quiver, p: int, alpha: int, guard: int) -> int:
+    """Validate an orbit count's inputs and check its work estimate (see
+    ``toric_orbit_count``) before p is tested for primality; return |T|."""
+    if alpha < 1:
+        raise ValueError("depth must be >= 1")
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    k = max(quiver.nvertices - 1, 0)
+    torus = guarded_power(p - 1, k, "orbit count", guard)
+    torus *= guarded_power(p, (alpha - 1) * k, "orbit count", guard)
+    words = -(-alpha * quiver.narrows * p.bit_length() // 64) or 1
+    states = prod(c + 1 for c in _arrow_classes(quiver).values())
+    check_work("orbit count", torus * states * words * words + isqrt(p), guard)
+    return torus
+
+
+def toric_orbit_count(quiver: Quiver, p: int, alpha: int, guard: int = DEFAULT_GUARD) -> int:
     """Count vertex-torus orbits of indecomposable rank-one representations.
 
     The torus acts on arrow assignments over R = F_p[t]/(t^alpha) by
@@ -242,18 +254,9 @@ def toric_orbit_count(
     the squared machine words of p^(alpha m), the largest count, plus
     isqrt(p) for the primality test, must not exceed guard.
     """
-    if alpha < 1:
-        raise ValueError("depth must be >= 1")
-    if p < 2:
-        raise ValueError(f"{p} is not prime")
-    m, n = quiver.narrows, quiver.nvertices
-    k = max(n - 1, 0)
-    torus = guarded_power(p - 1, k, "orbit count", guard)
-    torus *= guarded_power(p, (alpha - 1) * k, "orbit count", guard)
-    words = -(-alpha * m * p.bit_length() // 64) or 1
-    states = prod(c + 1 for c in _arrow_classes(quiver).values())
-    check_work("orbit count", torus * states * words * words + isqrt(p), guard)
+    torus = _check_orbit_work(quiver, p, alpha, guard)
     _check_prime(p)
+    k = max(quiver.nvertices - 1, 0)
     table = _class_table(quiver)
     spanning = list(compress(zip(count(), table.sets), table.connected))
 

@@ -404,6 +404,28 @@ def test_exp_identity_refuses_a_later_prime_before_any_count(tmp_path, capsys, m
     assert "fiber enumeration estimate >= 1000003^" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle, layer, count", [
+    ("orbit-count", "toric", "toric_orbit_count"),
+    ("moment-fiber", "moment", "moment_fiber_count"),
+])
+@pytest.mark.parametrize("primes, code, message", [
+    ("2,1000003", 3, " estimate >= 100000"),
+    ("2,4", 2, "error: 4 is not prime"),
+])
+def test_oracles_refuse_a_later_prime_before_any_count(
+    oracle, layer, count, primes, code, message, tmp_path, capsys, monkeypatch
+):
+    # every prime's work estimate, then every prime's primality, is checked
+    # before the first count; the library counts take one prime each
+    path = tmp_path / "triangle.json"
+    path.write_text('{"vertices": 3, "arrows": [[0, 1], [1, 2], [0, 2]]}')
+    counts = []
+    monkeypatch.setattr(getattr(cli, layer), count, lambda *args, **kwargs: counts.append(args))
+    assert main(["oracle", oracle, "--quiver", str(path), "--p", primes, "--alpha", "2"]) == code
+    assert counts == []
+    assert message in capsys.readouterr().err
+
+
 HUGE_VERTEX_COUNTS = [10**400, 10**9]
 VERTEX_COUNT_COMMANDS = [["kac"], ["verify", "exp-identity"], ["e-series"]]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kacdepth import LaurentPoly, RatFunc
+from kacdepth import laurent
 from kacdepth.laurent import poly_divmod, poly_gcd
 
 from helpers import (
@@ -238,6 +239,24 @@ class TestFractionFreeGcd:
     def test_poly_divmod_matches_euclid_oracle(self, f, g):
         a, b = ordinary(f), ordinary(g)
         assert poly_divmod(a, b) == euclid_divmod(a, b)
+
+    @given(
+        factors_st(),
+        st.sampled_from([1, -1, 2, -3, 6, Fraction(2, 3)]),
+        st.integers(min_value=-3, max_value=3),
+        nonzero_factors_st(),
+    )
+    def test_monomial_denominator_matches_the_gcd_route(self, f, c, k, h):
+        # a monomial denominator takes no gcd; the gcd route reaches the same
+        # normal form from the fraction times (q + 2) h over itself
+        den = LaurentPoly.term(c, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laurent, "poly_gcd", lambda *args: pytest.fail("a gcd was taken"))
+            r = RatFunc(f, den)
+        assert (r.num, r.den) == euclid_normal_form(f, den)
+        h = h * (Q + 2)
+        gcd_route = RatFunc(f * h, den * h)
+        assert (r.num, r.den) == (gcd_route.num, gcd_route.den)
 
     def test_gcd_of_zeros(self):
         assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()

@@ -120,11 +120,11 @@ def triangle_file(tmp_path):
 
 # the source lines a kac process compiles: cli, oring, poly, quiver, toric
 # and __init__
-KAC_LINES = 1384
+KAC_LINES = 1380
 
 # the source lines of the whole library; like KAC_LINES, a ceiling that may
 # only fall
-LIBRARY_LINES = 2933
+LIBRARY_LINES = 2929
 
 # the kacdepth layers a process has executed: LazyLoader swaps an unexecuted
 # module's class for a subclass of ModuleType until its first attribute access
@@ -176,7 +176,9 @@ def test_each_subcommand_executes_only_its_layers(triangle_file):
         assert layers.isdisjoint({"moment", "rank"}), argv
         # srcomplex reaches toric lazily, for the asymptotic side of thm41
         assert ("toric" in layers) == (argv != ["shelling"]), argv
-    assert _layers_run_by("rank-table", "--g", "2", "--alpha", "2").isdisjoint({"toric", "srcomplex", "moment"})
+    # quiver too is reached lazily, so rank-table, which reads no quiver, skips it
+    rank_table = {"cli", "laurent", "oring", "plethysm", "poly", "rank", "series"}
+    assert _layers_run_by("rank-table", "--g", "2", "--alpha", "2") == rank_table
     # the moment suites reach laurent, toric, plethysm, series and rank as
     # lazy modules; a fiber count alone runs none of them, and the generic
     # fiber forms no rational function
@@ -192,25 +194,45 @@ def test_each_subcommand_executes_only_its_layers(triangle_file):
     assert _python("-c", "import sys, types\nimport kacdepth\n" + _EXECUTED).stdout == "\n"
 
 
+# one CLI call: its exit code and which of fractions and decimal it imported
+_FRACTIONS_RUN = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "import kacdepth.cli\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = kacdepth.cli.main(sys.argv[1:])\n"
+    "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+)
+
+
 def test_toric_counts_never_import_fractions(triangle_file):
     # fractions imports decimal, about 4 ms of every process start; the
     # integer counts of kac, the orbit count and the fiber count need neither
-    run = (
-        "import io, sys\n"
-        "from contextlib import redirect_stdout\n"
-        "import kacdepth.cli\n"
-        "with redirect_stdout(io.StringIO()):\n"
-        "    code = kacdepth.cli.main(sys.argv[1:])\n"
-        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
-    )
     for argv in (
         ["kac", "--alpha", "3"],
         ["oracle", "orbit-count", "--alpha", "2", "--p", "2,3"],
         ["oracle", "moment-fiber", "--alpha", "2", "--p", "2,3"],
     ):
         for fmt in ("text", "json"):
-            proc = _python("-c", run, *argv, "--quiver", triangle_file, "--format", fmt)
+            proc = _python("-c", _FRACTIONS_RUN, *argv, "--quiver", triangle_file, "--format", fmt)
             assert proc.stdout == "0 []\n", (argv, fmt)
+
+
+def test_rational_routes_import_fractions_only_for_the_rank_table(triangle_file):
+    # the depth limits, the Hilbert series, the certificate and the E-series
+    # divide only by denominators led by 1 or -1 and form no Fraction; the
+    # rank table does (the plethystic logarithm divides by 2 and 3)
+    quiver = ["--quiver", triangle_file, "--format", "json"]
+    for argv in (
+        ["asymptotic", *quiver],
+        ["verify", "thm41", *quiver],
+        ["shelling", *quiver],
+        ["e-series", *quiver, "--alpha", "2", "--mode", "zero-fiber"],
+        ["e-series", *quiver, "--alpha", "2", "--mode", "generic-fiber"],
+    ):
+        assert _python("-c", _FRACTIONS_RUN, *argv).stdout == "0 []\n", argv
+    rank_table = _python("-c", _FRACTIONS_RUN, "rank-table", "--g", "2", "--alpha", "2", "--format", "json")
+    assert rank_table.stdout == "0 ['decimal', 'fractions']\n"
 
 
 def test_kac_compiles_at_most_its_pinned_line_count(triangle_file):

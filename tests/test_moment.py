@@ -70,6 +70,14 @@ class TestFiberCounts:
         # exhaustive scan of all 2^8 pairs of 2x2 matrices over F_2
         assert moment_fiber_count(LOOP1, (2,), 2, 1) == 88
 
+    def test_refusals_come_before_any_system(self, monkeypatch):
+        # the checks oracle moment-fiber runs for every prime first
+        monkeypatch.setattr(moment, "_reduce", lambda *args: pytest.fail("the count began"))
+        with pytest.raises(GuardError, match="fiber enumeration estimate >= 1000003\\^"):
+            moment_fiber_count(A2, (1, 1), 1000003, 2)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            moment_fiber_count(A2, (1, 1), 4, 2)
+
     def test_zero_rank_coordinates_are_trivial(self):
         assert moment_fiber_count(A2, (1, 0), 2, 2) == 1
         assert moment_fiber_count(A2, (0, 0), 3, 1) == 1

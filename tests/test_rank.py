@@ -1,5 +1,7 @@
 """One-vertex higher-rank counts: recursions, closed forms, regression table."""
 
+import pytest
+
 from kacdepth import (
     LaurentPoly,
     RatFunc,
@@ -8,6 +10,7 @@ from kacdepth import (
     moment_total,
 )
 from kacdepth import rank
+from kacdepth.cli import main
 from kacdepth.rank import (
     REFERENCE_RANK3,
     rank2_class_sums,
@@ -214,3 +217,31 @@ class TestTable:
             steps.clear()
             list(rank_table(2, alpha))
             assert sorted(steps) == [(4, 7)] * (alpha - 1) + [(10, 24)] * (alpha - 1)
+
+
+def test_integer_recursion_matches_the_gcd_oracles_to_depth_10():
+    # the integer recursion, its exact divisions and the exact closed forms
+    # against one RatFunc product per entry, each addition reduced by a gcd
+    for g in range(1, 5):
+        for a, polys, routes in rank_table(g, 10):
+            for sums, initial, transition in (
+                (rank2_class_sums, rank2_initial, rank2_transition),
+                (rank3_class_sums, rank3_initial, rank3_transition),
+            ):
+                assert sums(g, a) == rank_class_sums_oracle(initial(g), transition(g), a), (g, a)
+            assert polys == kac_from_moments(g, a, 3), (g, a)
+            assert all(agrees for _, _, agrees in routes), (g, a)
+
+
+def test_inexact_divisions_raise_value_error(monkeypatch, capsys):
+    # a sixth of a numerator added to one depth-1 sum makes a halving inexact;
+    # the rank-table CLI reports a ValueError with exit 2, never a traceback
+    initial = rank2_initial(2)
+    monkeypatch.setattr(rank, "rank2_initial", lambda g: (initial[0] + RatFunc(1, 6), *initial[1:]))
+    with pytest.raises(ValueError, match="polynomiality violated"):
+        list(rank_table(2, 2))
+    assert main(["rank-table", "--g", "2", "--alpha", "2"]) == 2
+    assert capsys.readouterr().err == "error: polynomiality violated\n"
+    with pytest.raises(ValueError, match="polynomiality violated"):
+        rank._exact_quotient(Q**3 + 1, Q**2 - 1)
+    assert rank._exact_quotient(LaurentPoly({-2: 1, 1: 1}), Q + 1) == LaurentPoly({-2: 1, -1: -1, 0: 1})

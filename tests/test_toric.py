@@ -19,6 +19,7 @@ from kacdepth import (
     toric_orbit_count,
     tree_stratum_census,
 )
+from kacdepth import toric
 from kacdepth.srcomplex import _mask_betti_tables
 from kacdepth.toric import _binomial_transform, _class_table, toric_kac_trees
 
@@ -357,6 +358,15 @@ class TestBurnsideOrbits:
     def test_guard(self):
         with pytest.raises(GuardError):
             toric_orbit_count(KRON, 5, 2, guard=10)
+
+    def test_refusals_come_before_the_class_table(self, monkeypatch):
+        # the guard block that oracle orbit-count runs for every prime first
+        assert toric._check_orbit_work(TRIANGLE, 3, 2, 10**6) == (2 * 3) ** 2
+        monkeypatch.setattr(toric, "_class_table", lambda quiver: pytest.fail("the count began"))
+        with pytest.raises(GuardError, match="orbit count estimate >= 1000002\\^2"):
+            toric_orbit_count(TRIANGLE, 1000003, 2)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            toric_orbit_count(TRIANGLE, 4, 2)
 
     def test_equals_lex_min_oracle_on_catalog(self):
         # disconnected quivers too: they have no connected spanning support
