@@ -38,12 +38,12 @@ def __getattr__(name):
         ("series", "TSeries"),
         ("plethysm", "adams pleth_exp pleth_log"),
         ("quiver", "Quiver ValuedTree"),
-        ("oring", "DEFAULT_GUARD GuardError group_order_gl"),
+        ("oring", "DEFAULT_GUARD GuardError"),
         ("toric", "asymptotic_kac asymptotic_moment toric_kac_chain toric_orbit_count tree_stratum_census"),
         ("srcomplex", "OrderComplex hilbert_specialized lex_shelling order_complex positivity_certificate"
                       " verify_hilbert_identity"),
-        ("moment", "e_series_check is_generic kac_polynomial moment_fiber_count verify_exp_identity"
-                   " verify_generic_fiber"),
+        ("moment", "e_series_check group_order_gl is_generic kac_polynomial moment_fiber_count"
+                   " verify_exp_identity verify_generic_fiber"),
         ("rank", "closed_form_rank2 closed_form_rank3 moment_total rank2_class_sums rank3_class_sums"),
     )
     if name == "__all__":

@@ -1,5 +1,5 @@
 """Command-line driver: every computation and verification suite, with
-machine-readable output.
+machine-readable output; a process exits through ``run`` (see there).
 
 Exit codes partition the failure modes: 0 all requested assertions hold,
 1 a mathematical identity failed (the report carries the diff), 2 user
@@ -9,12 +9,13 @@ error (malformed quiver JSON, bad flags), 3 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from functools import partial
 
-from . import moment, rank, srcomplex, toric
+from . import moment, poly, rank, srcomplex, toric
 from . import quiver as quivers  # lazy, like the layers above; ``quiver`` names a handler's input
-from .poly import LaurentPoly
 from .oring import DEFAULT_GUARD, GuardError, _check_prime, check_work
 
 SCHEMA = "kacdepth/1"
@@ -104,14 +105,14 @@ def _kac(args, quiver: quivers.Quiver):
         return body, ok, text
     # no indecomposables; expose the per-component counts whose product
     # enters the partition sums of the fiber identities
-    product = LaurentPoly.one()
+    product = poly.LaurentPoly.one()
     body["components"] = []
     text.append("(disconnected quiver: no indecomposables, tree route skipped)")
     for block in quiver.components():
-        poly = toric.toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
-        product = product * poly
-        body["components"].append({"vertices": list(block), "polynomial": str(poly)})
-        text.append(f"component {list(block)}: {poly}")
+        part = toric.toric_kac_chain(quiver.restrict_vertices(block), args.alpha, guard=args.guard)
+        product = product * part
+        body["components"].append({"vertices": list(block), "polynomial": str(part)})
+        text.append(f"component {list(block)}: {part}")
     body["component_product"] = str(product)
     text.append(f"component product  = {product}")
     return body, chain.is_zero(), text
@@ -209,18 +210,22 @@ def _e_series(args, quiver: quivers.Quiver):
     return report, report["equal"], text
 
 
+def _counts(primes: list[int], check, count) -> list[dict]:
+    """Rows {"p", "count"}: every prime's estimate (``check``), then primality, then count."""
+    for p in primes:
+        check(p)
+    for p in primes:
+        _check_prime(p)
+    return [{"p": p, "count": count(p)} for p in primes]
+
+
 def _orbit_count(args, quiver: quivers.Quiver):
     primes = _primes(args)  # a malformed --p is reported before any guard error
     chain = toric.toric_kac_chain(quiver, args.alpha, guard=args.guard)
-    # every prime's estimate, then every prime's primality, before the first count
-    for p in primes:
-        toric._check_orbit_work(quiver, p, args.alpha, args.guard)
-    for p in primes:
-        _check_prime(p)
-    rows = []
-    for p in primes:
-        count = toric.toric_orbit_count(quiver, p, args.alpha, guard=args.guard)
-        rows.append({"p": p, "count": count, "polynomial_at_p": chain.evaluate(p)})
+    rows = _counts(primes, lambda p: toric._check_orbit_work(quiver, p, args.alpha, args.guard),
+                   lambda p: toric.toric_orbit_count(quiver, p, args.alpha, guard=args.guard))
+    for row in rows:
+        row["polynomial_at_p"] = chain.evaluate(row["p"])
     body = {"alpha": args.alpha, "polynomial": str(chain), "rows": rows}
     text = [f"p={r['p']}: orbits={r['count']} polynomial={r['polynomial_at_p']}" for r in rows]
     return body, all(r["count"] == r["polynomial_at_p"] for r in rows), text
@@ -230,14 +235,8 @@ def _moment_fiber(args, quiver: quivers.Quiver):
     ranks = tuple(_parse_ints(args.rank)) if args.rank else (1,) * quiver.nvertices
     primes = _primes(args)  # a malformed --p is reported before a malformed --lam
     lam = _parse_ints(args.lam) if args.lam else None
-    for p in primes:
-        moment._check_fiber_work(quiver, ranks, p, args.alpha, args.guard, lam)
-    for p in primes:
-        _check_prime(p)
-    rows = []
-    for p in primes:
-        count = moment.moment_fiber_count(quiver, ranks, p, args.alpha, lam=lam, guard=args.guard)
-        rows.append({"p": p, "count": count})
+    rows = _counts(primes, lambda p: moment._check_fiber_work(quiver, ranks, p, args.alpha, args.guard, lam),
+                   lambda p: moment.moment_fiber_count(quiver, ranks, p, args.alpha, lam, guard=args.guard))
     body = {"alpha": args.alpha, "rank": list(ranks), "rows": rows}
     return body, True, [f"p={r['p']}: fiber size {r['count']}" for r in rows]
 
@@ -294,14 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", help=vectors[flag])
 
-    def common(**kwargs):
-        return lambda p: add_common(p, **kwargs)
-
     def targets(dest, leaves):
         def fill(p):
             sub = p.add_subparsers(dest=dest, required=True, action=_LazySubParsers)
             for name, kwargs in leaves.items():
-                sub.add_parser(name, common(**kwargs))
+                sub.add_parser(name, partial(add_common, **kwargs))
         return fill
 
     def rank_table(p):
@@ -313,13 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("zero-fiber", "generic-fiber"), default="zero-fiber")
         p.add_argument("--order", type=int, default=10)
 
+    no_alpha = partial(add_common, alpha=False)
     sub = parser.add_subparsers(dest="command", required=True, action=_LazySubParsers)
     sub.add_parser("kac", add_common, help="toric count by chain and tree routes")
-    sub.add_parser("asymptotic", common(alpha=False), help="depth limits A_Q and B_mu")
+    sub.add_parser("asymptotic", no_alpha, help="depth limits A_Q and B_mu")
     identities = {"exp-identity": {"flags": ("p", "bound")}, "generic-fiber": {"flags": ("p", "lam")},
                   "thm41": {"alpha": False}}
     sub.add_parser("verify", targets("identity", identities), help="identity verification suites")
-    sub.add_parser("shelling", common(alpha=False), help="shelling order and positivity certificate")
+    sub.add_parser("shelling", no_alpha, help="shelling order and positivity certificate")
     sub.add_parser("rank-table", rank_table, help="one-vertex ranks 1..3 for g loops")
     sub.add_parser("e-series", e_series, help="graded-dimension series bookkeeping")
     oracles = {"orbit-count": {"flags": ("p",)}, "moment-fiber": {"flags": ("p", "rank", "lam")}}
@@ -337,12 +334,9 @@ def main(argv: list[str] | None = None) -> int:
             # every route builds per-vertex lists; refuse a count past the guard first
             check_work("vertex count", quiver.nvertices, args.guard)
         body, ok, text = HANDLERS[command](args, quiver)
-    except GuardError as exc:
+    except (GuardError, quivers.QuiverFormatError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (quivers.QuiverFormatError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardError) else 2
     if args.format == "json":
         report = {"schema": SCHEMA, "command": command, **body, "ok": ok, "text": text}
         print(_dumps({**report, "seed": args.seed}))
@@ -352,5 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if ok else 1
 
 
+def run() -> int:
+    """The process entry (``python -m kacdepth.cli``, the ``kacdepth`` script): ``main``, then
+    ``gc.freeze()``, as the shutdown collections skip frozen objects; in process, call ``main``."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -8,14 +8,14 @@ x instead of enumerating every pair (x, y); and the y-count of x is constant
 on the orbits of two symmetries of mu, so x runs over one representative per
 orbit, weighted by its size.  On an arrow with r_s = r_t = 1, y_a -> u y_a
 (u a unit) takes x_a = u t^v to t^v; on a loop, [x_a + c Id, y_a] =
-[x_a, y_a] for every c in O.  The work estimate still bounds all p^(alpha h)
-points (h = sum of r_s r_t over the arrows):
-p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p), with
-R = alpha * sum r_i^2 equations, C = alpha h unknowns and isqrt(p) for the
-primality test; h counts as at least 1 because the identity checks form
-numbers of size p^alpha and beyond at q = p (group orders, powers of q),
-whose cost the estimate must cover even without arrows.  The fiber counts
-feed three symbolic checks:
+[x_a, y_a] for every c in O.  The work estimate is
+max(S, p^alpha) * R * (C+1) * max(1, min(R, C)) + isqrt(p): S systems, the
+product of alpha + 1 per arrow with r_s = r_t = 1 (no loop), p^(alpha (r^2-1))
+per loop at rank r > 0 and p^(alpha r_s r_t) per other arrow, each of
+R = alpha * sum r_i^2 equations in C = alpha * sum r_s r_t unknowns, and
+isqrt(p) for the primality test; p^alpha covers the numbers of size p^alpha
+and beyond that the identity checks form at q = p, even without arrows.
+The fiber counts feed three symbolic checks:
 
 * ``verify_exp_identity``   -- the normalised zero-fiber generating series
   equals the plethystic exponential of the indecomposable-count series;
@@ -33,10 +33,9 @@ from itertools import product
 from math import isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
-from . import laurent, plethysm, series, toric
+from . import laurent, plethysm, poly, series, toric
 from . import rank as ranks  # ``rank`` is a parameter name here
-from .oring import DEFAULT_GUARD, _check_prime, check_work, group_order_gl, guarded_power
-from .poly import LaurentPoly
+from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
 from .quiver import Quiver
 
 
@@ -81,9 +80,13 @@ def _check_fiber_work(
         raise ValueError(f"{p} is not prime")
     rows = alpha * sum(r * r for r in rank)
     cols = alpha * sum(rank[s] * rank[t] for s, t in quiver.arrows)
-    power = guarded_power(p, max(cols, alpha), "fiber enumeration", guard)
-    work = power * rows * (cols + 1) * max(1, min(rows, cols)) + isqrt(p)
-    check_work("fiber enumeration", work, guard)
+    ones = sum(s != t and rank[s] == rank[t] == 1 for s, t in quiver.arrows)
+    loops = sum(s == t and rank[s] > 0 for s, t in quiver.arrows)
+    label = "fiber enumeration"
+    systems = guarded_power(alpha + 1, ones, label, guard)
+    systems *= guarded_power(p, cols - alpha * (ones + loops), label, guard)
+    work = max(systems, guarded_power(p, alpha, label, guard)) * rows * (cols + 1) * max(1, min(rows, cols))
+    check_work(label, work + isqrt(p), guard)
     return rank
 
 
@@ -177,9 +180,26 @@ def moment_fiber_count(
 # symbolic counting series
 
 
+def group_order_gl(r: Sequence[int], alpha: int) -> poly.LaurentPoly:
+    """Order of prod_i GL(r_i, O_alpha) as a polynomial in q.
+
+    Each factor contributes q^(alpha r^2) * prod_{k=1..r} (1 - q^-k); the
+    product is cleared to an ordinary polynomial.
+    """
+    total = poly.LaurentPoly.one()
+    for ri in r:
+        if ri < 0:
+            raise ValueError("ranks must be nonnegative")
+        factor = poly.LaurentPoly.q(alpha * ri * ri)
+        for k in range(1, ri + 1):
+            factor = factor * (poly.LaurentPoly.one() - poly.LaurentPoly.q(-k))
+        total = total * factor
+    return total
+
+
 def kac_polynomial(
     quiver: Quiver, rank: Sequence[int], alpha: int, guard: int = DEFAULT_GUARD
-) -> LaurentPoly:
+) -> poly.LaurentPoly:
     """Indecomposable count A for ranks <= 1 everywhere, or rank 2 at one vertex;
     the chain sum of the toric case checks its work estimate against guard."""
     rank = tuple(rank)
@@ -368,15 +388,15 @@ def e_series_check(
 
     # P_G = q^((alpha-1) n) (q-1)^n cancels the (q-1)^-n of the formula; on
     # the direct side z * sum_{k>=1} z^-k is common to the blocks holding min S
-    qm1 = LaurentPoly({1: 1, 0: -1})
+    qm1 = poly.LaurentPoly({1: 1, 0: -1})
     lift = {b: a_poly.shift(1) * qm1 ** (bin(b).count("1") - 1) for b, a_poly in chains.items()}
-    geom = LaurentPoly({e: 1 for e in range(0, floor, -1)})
-    fsum, direct = {0: LaurentPoly.one()}, {0: LaurentPoly.one()}
+    geom = poly.LaurentPoly({e: 1 for e in range(0, floor, -1)})
+    fsum, direct = {0: poly.LaurentPoly.one()}, {0: poly.LaurentPoly.one()}
     for s in targets:
         # the blocks B in S holding min S, A_B != 0; all of S for the generic fiber
         low = s & -s if mode == "zero-fiber" else s
         rest = sub = s ^ low
-        fsum[s] = inner = LaurentPoly.zero()
+        fsum[s] = inner = poly.LaurentPoly.zero()
         while True:
             if (b := sub | low) in chains:
                 fsum[s] += lift[b] * fsum[s ^ b]
@@ -384,7 +404,7 @@ def e_series_check(
             if not sub:
                 break
             sub = (sub - 1) & rest
-        direct[s] = LaurentPoly({e: c for e, c in (geom * inner).items() if e >= floor})
+        direct[s] = poly.LaurentPoly({e: c for e, c in (geom * inner).items() if e >= floor})
     p_x = fsum[full].shift((alpha - 1) * n + shift)
     lhs = laurent.RatFunc(p_x, group_order_gl(rank, alpha)).series_at_infinity(-order)
     rhs = direct[full].shift(shift)

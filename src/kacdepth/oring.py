@@ -1,21 +1,15 @@
-"""The truncated polynomial ring F_p[t]/(t^alpha): guards, primality, GL order.
+"""The truncated polynomial ring F_p[t]/(t^alpha): guards, primality, tables.
 
 ``GuardError``, ``check_work`` and ``guarded_power`` let every exponential
-route refuse its work estimate before it allocates anything;
-``group_order_gl`` is the order of the automorphism group as a polynomial in
-q.  ``ORing`` holds multiplication, inverse and unit tables on integer codes
-whose base-p digits are the coefficients (code 0 is the zero element, and a
-code is a unit exactly when it is nonzero mod p).  No library route uses the
-tables: the orbit count runs by Burnside's lemma on base-p digits, and the
-tests count over the tables as an independent route.
+route refuse its work estimate before it allocates anything.  ``ORing``
+holds multiplication, inverse and unit tables on integer codes whose base-p
+digits are the coefficients (code 0 is the zero element, and a code is a
+unit exactly when it is nonzero mod p).  No library route uses the tables:
+the orbit count runs by Burnside's lemma on base-p digits, and the tests
+count over the tables as an independent route.  It imports no other layer.
 """
 
-from __future__ import annotations
-
 from math import isqrt
-from typing import Sequence
-
-from .poly import LaurentPoly
 
 DEFAULT_GUARD = 2**24
 
@@ -77,20 +71,3 @@ class ORing:
         self.mul = [[code(times(a, b)) for b in digits] for a in digits]
         self.units = tuple(c for c in range(self.size) if c % p)
         self.inv = [row.index(1) if c % p else None for c, row in enumerate(self.mul)]
-
-
-def group_order_gl(r: Sequence[int], alpha: int) -> LaurentPoly:
-    """Order of prod_i GL(r_i, O_alpha) as a polynomial in q.
-
-    Each factor contributes q^(alpha r^2) * prod_{k=1..r} (1 - q^-k); the
-    product is cleared to an ordinary polynomial.
-    """
-    total = LaurentPoly.one()
-    for ri in r:
-        if ri < 0:
-            raise ValueError("ranks must be nonnegative")
-        factor = LaurentPoly.q(alpha * ri * ri)
-        for k in range(1, ri + 1):
-            factor = factor * (LaurentPoly.one() - LaurentPoly.q(-k))
-        total = total * factor
-    return total

@@ -51,7 +51,7 @@ from kacdepth import (
 )
 from kacdepth.laurent import ONE_MINUS_QINV, _CycloSum, _cyclo_sum
 from kacdepth.moment import _check_fiber_work, _reduce
-from kacdepth.oring import DEFAULT_GUARD, ORing, _check_prime
+from kacdepth.oring import DEFAULT_GUARD, ORing, _check_prime, check_work, guarded_power
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
 from kacdepth.rank import (
     _kac_from_totals, rank2_initial, rank2_transition, rank3_initial, rank3_transition,
@@ -365,12 +365,17 @@ def moment_fiber_count_per_point_oracle(
     whose column for y_a[k][l] = t^d is mu(x, t^d e_kl): it adds t^d x_a[u][k]
     to entry (u, l) at t(a) and subtracts t^d x_a[l][v] from entry (k, v) at
     s(a), truncated at t^alpha.  Arrows with a zero-rank endpoint carry no
-    coordinates; vertices of rank zero impose no condition.  The work
-    estimate p^(alpha max(h, 1)) * R * (C+1) * max(1, min(R, C)) + isqrt(p)
-    must not exceed guard (see ``kacdepth.moment``).  Every one of the
-    p^(alpha h) points x is solved for, one linear system each.
+    coordinates; vertices of rank zero impose no condition.  Every one of the
+    p^(alpha h) points x is solved for here, one linear system each, so their
+    count times the per-system cost R * (C+1) * max(1, min(R, C)) must not
+    exceed guard either, besides the library's work estimate (see
+    ``kacdepth.moment``), which counts orbit representatives.
     """
     rank = _check_fiber_work(quiver, rank, p, alpha, guard, lam)
+    rows = alpha * sum(r * r for r in rank)
+    cols = alpha * sum(rank[s] * rank[t] for s, t in quiver.arrows)
+    points = guarded_power(p, cols, "per-point fiber oracle", guard)
+    check_work("per-point fiber oracle", points * rows * (cols + 1) * max(1, min(rows, cols)), guard)
     _check_prime(p)
     verts = [i for i in range(quiver.nvertices) if rank[i] > 0]
     # one block of alpha rows (the coefficients of 1, t, ..., t^(alpha-1)) per

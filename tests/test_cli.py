@@ -5,9 +5,14 @@ import ast
 import contextlib
 import inspect
 import io
+import gc
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +234,18 @@ def test_moment_fiber_guard_estimate(a2_file, monkeypatch, capsys):
     assert "fiber size 21" in capsys.readouterr().out
 
 
+def test_moment_fiber_estimate_counts_orbit_representatives(kron_file, capsys):
+    # Kronecker 2 at alpha 3 solves (alpha + 1)^2 = 16 systems, one per orbit
+    # representative, not one per each of the p^6 points: the estimate
+    # 7^3 * 6 * 7 * 6 + isqrt(7) = 86438 is far below the default guard,
+    # where the points (29647550) were refused
+    args = ["oracle", "moment-fiber", "--quiver", kron_file, "--p", "7", "--alpha", "3"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "p=7: fiber size 46101601\n"
+    assert main(args + ["--guard", "86437"]) == 3
+    assert "fiber enumeration estimate 86438 > limit 86437" in capsys.readouterr().err
+
+
 def test_arrowless_generic_fiber_refused_fast(tmp_path, capsys):
     # no y unknowns, but the identity check forms numbers beyond p^alpha at
     # q = p, with millions of digits: the estimate counts p^alpha for them
@@ -401,7 +418,9 @@ def test_exp_identity_refuses_a_later_prime_before_any_count(tmp_path, capsys, m
     monkeypatch.setattr(cli.moment, "moment_fiber_count", lambda *args, **kwargs: counts.append(args))
     assert main(["verify", "exp-identity", "--quiver", str(path), "--p", "2,1000003"]) == 3
     assert counts == []
-    assert "fiber enumeration estimate >= 1000003^" in capsys.readouterr().err
+    # the rank vector (1, 1, 1) solves 2^3 systems, fewer than p^alpha, so the
+    # estimate counts p = 1000003: 1000003 * R 3 * (C 3 + 1) * 3 + isqrt(p)
+    assert "fiber enumeration estimate 36001108 > limit 16777216" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("oracle, layer, count", [
@@ -958,3 +977,57 @@ def test_every_handler_fuzz(fuzz_dir, command, data, alpha, order, g, mode, lam)
         assert list(report)[:2] == ["schema", "command"], argv
         assert list(report)[-3:] == ["ok", "text", "seed"], argv
         assert report["command"] == command and report["ok"] is (code == 0)
+
+
+# a new interpreter's environment: the package sources on its path
+PROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+# one call per exit code of the process path: 0, 2 (a bad flag, argparse's
+# exit, and a bad quiver file) and 3 (a guard)
+PROCESS_CALLS = [
+    (["--format", "json", "kac", "--alpha", "2"], 0),
+    (["kac", "--alpha", "2", "--nope"], 2),
+    (["kac", "--quiver", "missing.json"], 2),
+    (["oracle", "moment-fiber", "--p", "7", "--alpha", "3", "--guard", "10"], 3),
+]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a bad flag
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CALLS, ids=["ok", "bad-flag", "bad-quiver", "guard"])
+def test_process_exit_matches_the_in_process_call(argv, code, kron_file, tmp_path):
+    # ``python -m kacdepth.cli`` exits through cli.run (main, then gc.freeze());
+    # its bytes and exit code are main's, and main in process freezes nothing
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    if "--quiver" not in argv:
+        argv = [*argv, "--quiver", kron_file]
+    frozen = gc.get_freeze_count()
+    expected = _run_in_process(argv)
+    assert gc.get_freeze_count() == frozen
+    assert expected[2] == code
+    proc = subprocess.run([sys.executable, "-m", "kacdepth.cli", *argv], env=PROCESS_ENV,
+                          capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr, proc.returncode) == expected
+
+
+def test_process_exit_freezes_the_heap_and_runs_atexit_handlers(kron_file):
+    # an atexit handler registered before the module runs still runs, and
+    # finds the heap frozen
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv[0] = 'kacdepth'\n"
+        "runpy.run_module('kacdepth.cli', run_name='__main__')\n"
+    )
+    argv = ["kac", "--quiver", kron_file, "--alpha", "2"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=PROCESS_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-2:] == ["routes agree      = True", "frozen True"]

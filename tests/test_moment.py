@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -170,6 +171,37 @@ class TestFiberCounts:
                 expected = moment_fiber_count_per_point_oracle(quiver, rank, p, alpha, lam=target)
                 got = moment_fiber_count(quiver, rank, p, alpha, lam=target)
                 assert got == expected, (p, alpha, target)
+
+    def test_estimate_counts_the_systems_solved(self, monkeypatch):
+        # a system is C column reductions and one of the right-hand side; the
+        # estimate covers the systems solved at the per-system cost
+        # R * (C+1) * max(1, min(R, C)), and equals it where they number at
+        # least p^alpha (the floor the identity checks need)
+        reductions = []
+        reduce = moment._reduce
+        monkeypatch.setattr(moment, "_reduce", lambda *args: reductions.append(1) or reduce(*args))
+        cases = exact = 0
+        sizes = ((2, 1), (3, 1), (2, 2), (2, 3))
+        for q in quiver_catalog(3, 4):
+            for rank, (p, alpha) in product(product((0, 1, 2), repeat=q.nvertices), sizes):
+                try:
+                    moment._check_fiber_work(q, rank, p, alpha, 20000)
+                except GuardError:
+                    continue
+                reductions.clear()
+                moment_fiber_count(q, rank, p, alpha)
+                rows = alpha * sum(r * r for r in rank)
+                cols = alpha * sum(rank[s] * rank[t] for s, t in q.arrows)
+                systems, rest = divmod(len(reductions), cols + 1)
+                assert rest == 0
+                counted = systems * rows * (cols + 1) * max(1, min(rows, cols)) + isqrt(p)
+                with pytest.raises(GuardError):
+                    moment._check_fiber_work(q, rank, p, alpha, counted - 1)
+                if systems >= p**alpha:
+                    moment._check_fiber_work(q, rank, p, alpha, counted)
+                    exact += 1
+                cases += 1
+        assert cases > 1000 and exact > 300
 
     def test_zero_rank_vertices(self):
         for q, rank, p, alpha in (
