@@ -8,10 +8,10 @@ that equality of values is equality of representations.
 
 The expansion at q = infinity is one long division by the denominator.
 
-Sums of terms over products of (q^c - 1) whose denominators vary from term
-to term (the depth limit, the Hilbert series and the certificate) run on
-``_CycloSum``, which adds numerators over a common denominator and forms
-one ``RatFunc`` at the end.
+Sums of terms over products of (q^c - 1) (the depth limit, the Hilbert
+series and the certificate total) run on ``CycloPacking``: every term lies
+over one fixed product D, so a sum is one integer, its numerator over D at
+q = 2^W, and one ``RatFunc`` is formed at the end.
 
 Gcds are taken fraction-free: denominators are cleared into dense integer
 coefficient lists and a primitive pseudo-remainder sequence runs on them
@@ -22,9 +22,9 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from collections import Counter
+from math import gcd, lcm, prod
+from typing import TYPE_CHECKING, Iterable
 
 from .poly import LaurentPoly, _scalar
 
@@ -311,78 +311,46 @@ ONE_MINUS_QINV = RatFunc(LaurentPoly({0: 1, -1: -1}))
 
 
 # ----------------------------------------------------------------------
-# sums over products of (q^c - 1)
+# sums over one fixed product of (q^c - 1)
 
 
-def _lift(coeffs: list[Rational], have: tuple[int, ...], want: tuple[int, ...]) -> list[Rational]:
-    """Dense coefficients (lowest first) times prod_c (q^c - 1)^(want_c - have_c)."""
-    for c, (w, h) in enumerate(zip_longest(want, have, fillvalue=0), start=1):
-        for _ in range(w - h):
-            coeffs = [a - b for a, b in zip([0] * c + coeffs, coeffs + [0] * c)]
-    return coeffs
+class CycloPacking:
+    """Integer arithmetic for sums of terms over products of (q^c - 1).
 
-
-def _add_dense(parts: list[tuple[int, list[Rational]]]) -> tuple[int, list[Rational]]:
-    """The sum of (low, coefficients from q^low upward) numerators, in that form."""
-    if len(parts) == 1:
-        return parts[0]
-    low = min((lo for lo, _ in parts), default=0)
-    top = max((lo + len(c) for lo, c in parts), default=0)
-    cols = [[0] * (lo - low) + c + [0] * (top - lo - len(c)) for lo, c in parts]
-    return low, [sum(col) for col in zip(*cols)]
-
-
-class _CycloSum(NamedTuple):
-    """The exact value num / prod_c (q^c - 1)^(e_c), summed without gcds.
-
-    ``coeffs`` holds the coefficients of num from q^low upward (``int`` or
-    ``Fraction``; low may be negative), and ``exps[c - 1]`` is e_c, with no
-    trailing zeros.
+    Each term's denominator divides D = prod_c (q^c - 1)^(mu_c), mu_c the
+    number of distinct sizes among the sets of exponent c: sizes rise along
+    a chain of sets.  A sum times D is a polynomial, carried as its value at
+    q = 2^W; a division by q^c - 1 that is exact on polynomials is then one
+    exact integer division.  D over a term's factors is a product of at most
+    sum(mu) factors q^c - 1 of L1 norm 2, so for W = bit_length(chains) +
+    sum(mu) + 1 the deg D + 1 balanced W-bit digits of a sum of at most
+    ``chains`` terms are its coefficients.
     """
 
-    low: int
-    coeffs: list[Rational]
-    exps: tuple[int, ...] = ()
+    __slots__ = ("mu", "width", "den", "_digits")
 
-    @classmethod
-    def over(cls, num: LaurentPoly, cyclo: Sequence[int] = ()) -> "_CycloSum":
-        """num / prod of (q^c - 1) over the c >= 1 in cyclo, repeats allowed."""
-        exps = [0] * max(cyclo, default=0)
-        for c in cyclo:
-            exps[c - 1] += 1
-        low, top = (num.min_exp(), num.max_exp()) if num else (0, -1)
-        return cls(low, [num.coeff(e) for e in range(low, top + 1)], tuple(exps))
+    def __init__(self, exponents: Iterable[tuple[int, int]], chains: int) -> None:
+        """``exponents`` lists (exponent, set size) pairs, repeats allowed."""
+        self.mu = Counter(c for c, _ in set(exponents))
+        self.width = w = chains.bit_length() + sum(self.mu.values()) + 1
+        self._digits = sum(c * k for c, k in self.mu.items()) + 1
+        self.den = prod([((1 << w * c) - 1) ** k for c, k in self.mu.items()])
 
-    def divided(self, c: int) -> "_CycloSum":
-        """This value over q^c - 1, for c >= 1."""
-        exps = [*self.exps, *[0] * (c - len(self.exps))]
-        exps[c - 1] += 1
-        return self._replace(exps=tuple(exps))
+    def divide(self, value: int, *exponents: int) -> int:
+        """value / prod (q^c - 1) over the exponents c; raises unless exact."""
+        quo, rem = divmod(value, prod([(1 << self.width * c) - 1 for c in exponents]))
+        if rem:
+            raise ArithmeticError(f"inexact division by q^c - 1 for c in {exponents}")
+        return quo
 
-    def times(self, poly: LaurentPoly) -> "_CycloSum":
-        """This value times a Laurent polynomial."""
-        return _cyclo_sum(
-            _CycloSum(self.low + e, [c * x for x in self.coeffs], self.exps) for e, c in poly.items()
-        )
+    def ratfunc(self, value: int, extra: LaurentPoly | int = 1) -> RatFunc:
+        """The packed sum value / D, times extra, in normal form: its one gcd."""
+        return RatFunc(self._unpack(value) * extra, self._unpack(self.den))
 
-    def ratfunc(self) -> RatFunc:
-        """The value in the normal form of ``RatFunc``: the one gcd of the sum."""
-        num = LaurentPoly(dict(enumerate(self.coeffs, self.low)))
-        return RatFunc(num, LaurentPoly(dict(enumerate(_lift([1], (), self.exps)))))
-
-
-def _cyclo_sum(terms: Iterable[_CycloSum]) -> _CycloSum:
-    """The sum of terms, lifted to the componentwise maximum of their exponents.
-
-    Terms with equal exponents are added first, so that each exponent vector
-    is lifted once.
-    """
-    groups: dict[tuple[int, ...], list[tuple[int, list[Rational]]]] = {}
-    for low, coeffs, exps in terms:
-        groups.setdefault(exps, []).append((low, coeffs))
-    want = tuple(map(max, zip_longest(*groups, fillvalue=0)))
-    parts = []
-    for have, group in groups.items():
-        low, coeffs = _add_dense(group)
-        parts.append((low, _lift(coeffs, have, want)))
-    return _CycloSum(*_add_dense(parts), want)
+    def _unpack(self, value: int) -> LaurentPoly:
+        w, n = self.width, self._digits
+        half, field = 1 << w - 1, (1 << w) - 1
+        value += half * (((1 << w * n) - 1) // field)
+        if value < 0 or value >> w * n:
+            raise ArithmeticError(f"the sum overflows {n} digits of {w} bits")
+        return LaurentPoly({e: (value >> e * w & field) - half for e in range(n)})

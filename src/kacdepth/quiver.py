@@ -1,7 +1,9 @@
 """Quivers as ordered directed multigraphs, with the graph operations used by
 the counting machinery: vertex restriction, deletion, Betti numbers, connectivity
 (one union-find, ``vertex_roots``), the rank and connectivity of every edge
-subset at once (``subset_ranks``), spanning trees and tree paths.
+subset at once (``subset_ranks``), spanning trees and tree paths, and the
+table over parallel-arrow classes (``_class_table``) on which the subset
+sums of ``toric`` and the Hilbert series of ``srcomplex`` run.
 
 The arrow order is the list order; restriction and deletion preserve it.
 Loops and parallel arrows are allowed.
@@ -9,8 +11,10 @@ Loops and parallel arrows are allowed.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, repeat
-from typing import Iterable, Sequence
+from math import comb, prod
+from typing import Iterable, NamedTuple, Sequence
 
 
 class _Frozen:
@@ -290,3 +294,39 @@ def tree_paths(quiver: Quiver, tree_arrows: Sequence[int]) -> dict[int, tuple[in
         paths[a] = tuple(sorted(down[s] ^ down[t]))
     return paths
 
+
+def _arrow_classes(quiver: Quiver) -> Counter:
+    """Parallel-arrow classes: unordered ends (v, v for loops) -> arrow count."""
+    return Counter((s, t) if s <= t else (t, s) for s, t in quiver.arrows)
+
+
+class _ClassTable(NamedTuple):
+    """Per state N (class 0 varies fastest in the state index): b(N), whether supp N
+    connects every vertex, prod C(c_i, N_i), the arrow sets with counts N, and
+    their size sum N_i.  ``classes`` maps the ends of each class to its size c_i."""
+
+    classes: Counter
+    betti: list[int]
+    connected: list[bool]
+    sets: list[int]
+    size: list[int]
+
+
+def _class_table(quiver: Quiver) -> _ClassTable:
+    classes = _arrow_classes(quiver)
+    ranks, spanning = subset_ranks(quiver.nvertices, list(classes))
+    supp, size, sets = [0], [0], [1]
+    for i, c in enumerate(classes.values()):
+        bit, row = 1 << i, [comb(c, j) for j in range(1, c + 1)]
+        supp += [x | bit for x in supp] * c
+        size += [x + j for j in range(1, c + 1) for x in size]
+        sets += [x * k for k in row for x in sets]
+    betti = [n - ranks[x] for n, x in zip(size, supp)]
+    return _ClassTable(classes, betti, [spanning[x] for x in supp], sets, size)
+
+
+def _chain_walk_work(quiver: Quiver) -> int:
+    """The estimate of the depth limit and of the Hilbert series: prod C(c_i + 2, 2) class-state
+    pairs N <= N' (3^m without parallel arrows) at 1 + (b(Q) + 1)^3 // 1024 units each."""
+    pairs = prod(comb(c + 2, 2) for c in _arrow_classes(quiver).values())
+    return pairs * (1 + (quiver.betti() + 1) ** 3 // 1024)

@@ -4,28 +4,30 @@ The vertices of the complex are the proper nonempty subsets of the arrow
 set, faces are chains under inclusion, and facets correspond to the m!
 orderings of the m arrows.  Specialising the fine Hilbert series at
 u_E = q^-(b(Q) - b(Q|_E)) relates the complex to the asymptotic toric count;
-the series is summed by a DP over arrow masks that counts chains by their
-exponent multisets, without listing a face.  A shelling of the complex, read
-off the facet words, yields a positivity certificate: the series is a sum of
-terms with monomial numerators.
+the series is summed upward over parallel-arrow class states
+(``quiver._class_table``), without listing a face.  A shelling of the
+complex, read off the facet words, yields a positivity certificate: the
+series is a sum of terms with monomial numerators.  The series and the
+certificate total are integer sums over one fixed denominator
+(``laurent.CycloPacking``).
 
-The Betti numbers of all 2^m arrow masks (``_mask_betti_tables``) serve
-these mask walks only; the toric routes run over parallel-arrow classes.
-``toric`` is reached as a lazy module, for the asymptotic side of
-``verify_hilbert_identity`` alone, so a shelling never executes it.
+The certificate reads the exponents of its facets off the Betti numbers of
+all 2^m arrow masks (``_mask_betti_tables``).  ``toric`` is reached as a
+lazy module, for the asymptotic side of ``verify_hilbert_identity`` alone,
+so a shelling never executes it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import comb, factorial
 
 from . import toric
-from .laurent import ONE_MINUS_QINV, RatFunc, _CycloSum, _cyclo_sum, poly_divmod
+from .laurent import ONE_MINUS_QINV, CycloPacking, RatFunc, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .poly import LaurentPoly
-from .quiver import Quiver, _Frozen, subset_ranks
+from .quiver import Quiver, _chain_walk_work, _class_table, _Frozen, subset_ranks
 
 
 class OrderComplex(_Frozen):
@@ -96,52 +98,48 @@ def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
 
     A face, a chain E_1 < ... < E_k of proper nonempty arrow subsets, weighs
     the product of 1 / (q^c - 1) over its exponents c(E_j) = b(Q) - b(Q|_E_j).
-    No face is listed: in increasing mask order, the chains ending at E are
-    counted by exponent multiset from those ending at the proper nonempty
-    submasks of E, and the full mask collects them all.  c never rises along
-    a chain, so appending c(E) keeps each multiset a descending tuple.  The
-    weights are applied once per multiset, over one common denominator.
-
-    The work estimate counts key additions: for each size j of a proper
-    nonempty submask, its C(m, j) * (2^(m-j) - 1) merges into larger masks
-    times min(2^(j-1), C(j-1+b(Q), b(Q))) multisets per merge.  The binomial
-    bounds the exponent multisets of the chains ending at a j-subset, and the
-    power of two counts them when exponents fall strictly along chains; for
-    Kronecker quivers and cycles the estimate is exact.  It must not exceed
-    guard, and is checked before the 2^m exponent table is built.
+    No face is listed: upward over the class states, the chains ending at E
+    sum to 1 plus those ending at the nonempty proper subsets of E, over
+    q^c(E) - 1, and the full state collects them all.  Over one fixed
+    denominator a state costs one exact integer division.  The work estimate
+    is that of the depth limit, whose walk visits the same state pairs on
+    values of the same width (``quiver._chain_walk_work``); it must not
+    exceed guard, and is checked before the 2-connectivity test.
     """
+    check_work("hilbert series", _chain_walk_work(quiver), guard)
+    if not quiver.is_two_connected():
+        raise ValueError("specialization not convergent")
+    table = _class_table(quiver)
     m, b = quiver.narrows, quiver.betti()
-    # running terms: C(m, j) and C(j-1+b, b) each from the one before, powers by shifts
-    work, subsets, multisets = 0, m, 1
-    for j in range(1, m):
-        work += subsets * ((1 << m - j) - 1) * min(1 << j - 1, multisets)
-        subsets = subsets * (m - j) // (j + 1)
-        multisets = multisets * (j + b) // j
-    check_work("hilbert series", work, guard)
-    exponents = _specialized_exponents(quiver)
-    full = (1 << m) - 1
-    ending: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for mask in range(1, full + 1):
-        below = {(): 1}  # the empty chain and the chains ending strictly below mask
-        get = below.get
-        sub = (mask - 1) & mask
-        while sub:
-            for key, n in ending[sub]:
-                below[key] = get(key, 0) + n
-            sub = (sub - 1) & mask
-        if mask < full:
-            c = (exponents[mask],)
-            ending[mask] = [(key + c, n) for key, n in below.items()]
-    return _cyclo_sum(_CycloSum.over(LaurentPoly.term(mult), key) for key, mult in below.items()).ratfunc()
+    full = len(table.betti) - 1
+    exponents = [b - x for x in table.betti]
+    # the chains of proper nonempty arrow sets, the empty chain included:
+    # fewer than (m + 1)^m
+    pack = CycloPacking(zip(exponents[1:full], table.size[1:full]), (m + 1) ** m)
+    # ending[N] = D times the sum over the chains E_1 < ... < E_k = E of the
+    # product of 1/(q^c(E_j) - 1), for any E with counts N; the E' < E with
+    # counts N' number prod C(N_i, N'_i)
+    ending = [0] * (full + 1)
+    for state in range(1, full + 1):
+        downs, rest, stride = [(state, 1)], state, 1
+        for c in table.classes.values():
+            rest, n = divmod(rest, c + 1)
+            downs = [(down - d * stride, k * comb(n, d)) for d in range(n + 1) for down, k in downs]
+            stride *= c + 1
+        below = pack.den + sum([k * ending[down] for down, k in downs[1:]])
+        ending[state] = below if state == full else pack.divide(below, exponents[state])
+    return pack.ratfunc(ending[full])
 
 
 def verify_hilbert_identity(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
     """Check the asymptotic toric count against the prefactored Hilbert series.
 
     Both sides are computed along independent code paths and compared as
-    canonical rational functions.  The Hilbert side, whose estimate is the
-    larger from five arrows on, goes first: a refusal comes before any sum,
-    and before the prefactor's gcd, which takes seconds from b(Q) = 200 on.
+    canonical rational functions: strict chains down from the full arrow
+    set against all chains of proper nonempty subsets upward, each over a
+    denominator of its own.  The two estimates are equal, and the Hilbert
+    side goes first: a refusal names it, and comes before any sum and
+    before the prefactor's gcd.
     """
     hilbert = hilbert_specialized(quiver, guard)
     lhs = toric.asymptotic_kac(quiver, guard)
@@ -203,9 +201,10 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
         (tuple(t["facet_exponents"]), sum(t["facet_exponents"]) - sum(t["restriction_exponents"]))
         for t in terms
     )
-    total = _cyclo_sum(
-        _CycloSum.over(LaurentPoly.term(n, shift), fac) for (fac, shift), n in shifts.items()
-    ).ratfunc()
+    # the m! facets are chains of masks, so mu counts the mask sizes of each exponent
+    pack = CycloPacking(((c, mask.bit_count()) for mask, c in exponents.items()), factorial(quiver.narrows))
+    quotients = {fac: pack.divide(pack.den, *fac) for fac, _ in shifts}
+    total = pack.ratfunc(sum(n * quotients[fac] << pack.width * shift for (fac, shift), n in shifts.items()))
     direct = hilbert_specialized(quiver, guard)
     report = {"terms": terms, "total": str(total), "matches_face_sum": total == direct}
     single = _single_denominator_presentation(total)

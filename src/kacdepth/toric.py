@@ -17,17 +17,19 @@ locally free rank-one representations over F_q[t]/(t^alpha):
   shared base-p digits of torus coordinates, never a product in the ring.
 
 The subset sums of the chain sum, the depth limit and the orbit count run
-on one class table.  Arrows with the same two ends (in either direction)
-form a class, and so do the loops at one vertex.  The Betti number of an
-arrow set E is |E| - r(supp E) and its connectivity depends on supp E
-alone, so E matters only through its count vector N, 0 <= N_i <= c_i:
-prod (c_i + 1) states in place of 2^m masks.  There are prod C(c_i, N_i)
-sets with counts N, and prod C(N'_i, N_i) sets with counts N below a fixed
-set with counts N'.
+on one class table (``quiver._class_table``).  Arrows with the same two
+ends (in either direction) form a class, and so do the loops at one
+vertex.  The Betti number of an arrow set E is |E| - r(supp E) and its
+connectivity depends on supp E alone, so E matters only through its count
+vector N, 0 <= N_i <= c_i: prod (c_i + 1) states in place of 2^m masks.
+There are prod C(c_i, N_i) sets with counts N, and prod C(N'_i, N_i) sets
+with counts N below a fixed set with counts N'.
 
 The module also computes the depth->infinity limits of the toric count and
 of the normalised moment-map fiber count, which are rational functions once
-the quiver is 2-connected; only those limits load ``laurent``.
+the quiver is 2-connected: a downward walk over the class states, on
+integers over one fixed denominator (``laurent.CycloPacking``).  Only those
+limits load ``laurent``.
 """
 
 from __future__ import annotations
@@ -36,43 +38,13 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress, count, product, repeat, zip_longest
 from math import comb, isqrt, prod
-from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from . import laurent
 from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
 from .poly import LaurentPoly
-from .quiver import Quiver, ValuedTree, subset_ranks, tree_paths
-
-
-def _arrow_classes(quiver: Quiver) -> Counter:
-    """Parallel-arrow classes: unordered ends (v, v for loops) -> arrow count."""
-    return Counter((s, t) if s <= t else (t, s) for s, t in quiver.arrows)
-
-
-class _ClassTable(NamedTuple):
-    """Per state N (class 0 varies fastest in the state index): b(N), whether
-    supp N connects every vertex, and prod C(c_i, N_i), the arrow sets with
-    counts N.  ``classes`` maps the ends of each class to its size c_i, in
-    that order."""
-
-    classes: Counter
-    betti: list[int]
-    connected: list[bool]
-    sets: list[int]
-
-
-def _class_table(quiver: Quiver) -> _ClassTable:
-    classes = _arrow_classes(quiver)
-    ranks, spanning = subset_ranks(quiver.nvertices, list(classes))
-    supp, size, sets = [0], [0], [1]
-    for i, c in enumerate(classes.values()):
-        bit, row = 1 << i, [comb(c, j) for j in range(1, c + 1)]
-        supp += [x | bit for x in supp] * c
-        size += [x + j for j in range(1, c + 1) for x in size]
-        sets += [x * k for k in row for x in sets]
-    betti = [n - ranks[x] for n, x in zip(size, supp)]
-    return _ClassTable(classes, betti, [spanning[x] for x in supp], sets)
+from .quiver import Quiver, ValuedTree, _arrow_classes, _chain_walk_work, _class_table, tree_paths
 
 
 def _binomial_transform(values: list[int], sizes: Iterable[int]) -> None:
@@ -284,56 +256,42 @@ def toric_orbit_count(quiver: Quiver, p: int, alpha: int, guard: int = DEFAULT_G
 # depth -> infinity limits
 
 
-def _asymptotic_work(quiver: Quiver) -> int:
-    """The work estimate of ``asymptotic_kac`` (see there)."""
-    pairs = prod(comb(c + 2, 2) for c in _arrow_classes(quiver).values())
-    return pairs * (1 + (quiver.betti() + 1) ** 3 // 1024)
-
-
 def asymptotic_kac(quiver: Quiver, guard: int = DEFAULT_GUARD) -> laurent.RatFunc:
     """Limit of q^(-alpha b(Q)) times the depth-alpha toric count.
 
     Exists exactly when the quiver is 2-connected, and equals
     (1-q^-1)^b(Q) times the sum over strictly increasing chains of arrow
-    subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1),
-    summed over one common denominator.  The work estimate, which must not
-    exceed guard, counts the prod C(c_i + 2, 2) (state, superstate) pairs
-    N <= N' over the class states (3^m without parallel arrows) at
-    1 + (b(Q) + 1)^3 // 1024 units of about 5 us each: a pair adds and lifts
-    a numerator of about b(Q)^2 / 2 coefficients, 5 us + 6 ns (b(Q) + 1)^3
-    (Python 3.11, 2-core x86-64; 3^12 pairs at b(Q) = 7: 2.8 s, Kronecker 60:
-    2.4 s).  The limit is cached per quiver, whatever the guard.  The
-    estimate comes before the O(m^2) 2-connectivity test.
+    subsets ending at the full arrow set of prod 1/(q^(b(Q)-b(E_j)) - 1).
+    The work estimate ``quiver._chain_walk_work`` must not exceed guard, and
+    comes before the O(m^2) 2-connectivity test.  The limit is cached per
+    quiver, whatever the guard.
     """
-    check_work("asymptotic sum", _asymptotic_work(quiver), guard)
+    check_work("asymptotic sum", _chain_walk_work(quiver), guard)
     if not quiver.is_two_connected():
         raise ValueError("limit does not converge")
     return _asymptotic_chain_sum(quiver)
 
 
-def _scaled(term: laurent._CycloSum, k: int) -> laurent._CycloSum:
-    return term if k == 1 else term._replace(coeffs=[k * x for x in term.coeffs])
-
-
 @lru_cache(maxsize=None)
 def _asymptotic_chain_sum(quiver: Quiver) -> laurent.RatFunc:
     table = _class_table(quiver)
-    b = quiver.betti()
+    m, b = quiver.narrows, quiver.betti()
     full = len(table.betti) - 1
-    # weight[N] = sum over chains E < E' < ... < all arrows of the product of
-    # 1/(q^(b - b(E_j)) - 1) over the proper chain entries E_j, for any E
-    # with counts N; the E' > E with counts N' number prod C(c_i - N_i, N'_i - N_i)
-    weight = [None] * full + [laurent._CycloSum(0, [1])]
+    exponents = [b - x for x in table.betti]
+    # the chains from any arrow set up to all arrows: fewer than (m + 1)^m
+    pack = laurent.CycloPacking(zip(exponents[:full], table.size), (m + 1) ** m)
+    # weight[N] = D times the sum over chains E < E' < ... < all arrows of the product
+    # of 1/(q^c(E_j) - 1) over the proper entries E_j, for any E with counts N;
+    # the E' > E with counts N' number prod C(c_i - N_i, N'_i - N_i)
+    weight = [0] * full + [pack.den]
     for state in range(full - 1, -1, -1):
-        ups, rest, stride = [(0, 1)], state, 1
+        ups, rest, stride = [(state, 1)], state, 1
         for c in table.classes.values():
             rest, n = divmod(rest, c + 1)
             ups = [(up + d * stride, k * comb(c - n, d)) for d in range(c - n + 1) for up, k in ups]
             stride *= c + 1
-        supersets = [_scaled(weight[state + up], k) for up, k in ups[1:]]
-        weight[state] = laurent._cyclo_sum(supersets).divided(b - table.betti[state])
-    total = laurent._cyclo_sum(map(_scaled, weight, table.sets))
-    return total.times(laurent.ONE_MINUS_QINV.num**b).ratfunc()
+        weight[state] = pack.divide(sum([k * weight[up] for up, k in ups[1:]]), exponents[state])
+    return pack.ratfunc(sum(map(mul, table.sets, weight)), laurent.ONE_MINUS_QINV.num**b)
 
 
 def asymptotic_moment(quiver: Quiver, guard: int = DEFAULT_GUARD) -> laurent.RatFunc:

@@ -22,6 +22,35 @@ from oracles import OElem, restrict_arrows, tree_path_data
 
 
 # ----------------------------------------------------------------------
+# quivers shared by the suites
+
+
+THETA = Quiver(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
+DOUBLED_K4 = Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)) * 2)
+
+
+def kronecker(k: int, loops: int = 0) -> Quiver:
+    return Quiver(2, ((0, 1),) * k + ((0, 0), (1, 1))[:loops])
+
+
+# parallel arrows in either direction, loops, and classes interleaved in
+# arrow order: the class states of the chain sum, the depth limit and the
+# Hilbert series
+MULTIGRAPHS = [
+    kronecker(4, loops=2),
+    Quiver(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))),  # doubled triangle
+    THETA,
+    Quiver(1, ((0, 0),) * 3),
+    Quiver(2, ((0, 1), (0, 0), (1, 0), (0, 0), (1, 1), (0, 1))),
+    Quiver(3, ((0, 1), (1, 1), (1, 2), (0, 1), (1, 1), (2, 0), (1, 0))),
+    Quiver(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (2, 2))),
+    Quiver(4, ((0, 1), (2, 3), (1, 0), (3, 2), (1, 2), (0, 3), (2, 1))),
+    *(kronecker(k) for k in range(1, 13)),
+    Quiver(4, tuple(DOUBLED_K4.arrows[i] for i in (3, 7, 0, 11, 5, 9, 1, 6, 10, 2, 8, 4))),
+]
+
+
+# ----------------------------------------------------------------------
 # moment-map fiber oracles
 
 

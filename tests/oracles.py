@@ -31,11 +31,13 @@ against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle`
 ``rank_class_sums_oracle`` add one ``RatFunc`` at a time, each addition
 normalised by a gcd, checked against the library's sums over one common
 denominator; the Hilbert oracle also lists every chain of the order complex
-(``chain_faces_oracle``), checked against the library's mask DP, which counts
-chains by exponent multiset without listing them.  ``chain_sum_mask_oracle``
-and ``asymptotic_chain_sum_mask_oracle`` run the chain sum and the depth
-limit over all 2^m arrow masks, checked against the library's sums over
-parallel-arrow class states.
+(``chain_faces_oracle``).  ``chain_sum_mask_oracle``,
+``asymptotic_chain_sum_mask_oracle`` and ``hilbert_multiset_oracle`` run the
+chain sum, the depth limit and the Hilbert series over all 2^m arrow masks,
+checked against the library's sums over parallel-arrow class states; the
+last two add their terms as ``_CycloSum`` numerators, each lifted to the
+common denominator of its sum, where the library evaluates every term at
+q = 2^W over one fixed denominator.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, permutations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, combinations_with_replacement, compress, permutations, product, zip_longest
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from kacdepth import (
     LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
 )
-from kacdepth.laurent import ONE_MINUS_QINV, _CycloSum, _cyclo_sum
+from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.moment import _check_fiber_work, _reduce
 from kacdepth.oring import DEFAULT_GUARD, ORing, _check_prime, check_work, guarded_power
 from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
@@ -640,6 +642,84 @@ def kac_from_moments(g: int, alpha: int, rmax: int) -> list[LaurentPoly]:
 
 
 # ----------------------------------------------------------------------
+# sums over products of (q^c - 1), lifted to a common denominator term by term
+
+
+def _lift(coeffs: list[int], have: tuple[int, ...], want: tuple[int, ...]) -> list[int]:
+    """Dense coefficients (lowest first) times prod_c (q^c - 1)^(want_c - have_c)."""
+    for c, (w, h) in enumerate(zip_longest(want, have, fillvalue=0), start=1):
+        for _ in range(w - h):
+            coeffs = [a - b for a, b in zip([0] * c + coeffs, coeffs + [0] * c)]
+    return coeffs
+
+
+def _add_dense(parts: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
+    """The sum of (low, coefficients from q^low upward) numerators, in that form."""
+    if len(parts) == 1:
+        return parts[0]
+    low = min((lo for lo, _ in parts), default=0)
+    top = max((lo + len(c) for lo, c in parts), default=0)
+    cols = [[0] * (lo - low) + c + [0] * (top - lo - len(c)) for lo, c in parts]
+    return low, [sum(col) for col in zip(*cols)]
+
+
+class _CycloSum(NamedTuple):
+    """The exact value num / prod_c (q^c - 1)^(e_c), summed without gcds.
+
+    ``coeffs`` holds the coefficients of num from q^low upward (low may be
+    negative), and ``exps[c - 1]`` is e_c, with no
+    trailing zeros.
+    """
+
+    low: int
+    coeffs: list[int]
+    exps: tuple[int, ...] = ()
+
+    @classmethod
+    def over(cls, num: LaurentPoly, cyclo: Sequence[int] = ()) -> "_CycloSum":
+        """num / prod of (q^c - 1) over the c >= 1 in cyclo, repeats allowed."""
+        exps = [0] * max(cyclo, default=0)
+        for c in cyclo:
+            exps[c - 1] += 1
+        low, top = (num.min_exp(), num.max_exp()) if num else (0, -1)
+        return cls(low, [num.coeff(e) for e in range(low, top + 1)], tuple(exps))
+
+    def divided(self, c: int) -> "_CycloSum":
+        """This value over q^c - 1, for c >= 1."""
+        exps = [*self.exps, *[0] * (c - len(self.exps))]
+        exps[c - 1] += 1
+        return self._replace(exps=tuple(exps))
+
+    def times(self, poly: LaurentPoly) -> "_CycloSum":
+        """This value times a Laurent polynomial."""
+        return _cyclo_sum(
+            _CycloSum(self.low + e, [c * x for x in self.coeffs], self.exps) for e, c in poly.items()
+        )
+
+    def ratfunc(self) -> RatFunc:
+        """The value in the normal form of ``RatFunc``: the one gcd of the sum."""
+        num = LaurentPoly(dict(enumerate(self.coeffs, self.low)))
+        return RatFunc(num, LaurentPoly(dict(enumerate(_lift([1], (), self.exps)))))
+
+
+def _cyclo_sum(terms: Iterable[_CycloSum]) -> _CycloSum:
+    """The sum of terms, lifted to the componentwise maximum of their exponents.
+
+    Terms with equal exponents are added first, so that each exponent vector
+    is lifted once.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    for low, coeffs, exps in terms:
+        groups.setdefault(exps, []).append((low, coeffs))
+    want = tuple(map(max, zip_longest(*groups, fillvalue=0)))
+    parts = []
+    for have, group in groups.items():
+        low, coeffs = _add_dense(group)
+        parts.append((low, _lift(coeffs, have, want)))
+    return _CycloSum(*_add_dense(parts), want)
+
+
+# ----------------------------------------------------------------------
 # subset sums over arrow masks, which the library runs over class states
 
 
@@ -686,6 +766,28 @@ def asymptotic_chain_sum_mask_oracle(quiver: Quiver) -> RatFunc:
             sub = (sub - 1) & rest
         weight[mask] = _cyclo_sum(supersets).divided(b - betti[mask])
     return _cyclo_sum(weight.values()).times(ONE_MINUS_QINV.num**b).ratfunc()
+
+
+def hilbert_multiset_oracle(quiver: Quiver) -> RatFunc:
+    """The specialized Hilbert series by a DP over arrow masks that counts
+    the chains ending at each mask by exponent multiset, over one common
+    denominator."""
+    exponents = _specialized_exponents(quiver)
+    full = (1 << quiver.narrows) - 1
+    ending: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for mask in range(1, full + 1):
+        below = {(): 1}  # the empty chain and the chains ending strictly below mask
+        get = below.get
+        sub = (mask - 1) & mask
+        while sub:
+            for key, n in ending[sub]:
+                below[key] = get(key, 0) + n
+            sub = (sub - 1) & mask
+        if mask < full:
+            # c never rises along a chain: each multiset stays a descending tuple
+            c = (exponents[mask],)
+            ending[mask] = [(key + c, n) for key, n in below.items()]
+    return _cyclo_sum(_CycloSum.over(LaurentPoly.term(mult), key) for key, mult in below.items()).ratfunc()
 
 
 # ----------------------------------------------------------------------

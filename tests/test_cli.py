@@ -273,12 +273,14 @@ def test_generic_test_refused_fast(tmp_path, capsys):
     assert "generic test estimate >= 2^40 > limit 16777216" in capsys.readouterr().err
 
 
-# Kronecker 2 is one class of two parallel arrows: the depth limit walks
-# C(2 + 2, 2) = 6 state pairs N <= N'; the order complex has 2! * 2 entries
+# Kronecker 2 is one class of two parallel arrows: the depth limit and the
+# Hilbert series each walk C(2 + 2, 2) = 6 state pairs N <= N'; thm41 checks
+# the Hilbert series first, and the certificate of shelling checks its order
+# complex of 2! * 2 entries, then the Hilbert series
 SYMBOLIC_GUARDS = [
     (["asymptotic"], "asymptotic sum estimate 6 > limit 5"),
-    (["verify", "thm41"], "asymptotic sum estimate 6 > limit 5"),
-    (["shelling"], "order complex estimate 4 > limit 3"),
+    (["verify", "thm41"], "hilbert series estimate 6 > limit 5"),
+    (["shelling"], "hilbert series estimate 6 > limit 5"),
 ]
 
 
@@ -325,23 +327,12 @@ def test_kac_refused_fast(quiver, alpha, message, tmp_path, capsys):
 
 
 def test_thm41_kronecker10_at_default_guard(tmp_path, capsys):
-    # the Hilbert side counts chains by a mask DP (estimate 494252 key
-    # additions), where building the order complex of 10! facets was refused
+    # the Hilbert side walks C(12, 2) = 66 class-state pairs, where building
+    # the order complex of 10! facets was refused
     path = tmp_path / "kronecker10.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 10}))
     assert main(["verify", "thm41", "--quiver", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["equal"]
-
-
-def test_thm41_past_the_hilbert_estimate_refused_fast(tmp_path, capsys):
-    # Kronecker 13 passes the 3^13 depth-limit estimate; the Hilbert estimate
-    # is refused before either sum runs
-    path = tmp_path / "kronecker13.json"
-    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]] * 13}))
-    start = time.perf_counter()
-    assert main(["verify", "thm41", "--quiver", str(path)]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert "hilbert series estimate 32753175 > limit 16777216; raise --guard" in capsys.readouterr().err
 
 
 def test_shelling_kronecker7_at_default_guard(tmp_path, capsys):
@@ -484,9 +475,9 @@ HUGE_ESTIMATES = [
     (["asymptotic"], _kronecker(200), "asymptotic sum estimate 158611713 > limit"),
     # the Hilbert estimate comes before the prefactor's gcd, which took 38 s
     (["verify", "thm41"], _kronecker(301), "hilbert series estimate "),
-    # summed with running binomials: 4.2 s for the estimate alone when each
-    # term was computed anew
-    (["verify", "thm41"], _kronecker(4000), "hilbert series estimate >= 2^7998 > limit"),
+    # the Hilbert side walks the same 3^m state pairs as the depth limit,
+    # and is checked first
+    (["verify", "thm41"], _cycle(9100), "hilbert series estimate >= 2^14423 > limit"),
 ]
 
 
@@ -516,6 +507,23 @@ def test_kronecker30_at_default_guard(command, tmp_path, capsys):
     if command[0] == "asymptotic":
         # (q^m - 1) / ((q - 1)(q^(m-1) - 1)), as the mask walk gives for m <= 12
         assert report["A"] == f"({'+'.join(f'q^{e}' for e in range(29, 1, -1))}+q+1)/(q^29-1)"
+
+
+DOUBLED_K4 = {"vertices": 4, "arrows": [[i, j] for i in range(4) for j in range(i + 1, 4)] * 2}
+
+
+@pytest.mark.parametrize("quiver", [_kronecker(30), DOUBLED_K4])
+def test_thm41_reach_at_default_guard(quiver, tmp_path, capsys):
+    # Kronecker 30 (hilbert series estimate 13392) and doubled K4 (six
+    # classes of two arrows: C(4, 2)^6 = 46656 pairs at 1 + 10^3 // 1024 = 1
+    # unit); summed over exponent multisets of arrow masks, the Hilbert series
+    # refused Kronecker 13 and took 2 s on doubled K4
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    start = time.perf_counter()
+    assert main(["verify", "thm41", "--quiver", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["equal"]
 
 
 @pytest.mark.parametrize("lam", ["1", "1,-1,0"])

@@ -312,3 +312,47 @@ class TestIntegerCoefficients:
         r = RatFunc((2 * Q + 1) * (Q + 1), (2 * Q + 1) * (Q - 1))
         assert repr(r) == "RatFunc(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: -1, 1: 1}))"
         assert str(r) == "(q+1)/(q-1)"
+
+
+class TestCycloPacking:
+    """Sums over one fixed product D of (q^c - 1), carried as integers at q = 2^W."""
+
+    def test_distinct_sizes_give_the_exponents_of_d(self):
+        # exponent 1 on sets of sizes 1 and 2, exponent 2 on size 2 only
+        pack = laurent.CycloPacking([(1, 1), (1, 2), (1, 2), (2, 2)], 3)
+        assert pack.mu == {1: 2, 2: 1}
+        assert pack.width == 2 + 3 + 1
+        assert pack.den == (2**6 - 1) ** 2 * (2**12 - 1)
+        assert pack.ratfunc(pack.den) == RatFunc.one()
+
+    def test_random_numerators_round_trip(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            pairs = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+            pack = laurent.CycloPacking(pairs, rng.randint(1, 50))
+            den = LaurentPoly.one()
+            for c, k in pack.mu.items():
+                den = den * (Q**c - 1) ** k
+            assert pack._unpack(pack.den) == den
+            # balanced digits reach +-(2^(W-1) - 1) in every position up to deg D
+            top = (1 << pack.width - 1) - 1
+            num = LaurentPoly({e: rng.choice([top, -top, 0, rng.randint(-top, top)]) for e in range(den.max_exp() + 1)})
+            value = num.evaluate(1 << pack.width)
+            assert pack._unpack(value) == num
+            assert pack.ratfunc(value, LaurentPoly.q(-1)) == RatFunc(num.shift(-1), den)
+            for c in pack.mu:
+                quo = pack.divide(value * ((1 << pack.width * c) - 1), c)
+                assert pack._unpack(quo) == num
+
+    def test_inexact_division_and_overflow_raise(self):
+        pack = laurent.CycloPacking([(1, 1), (2, 1)], 1)
+        assert pack._unpack(pack.divide(pack.den, 1, 2)) == LaurentPoly.one()
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            pack.divide(pack.den + 1, 2)
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            pack.divide(pack.den, 3)
+        past = 1 << pack.width * 4  # deg D = 3: four digits
+        with pytest.raises(ArithmeticError, match="overflows 4 digits"):
+            pack._unpack(past)
+        with pytest.raises(ArithmeticError, match="overflows 4 digits"):
+            pack._unpack(-past)

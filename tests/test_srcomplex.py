@@ -22,12 +22,14 @@ from kacdepth import srcomplex, toric
 from kacdepth.laurent import poly_divmod
 from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _specialized_exponents
 
-from helpers import chain_face_count, literal_shelling_check
+from helpers import MULTIGRAPHS, chain_face_count, literal_shelling_check
 from oracles import (
     certificate_total_oracle,
     chain_faces_oracle,
     face_weight_oracle,
+    hilbert_multiset_oracle,
     hilbert_specialized_oracle,
+    quiver_catalog,
     shelling_restrictions_oracle,
     single_denominator_oracle,
 )
@@ -106,39 +108,48 @@ class TestValueClass:
 
 
 class TestGuards:
-    # three arrows: 3!*3 = 18 facet entries; the Hilbert series merges each of
-    # the 3 single arrows into 3 larger masks (one multiset each) and each of
-    # the 3 pairs into the full mask (two multisets each): 15 key additions
+    # three arrows: 3!*3 = 18 facet entries; the Hilbert series walks the
+    # 3^3 = 27 pairs of class states of three one-arrow classes, at
+    # 1 + 2^3 // 1024 = 1 unit each
     def test_order_complex_guard(self):
         with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
             order_complex(TRIANGLE, guard=17)
-        # the Hilbert series builds no order complex
-        assert hilbert_specialized(TRIANGLE, guard=17) == hilbert_specialized(TRIANGLE)
+        # the Hilbert series builds no order complex: Kronecker 5 has
+        # 5! * 5 = 600 facet entries but C(7, 2) = 21 state pairs
+        kron5 = Quiver(2, ((0, 1),) * 5)
+        with pytest.raises(GuardError, match="order complex estimate 600 > limit 599"):
+            order_complex(kron5, guard=599)
+        assert hilbert_specialized(kron5, guard=21) == RatFunc(Q**5 - 1, (Q - 1) ** 5)
 
     def test_hilbert_series_guard(self):
-        with pytest.raises(GuardError, match="hilbert series estimate 15 > limit 14; raise --guard"):
-            hilbert_specialized(TRIANGLE, guard=14)
-        assert hilbert_specialized(TRIANGLE, guard=15) == hilbert_specialized(TRIANGLE)
-        # Kronecker 10: sum over j of C(10, j) * (2^(10-j) - 1) * 2^(j-1); the
-        # series of Kronecker m is (q^m - 1) / (q - 1)^m
+        with pytest.raises(GuardError, match="hilbert series estimate 27 > limit 26; raise --guard"):
+            hilbert_specialized(TRIANGLE, guard=26)
+        assert hilbert_specialized(TRIANGLE, guard=27) == hilbert_specialized(TRIANGLE)
+        # Kronecker 10: one class, C(12, 2) = 66 pairs at 1 + 10^3 // 1024 = 1
+        # unit; the series of Kronecker m is (q^m - 1) / (q - 1)^m
         kron10 = Quiver(2, ((0, 1),) * 10)
-        work = sum(math.comb(10, j) * (2 ** (10 - j) - 1) * 2 ** (j - 1) for j in range(1, 10))
-        with pytest.raises(GuardError, match=f"hilbert series estimate {work} > limit {work - 1}"):
-            hilbert_specialized(kron10, guard=work - 1)
-        assert hilbert_specialized(kron10, guard=work) == RatFunc(Q**10 - 1, (Q - 1) ** 10)
+        with pytest.raises(GuardError, match="hilbert series estimate 66 > limit 65"):
+            hilbert_specialized(kron10, guard=65)
+        assert hilbert_specialized(kron10, guard=66) == RatFunc(Q**10 - 1, (Q - 1) ** 10)
 
-    def test_hilbert_series_refused_before_the_exponent_table(self):
-        # 30 arrows: the 2^30 exponent table is never allocated
+    def test_hilbert_series_refused_before_the_class_table(self, monkeypatch):
+        # a 30-cycle: 3^30 state pairs, refused before any table is built
+        monkeypatch.setattr(srcomplex, "_class_table", lambda quiver: pytest.fail("the walk began"))
+        cycle = Quiver(30, tuple((i, (i + 1) % 30) for i in range(30)))
         start = time.perf_counter()
-        with pytest.raises(GuardError, match="hilbert series estimate"):
-            hilbert_specialized(Quiver(2, ((0, 1),) * 30))
+        with pytest.raises(GuardError, match=f"hilbert series estimate {3**30} > limit"):
+            hilbert_specialized(cycle)
         assert time.perf_counter() - start < 1.0
 
     def test_certificate_needs_only_complex_guards(self):
-        # the shelling itself reads the facet words and has no guard of its own
+        # the shelling itself reads the facet words and has no guard of its
+        # own; on the triangle the order complex (18) and the Hilbert series
+        # (27) bind
         with pytest.raises(GuardError, match="order complex estimate 18 > limit 17; raise --guard"):
             positivity_certificate(TRIANGLE, guard=17)
-        assert positivity_certificate(TRIANGLE, guard=18)["matches_face_sum"]
+        with pytest.raises(GuardError, match="hilbert series estimate 27 > limit 26; raise --guard"):
+            positivity_certificate(TRIANGLE, guard=26)
+        assert positivity_certificate(TRIANGLE, guard=27)["matches_face_sum"]
 
 
 class TestHilbert:
@@ -192,6 +203,15 @@ class TestIdentity:
 
 
 class TestCommonDenominator:
+    def test_hilbert_matches_multiset_oracle(self):
+        # the class-state walk over one fixed denominator against the mask DP
+        # over exponent multisets
+        catalog = [q for n in range(1, 5) for q in quiver_catalog(n, 5) if q.is_two_connected()]
+        multigraphs = [q for q in MULTIGRAPHS if q.is_two_connected()]
+        assert len(multigraphs) == 20
+        for quiver in [*catalog, *multigraphs]:
+            assert hilbert_specialized(quiver) == hilbert_multiset_oracle(quiver), quiver
+
     def test_hilbert_and_certificate_match_oracles(self, two_connected_3v_5a):
         assert len(two_connected_3v_5a) > 20
         # the oracle lists 4,683 to 47,293 chains on the three larger quivers

@@ -21,13 +21,19 @@ from kacdepth import (
 )
 from kacdepth import toric
 from kacdepth.srcomplex import _mask_betti_tables
-from kacdepth.toric import _binomial_transform, _class_table, toric_kac_trees
+from kacdepth.laurent import CycloPacking
+from kacdepth.quiver import _class_table
+from kacdepth.toric import _binomial_transform, toric_kac_trees
 
 from helpers import (
+    DOUBLED_K4,
+    MULTIGRAPHS,
+    THETA,
     cached_ring,
     chain_sum_dict,
     chain_sum_naive,
     dfs_components,
+    kronecker,
     random_connected_quiver,
     stratum_inequalities_hold,
 )
@@ -49,28 +55,6 @@ TRIANGLE = Quiver(3, ((0, 1), (1, 2), (0, 2)))
 A2 = Quiver(2, ((0, 1),))
 LOOP1 = Quiver(1, ((0, 0),))
 POINT = Quiver(1, ())
-THETA = Quiver(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
-DOUBLED_K4 = Quiver(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)) * 2)
-
-
-def kronecker(k: int, loops: int = 0) -> Quiver:
-    return Quiver(2, ((0, 1),) * k + ((0, 0), (1, 1))[:loops])
-
-
-# parallel arrows in either direction, loops, and classes interleaved in
-# arrow order: the class states of the chain and asymptotic sums
-MULTIGRAPHS = [
-    kronecker(4, loops=2),
-    Quiver(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))),  # doubled triangle
-    THETA,
-    Quiver(1, ((0, 0),) * 3),
-    Quiver(2, ((0, 1), (0, 0), (1, 0), (0, 0), (1, 1), (0, 1))),
-    Quiver(3, ((0, 1), (1, 1), (1, 2), (0, 1), (1, 1), (2, 0), (1, 0))),
-    Quiver(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (2, 2))),
-    Quiver(4, ((0, 1), (2, 3), (1, 0), (3, 2), (1, 2), (0, 3), (2, 1))),
-    *(kronecker(k) for k in range(1, 13)),
-    Quiver(4, tuple(DOUBLED_K4.arrows[i] for i in (3, 7, 0, 11, 5, 9, 1, 6, 10, 2, 8, 4))),
-]
 
 
 def permuted_sample():
@@ -144,10 +128,13 @@ class TestChainSum:
                 assert toric_kac_chain(q, alpha) == chain_sum_mask_oracle(q, alpha), (q, alpha)
 
     def test_class_table_matches_dfs(self):
-        # b(N), connectivity and the number of arrow sets with counts N
+        # b(N), connectivity, the number of arrow sets with counts N and their
+        # size; and the distinct sizes of the sets of one exponent bound how
+        # often that exponent occurs along a chain of masks
         for q in [*quiver_catalog(3, 4, connected=False), *MULTIGRAPHS[:8]]:
             table = _class_table(q)
             found = Counter()
+            exponent, longest = [], []  # per mask: b(Q) - b(E), longest chain of that exponent ending at E
             for mask in range(1 << q.narrows):
                 arrows = [q.arrows[a] for a in range(q.narrows) if mask >> a & 1]
                 state, stride = 0, 1
@@ -157,8 +144,15 @@ class TestChainSum:
                 ncomp = len(dfs_components(q.nvertices, arrows))
                 assert table.betti[state] == ncomp - q.nvertices + len(arrows), (q, mask)
                 assert table.connected[state] == (ncomp == 1), (q, mask)
+                assert table.size[state] == len(arrows), (q, mask)
                 found[state] += 1
+                exponent.append(q.betti() - table.betti[state])
+                subs = [sub for sub in range(mask) if sub & mask == sub and exponent[sub] == exponent[mask]]
+                longest.append(1 + max((longest[sub] for sub in subs), default=0))
             assert [found[s] for s in range(len(table.sets))] == table.sets, q
+            mu = CycloPacking(zip([q.betti() - b for b in table.betti], table.size), 1).mu
+            for c, length in zip(exponent, longest):
+                assert mu[c] >= length, (q, c)
 
     def test_binomial_transform_is_the_nested_subset_sum(self):
         rng = random.Random(7)
