@@ -9,25 +9,38 @@ so the convergence (and its rate) can be eyeballed.
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 from kacdepth import (
+    GuardError,
     Quiver,
     asymptotic_kac,
     asymptotic_moment,
     moment_fiber_count,
     toric_kac_chain,
 )
+from kacdepth.oring import _check_prime
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quiver", help="path to quiver JSON (default: 2-arrow Kronecker)")
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--max-alpha", type=int, default=6)
     parser.add_argument("--fiber-max-alpha", type=int, default=4)
     args = parser.parse_args()
+    try:
+        tabulate(args)
+    except (GuardError, OSError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, GuardError) else 2
+    return 0
 
+
+def tabulate(args: argparse.Namespace) -> None:
+    # the fiber counts need a prime; refuse any other p before the first table
+    _check_prime(args.p)
     if args.quiver:
         with open(args.quiver, "r", encoding="utf-8") as fh:
             quiver = Quiver.from_json(json.load(fh))
@@ -58,4 +71,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

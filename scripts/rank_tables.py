@@ -8,16 +8,28 @@ printed as a diff.
 """
 
 import argparse
+import sys
 
+from kacdepth import GuardError
 from kacdepth.rank import rank_table
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-g", type=int, default=3)
     parser.add_argument("--max-alpha", type=int, default=5)
     args = parser.parse_args()
+    try:
+        failures = tabulate(args)
+    except (GuardError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, GuardError) else 2
+    print("all routes agree" if failures == 0 else f"{failures} disagreements")
+    return 0 if failures == 0 else 1
 
+
+def tabulate(args: argparse.Namespace) -> int:
+    """Print the tables; the number of routes that disagree."""
     failures = 0
     for g in range(1, args.max_g + 1):
         print(f"g = {g}:")
@@ -29,9 +41,8 @@ def main() -> None:
                     failures += 1
                     print(f"    !! {name} differs: {poly}")
         print()
-    print("all routes agree" if failures == 0 else f"{failures} disagreements")
-    raise SystemExit(0 if failures == 0 else 1)
+    return failures
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

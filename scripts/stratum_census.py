@@ -9,17 +9,26 @@ be read off by hand.
 
 import argparse
 import json
+import sys
 from collections import Counter
 
-from kacdepth import Quiver, toric_kac_chain, tree_stratum_census
+from kacdepth import GuardError, Quiver, toric_kac_chain, tree_stratum_census
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quiver", required=True, help="path to quiver JSON")
     parser.add_argument("--alpha", type=int, default=2)
     args = parser.parse_args()
+    try:
+        report(args)
+    except (GuardError, OSError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, GuardError) else 2
+    return 0
 
+
+def report(args: argparse.Namespace) -> None:
     with open(args.quiver, "r", encoding="utf-8") as fh:
         quiver = Quiver.from_json(json.load(fh))
 
@@ -35,4 +44,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

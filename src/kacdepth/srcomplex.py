@@ -11,10 +11,10 @@ series is a sum of terms with monomial numerators.  The series and the
 certificate total are integer sums over one fixed denominator
 (``laurent.CycloPacking``).
 
-The certificate reads the exponents of its facets off the Betti numbers of
-all 2^m arrow masks (``_mask_betti_tables``).  ``toric`` is reached as a
-lazy module, for the asymptotic side of ``verify_hilbert_identity`` alone,
-so a shelling never executes it.
+Both read the exponents of the class states from one ``_specialization``; the
+certificate reads each arrow mask of a facet at its class state.  ``toric``
+is reached as a lazy module, for the asymptotic side of
+``verify_hilbert_identity`` alone, so a shelling never executes it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import toric
 from .laurent import ONE_MINUS_QINV, CycloPacking, RatFunc, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .poly import LaurentPoly
-from .quiver import Quiver, _chain_walk_work, _class_table, _Frozen, subset_ranks
+from .quiver import Quiver, _chain_walk_work, _class_table, _ClassTable, _Frozen
 
 
 class OrderComplex(_Frozen):
@@ -64,33 +64,29 @@ def order_complex(quiver: Quiver, guard: int = DEFAULT_GUARD) -> OrderComplex:
     if n < 1:
         return OrderComplex(0, (), ())
     check_work("order complex", factorial(n) * n, guard)
+    words = tuple(permutations(range(n)))
     facets = []
-    words = []
-    for word in permutations(range(n)):
-        mask = 0
-        chain = []
+    for word in words:
+        mask, chain = 0, []
         for a in word[:-1]:
             mask |= 1 << a
             chain.append(mask)
         facets.append(frozenset(chain))
-        words.append(word)
-    return OrderComplex(n, tuple(facets), tuple(words))
+    return OrderComplex(n, tuple(facets), words)
 
 
-def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
-    """Betti number and spanning connectivity of every arrow subset mask."""
-    ranks, connected = subset_ranks(quiver.nvertices, quiver.arrows)
-    return [mask.bit_count() - r for mask, r in enumerate(ranks)], connected
-
-
-def _specialized_exponents(quiver: Quiver) -> dict[int, int]:
-    """Exponent c(E) = b(Q) - b(Q|_E) for every proper nonempty subset mask."""
+def _specialization(quiver: Quiver) -> tuple[_ClassTable, list[int], CycloPacking]:
+    """The class table, c(N) = b(Q) - b(N) for every class state N, and the
+    packing of the sums over chains of proper nonempty arrow sets."""
     if not quiver.is_two_connected():
         raise ValueError("specialization not convergent")
-    betti, _ = _mask_betti_tables(quiver)
-    b = quiver.betti()
-    full = (1 << quiver.narrows) - 1
-    return {mask: b - betti[mask] for mask in range(1, full)}
+    table = _class_table(quiver)
+    m, b = quiver.narrows, quiver.betti()
+    full = len(table.betti) - 1
+    exponents = [b - x for x in table.betti]
+    # fewer than (m + 1)^m chains of proper nonempty arrow sets, the empty one included
+    pack = CycloPacking(zip(exponents[1:full], table.size[1:full]), (m + 1) ** m)
+    return table, exponents, pack
 
 
 def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
@@ -107,15 +103,8 @@ def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     exceed guard, and is checked before the 2-connectivity test.
     """
     check_work("hilbert series", _chain_walk_work(quiver), guard)
-    if not quiver.is_two_connected():
-        raise ValueError("specialization not convergent")
-    table = _class_table(quiver)
-    m, b = quiver.narrows, quiver.betti()
-    full = len(table.betti) - 1
-    exponents = [b - x for x in table.betti]
-    # the chains of proper nonempty arrow sets, the empty chain included:
-    # fewer than (m + 1)^m
-    pack = CycloPacking(zip(exponents[1:full], table.size[1:full]), (m + 1) ** m)
+    table, exponents, pack = _specialization(quiver)
+    full = len(exponents) - 1
     # ending[N] = D times the sum over the chains E_1 < ... < E_k = E of the
     # product of 1/(q^c(E_j) - 1), for any E with counts N; the E' < E with
     # counts N' number prod C(N_i, N'_i)
@@ -166,8 +155,7 @@ def lex_shelling(complex_: OrderComplex) -> tuple[frozenset[int], ...]:
         raise ValueError("shelling needs at least two arrows")
     restrictions = []
     for word in complex_.words:
-        mask = 0
-        face = []
+        mask, face = 0, []
         for a, b in zip(word, word[1:]):
             mask |= 1 << a
             if a > b:
@@ -181,13 +169,22 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
 
     Emits one term per facet: a monomial numerator q^-(sum of restriction
     exponents) over the product of (1 - q^-c) for the facet exponents.  The
-    terms sum to ``hilbert_specialized`` exactly; nonnegativity of the
-    numerator coefficients holds by construction.
+    terms sum to ``hilbert_specialized`` exactly, over its denominator;
+    nonnegativity of the numerator coefficients holds by construction.
     """
     if quiver.narrows < 2:
         raise ValueError("certificate needs at least two arrows")
     complex_ = order_complex(quiver, guard)
-    exponents = _specialized_exponents(quiver)
+    table, by_state, pack = _specialization(quiver)
+    # a mask's class state sums the place values of its arrows' classes
+    place, value = {}, 1
+    for ends, c in table.classes.items():
+        place[ends], value = value, value * (c + 1)
+    states = [0]
+    for arrow in quiver.arrows:
+        step = place[tuple(sorted(arrow))]
+        states += [x + step for x in states]
+    exponents = [by_state[x] for x in states]
     terms = [
         {
             "restriction_exponents": sorted(exponents[m] for m in restriction),
@@ -201,8 +198,6 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
         (tuple(t["facet_exponents"]), sum(t["facet_exponents"]) - sum(t["restriction_exponents"]))
         for t in terms
     )
-    # the m! facets are chains of masks, so mu counts the mask sizes of each exponent
-    pack = CycloPacking(((c, mask.bit_count()) for mask, c in exponents.items()), factorial(quiver.narrows))
     quotients = {fac: pack.divide(pack.den, *fac) for fac, _ in shifts}
     total = pack.ratfunc(sum(n * quotients[fac] << pack.width * shift for (fac, shift), n in shifts.items()))
     direct = hilbert_specialized(quiver, guard)

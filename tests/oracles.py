@@ -31,13 +31,17 @@ against the library's Euler-identity recurrence.  ``asymptotic_chain_sum_oracle`
 ``rank_class_sums_oracle`` add one ``RatFunc`` at a time, each addition
 normalised by a gcd, checked against the library's sums over one common
 denominator; the Hilbert oracle also lists every chain of the order complex
-(``chain_faces_oracle``).  ``chain_sum_mask_oracle``,
+(``chain_faces_oracle``).  The 2^m arrow masks have their own Betti table
+(``_mask_betti_tables``, over ``quiver.subset_ranks``) and exponents
+(``_specialized_exponents``).  ``chain_sum_mask_oracle``,
 ``asymptotic_chain_sum_mask_oracle`` and ``hilbert_multiset_oracle`` run the
 chain sum, the depth limit and the Hilbert series over all 2^m arrow masks,
-checked against the library's sums over parallel-arrow class states; the
-last two add their terms as ``_CycloSum`` numerators, each lifted to the
-common denominator of its sum, where the library evaluates every term at
-q = 2^W over one fixed denominator.
+and ``certificate_terms_oracle`` reads the certificate's terms off the masks,
+checked against the library's sums and exponents over parallel-arrow class
+states; ``asymptotic_chain_sum_mask_oracle`` and ``hilbert_multiset_oracle``
+add their terms as ``_CycloSum`` numerators, each lifted to the common
+denominator of its sum, where the library evaluates every term at q = 2^W
+over one fixed denominator.
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ from kacdepth import (
 from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.moment import _check_fiber_work, _reduce
 from kacdepth.oring import DEFAULT_GUARD, ORing, _check_prime, check_work, guarded_power
-from kacdepth.quiver import QuiverFormatError, tree_paths, vertex_roots
+from kacdepth.quiver import QuiverFormatError, subset_ranks, tree_paths, vertex_roots
 from kacdepth.rank import (
     _kac_from_totals, rank2_initial, rank2_transition, rank3_initial, rank3_transition,
 )
-from kacdepth.srcomplex import _mask_betti_tables, _specialized_exponents, lex_shelling, order_complex
+from kacdepth.srcomplex import lex_shelling, order_complex
 
 EdgeList = tuple[tuple[int, int], ...]
 
@@ -723,6 +727,22 @@ def _cyclo_sum(terms: Iterable[_CycloSum]) -> _CycloSum:
 # subset sums over arrow masks, which the library runs over class states
 
 
+def _mask_betti_tables(quiver: Quiver) -> tuple[list[int], list[bool]]:
+    """Betti number and spanning connectivity of every arrow subset mask."""
+    ranks, connected = subset_ranks(quiver.nvertices, quiver.arrows)
+    return [mask.bit_count() - r for mask, r in enumerate(ranks)], connected
+
+
+def _specialized_exponents(quiver: Quiver) -> dict[int, int]:
+    """Exponent c(E) = b(Q) - b(Q|_E) for every proper nonempty subset mask."""
+    if not quiver.is_two_connected():
+        raise ValueError("specialization not convergent")
+    betti, _ = _mask_betti_tables(quiver)
+    b = quiver.betti()
+    full = (1 << quiver.narrows) - 1
+    return {mask: b - betti[mask] for mask in range(1, full)}
+
+
 def chain_sum_mask_oracle(quiver: Quiver, alpha: int) -> LaurentPoly:
     """The chain sum of ``toric_kac_chain`` by subset zeta transforms over all
     2^m arrow masks, on the same packed integers, one mask per arrow set."""
@@ -856,15 +876,27 @@ def hilbert_specialized_oracle(quiver: Quiver) -> RatFunc:
     return total
 
 
+def certificate_terms_oracle(quiver: Quiver) -> list[dict]:
+    """The certificate's terms: the sorted mask exponents of each facet's
+    restriction face and of the facet, in the lex order of the facets."""
+    complex_ = order_complex(quiver)
+    exponents = _specialized_exponents(quiver)
+    return [
+        {
+            "restriction_exponents": sorted(exponents[m] for m in restriction),
+            "facet_exponents": sorted(exponents[m] for m in facet),
+        }
+        for facet, restriction in zip(complex_.facets, lex_shelling(complex_))
+    ]
+
+
 def certificate_total_oracle(quiver: Quiver) -> RatFunc:
     """The certificate total: the facet numerators q^-(restriction sum),
     grouped by facet exponents, each group over prod(1 - q^-c)."""
-    complex_ = order_complex(quiver)
-    exponents = _specialized_exponents(quiver)
     grouped: dict[tuple[int, ...], LaurentPoly] = {}
-    for facet, restriction in zip(complex_.facets, lex_shelling(complex_)):
-        fac_exps = tuple(sorted(exponents[m] for m in facet))
-        num = LaurentPoly.q(-sum(exponents[m] for m in restriction))
+    for term in certificate_terms_oracle(quiver):
+        fac_exps = tuple(term["facet_exponents"])
+        num = LaurentPoly.q(-sum(term["restriction_exponents"]))
         grouped[fac_exps] = grouped.get(fac_exps, LaurentPoly.zero()) + num
     total = RatFunc.zero()
     for fac_exps, num in sorted(grouped.items()):

@@ -124,7 +124,7 @@ KAC_LINES = 1359
 
 # the source lines of the whole library; like KAC_LINES, a ceiling that may
 # only fall
-LIBRARY_LINES = 2893
+LIBRARY_LINES = 2888
 
 # the kacdepth layers a process has executed: LazyLoader swaps an unexecuted
 # module's class for a subclass of ModuleType until its first attribute access

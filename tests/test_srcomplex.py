@@ -20,10 +20,11 @@ from kacdepth import (
 )
 from kacdepth import srcomplex, toric
 from kacdepth.laurent import poly_divmod
-from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _specialized_exponents
+from kacdepth.srcomplex import OrderComplex, _single_denominator_presentation, _specialization
 
 from helpers import MULTIGRAPHS, chain_face_count, literal_shelling_check
 from oracles import (
+    certificate_terms_oracle,
     certificate_total_oracle,
     chain_faces_oracle,
     face_weight_oracle,
@@ -161,8 +162,9 @@ class TestHilbert:
         assert hilbert_specialized(KRON) == RatFunc(Q + 1, Q - 1)
 
     def test_triangle_exponents_all_one(self):
-        exps = _specialized_exponents(TRIANGLE)
-        assert set(exps.values()) == {1}
+        # every proper nonempty class state of the triangle has exponent 1
+        _, exps, _ = _specialization(TRIANGLE)
+        assert len(exps) == 8 and set(exps[1:-1]) == {1}
         u = RatFunc.q(-1)
         w = u / (RatFunc.one() - u)
         assert hilbert_specialized(TRIANGLE) == RatFunc.one() + 6 * w + 6 * w * w
@@ -222,6 +224,15 @@ class TestCommonDenominator:
             if quiver.narrows >= 2:
                 total = certificate_total_oracle(quiver)
                 assert positivity_certificate(quiver)["total"] == str(total), quiver
+
+    def test_certificate_terms_match_mask_oracle(self, two_connected_3v_5a):
+        # the library reads each facet mask at its class state; the oracle
+        # reads the Betti table of all 2^m masks
+        multigraphs = [q for q in MULTIGRAPHS if q.is_two_connected() and q.narrows <= 7]
+        assert len(multigraphs) == 14
+        for quiver in [*two_connected_3v_5a, *multigraphs]:
+            if quiver.narrows >= 2:
+                assert positivity_certificate(quiver)["terms"] == certificate_terms_oracle(quiver), quiver
 
 
 class TestShelling:

@@ -20,7 +20,6 @@ from kacdepth import (
     tree_stratum_census,
 )
 from kacdepth import toric
-from kacdepth.srcomplex import _mask_betti_tables
 from kacdepth.laurent import CycloPacking
 from kacdepth.quiver import _class_table
 from kacdepth.toric import _binomial_transform, toric_kac_trees
@@ -39,6 +38,7 @@ from helpers import (
 )
 from oracles import (
     OElem,
+    _mask_betti_tables,
     asymptotic_chain_sum_mask_oracle,
     asymptotic_chain_sum_oracle,
     assign_valued_tree,
