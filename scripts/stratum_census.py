@@ -33,10 +33,10 @@ def report(args: argparse.Namespace) -> None:
         quiver = Quiver.from_json(json.load(fh))
 
     census = tree_stratum_census(quiver, args.alpha)
-    by_exponent = Counter(n for _, n in census)
+    by_exponent = Counter(n for _, _, n in census)
     print(f"{len(census)} strata over {len(quiver.spanning_trees())} spanning trees")
-    for tree, n in census:
-        labels = ", ".join(f"{a}:{v}" for a, v in tree.items())
+    for arrows, values, n in census:
+        labels = ", ".join(f"{a}:{v}" for a, v in zip(arrows, values))
         print(f"  tree {{{labels}}}  ->  q^{n}")
     poly = toric_kac_chain(quiver, args.alpha)
     print(f"coefficient check: {dict(sorted(by_exponent.items()))}")

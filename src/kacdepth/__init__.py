@@ -37,7 +37,7 @@ def __getattr__(name):
         ("laurent", "RatFunc"),
         ("series", "TSeries"),
         ("plethysm", "adams pleth_exp pleth_log"),
-        ("quiver", "Quiver ValuedTree"),
+        ("quiver", "Quiver"),
         ("oring", "DEFAULT_GUARD GuardError"),
         ("toric", "asymptotic_kac asymptotic_moment toric_kac_chain toric_orbit_count tree_stratum_census"),
         ("srcomplex", "OrderComplex hilbert_specialized lex_shelling order_complex positivity_certificate"

@@ -97,7 +97,7 @@ def _kac(args, quiver: quivers.Quiver):
         census = toric.tree_stratum_census(quiver, args.alpha, guard=args.guard)
         trees = toric.census_polynomial(census)
         body["tree_polynomial"] = str(trees)
-        body["census"] = [{"tree": t.arrows, "valuation": t.values, "exponent": n} for t, n in census]
+        body["census"] = [{"tree": a, "valuation": v, "exponent": n} for a, v, n in census]
         ok = chain == trees
         text.append(f"tree route        = {trees}")
         text.append(f"strata            = {len(census)}")
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=10)
 
     no_alpha = partial(add_common, alpha=False)
-    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubParsers)
+    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubParsers, prog="kacdepth")
     sub.add_parser("kac", add_common, help="toric count by chain and tree routes")
     sub.add_parser("asymptotic", no_alpha, help="depth limits A_Q and B_mu")
     identities = {"exp-identity": {"flags": ("p", "bound")}, "generic-fiber": {"flags": ("p", "lam")},
@@ -321,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("e-series", e_series, help="graded-dimension series bookkeeping")
     oracles = {"orbit-count": {"flags": ("p",)}, "moment-fiber": {"flags": ("p", "rank", "lam")}}
     sub.add_parser("oracle", targets("oracle", oracles), help="brute-force enumeration oracles")
+    # wrapped by hand, as Python 3.10-3.12 wrap it (3.13 keeps the ``...`` on the commands' line)
+    indent = "\n" + " " * 16
+    parser.usage = f"%(prog)s [-h] [--format {{text,json}}] [--seed SEED]{indent}{{{','.join(sub.choices)}}}{indent}..."
     return parser
 
 
@@ -335,8 +338,9 @@ def main(argv: list[str] | None = None) -> int:
             check_work("vertex count", quiver.nvertices, args.guard)
         body, ok, text = HANDLERS[command](args, quiver)
     except (GuardError, quivers.QuiverFormatError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, GuardError) else 2
+        refused = isinstance(exc, GuardError)  # the library's message names no flag
+        print(f"error: {exc}{'; raise --guard' if refused else ''}", file=sys.stderr)
+        return 3 if refused else 2
     if args.format == "json":
         report = {"schema": SCHEMA, "command": command, **body, "ok": ok, "text": text}
         print(_dumps({**report, "seed": args.seed}))

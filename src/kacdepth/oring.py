@@ -19,6 +19,7 @@ class GuardError(RuntimeError):
 
     ``route`` names the refused route, ``limit`` is the guard and
     ``estimate`` the work estimate, which exceeds it (``None`` if not given).
+    The message names no flag; the CLI adds that ``--guard`` raises the limit.
     ``guarded_power`` never forms its power: its ``estimate`` is the lower
     bound 2^(bit length of limit + 1) that its test proves.
     """
@@ -39,15 +40,14 @@ def check_work(label: str, work: int, guard: int) -> None:
     int past 4300 digits."""
     if work > guard:
         shown = work if work.bit_length() <= 3322 else f">= 2^{work.bit_length() - 1}"
-        raise GuardError(f"{label} estimate {shown} > limit {guard}; raise --guard", label, work, guard)
+        raise GuardError(f"{label} estimate {shown} > limit {guard}", label, work, guard)
 
 
 def guarded_power(base: int, exp: int, label: str, guard: int) -> int:
     """base**exp for a work estimate; GuardError, before the power is formed,
     when |base|^exp >= 2^(exp * (bit_length(base) - 1)) has more bits than guard."""
     if exp * (base.bit_length() - 1) > guard.bit_length():
-        message = f"{label} estimate >= {base}^{exp} > limit {guard}; raise --guard"
-        raise GuardError(message, label, 1 << guard.bit_length() + 1, guard)
+        raise GuardError(f"{label} estimate >= {base}^{exp} > limit {guard}", label, 1 << guard.bit_length() + 1, guard)
     return base**exp
 
 

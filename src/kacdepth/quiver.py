@@ -12,46 +12,9 @@ Loops and parallel arrows are allowed.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, prod
 from typing import Iterable, NamedTuple, Sequence
-
-
-class _Frozen:
-    """Base of the immutable value classes.
-
-    A subclass lists its fields in ``__slots__`` and sets them once in
-    ``__init__`` through ``object.__setattr__``.  Instances compare equal
-    only to instances of the same class with equal fields, hash as the
-    tuple of their fields and refuse assignment with ``AttributeError``.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which assignment would refuse
-        return self.__class__, self._values()
 
 
 class QuiverFormatError(ValueError):
@@ -120,7 +83,9 @@ def subset_ranks(nvertices: int, edges: Sequence[tuple[int, int]]) -> tuple[list
     return [ranks[p] for p in part], [ranks[p] == full for p in part]
 
 
-class Quiver(_Frozen):
+class Quiver:
+    """A frozen value: equal only to a ``Quiver`` with the same fields, hashed as their tuple."""
+
     __slots__ = ("nvertices", "arrows")
     nvertices: int
     arrows: tuple[tuple[int, int], ...]
@@ -134,6 +99,27 @@ class Quiver(_Frozen):
                 raise QuiverFormatError(f"arrow ({s},{t}) out of range")
         object.__setattr__(self, "nvertices", nvertices)
         object.__setattr__(self, "arrows", arrows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nvertices == other.nvertices and self.arrows == other.arrows
+
+    def __hash__(self) -> int:
+        return hash((self.nvertices, self.arrows))
+
+    def __repr__(self) -> str:
+        return f"Quiver(nvertices={self.nvertices!r}, arrows={self.arrows!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment would refuse
+        return self.__class__, (self.nvertices, self.arrows)
 
     # ------------------------------------------------------------------
 
@@ -238,30 +224,6 @@ class Quiver(_Frozen):
                     and all(type(v) is int for v in item)):
                 raise QuiverFormatError(f"bad arrow entry {item!r}")
         return cls(nvertices, tuple((s, t) for s, t in raw))
-
-
-class ValuedTree(_Frozen):
-    """A spanning tree (sorted arrow indices) with a valuation label on each arrow."""
-
-    __slots__ = ("arrows", "values")
-    arrows: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __init__(self, arrows: tuple[int, ...], values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def many(cls, arrows: Iterable[tuple[int, ...]], values: Sequence[tuple[int, ...]]) -> list[ValuedTree]:
-        """``list(map(ValuedTree, arrows, values))`` without an ``__init__`` call
-        per tree: three passes in C, the slot descriptors setting the fields."""
-        trees = list(map(object.__new__, repeat(cls, len(values))))
-        list(map(cls.arrows.__set__, trees, arrows))
-        list(map(cls.values.__set__, trees, values))
-        return trees
-
-    def items(self) -> list[tuple[int, int]]:
-        return list(zip(self.arrows, self.values))
 
 
 def tree_paths(quiver: Quiver, tree_arrows: Sequence[int]) -> dict[int, tuple[int, ...]]:

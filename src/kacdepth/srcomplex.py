@@ -11,26 +11,29 @@ series is a sum of terms with monomial numerators.  The series and the
 certificate total are integer sums over one fixed denominator
 (``laurent.CycloPacking``).
 
-Both read the exponents of the class states from one ``_specialization``; the
-certificate reads each arrow mask of a facet at its class state.  ``toric``
-is reached as a lazy module, for the asymptotic side of
-``verify_hilbert_identity`` alone, so a shelling never executes it.
+Both read the exponents of the class states from one ``_specialization``,
+computed once per certificate; the certificate reads each arrow mask of a
+facet at its class state.  ``toric`` is reached as a lazy module, for the
+asymptotic side of ``verify_hilbert_identity`` alone, so a shelling never
+executes it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import toric
 from .laurent import ONE_MINUS_QINV, CycloPacking, RatFunc, poly_divmod
 from .oring import DEFAULT_GUARD, check_work
 from .poly import LaurentPoly
-from .quiver import Quiver, _chain_walk_work, _class_table, _ClassTable, _Frozen
+from .quiver import Quiver, _chain_walk_work, _class_table, _ClassTable
 
 
-class OrderComplex(_Frozen):
+class OrderComplex(NamedTuple):
     """Facets of the chains of proper nonempty arrow subsets, in lex order.
 
     Vertices are encoded as bitmasks over the arrows.  ``facets[i]`` is the
@@ -39,20 +42,9 @@ class OrderComplex(_Frozen):
     order for this complex.
     """
 
-    __slots__ = ("narrows", "facets", "words")
     narrows: int
     facets: tuple[frozenset[int], ...]
     words: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self,
-        narrows: int,
-        facets: tuple[frozenset[int], ...],
-        words: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "narrows", narrows)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "words", words)
 
 
 def order_complex(quiver: Quiver, guard: int = DEFAULT_GUARD) -> OrderComplex:
@@ -75,9 +67,11 @@ def order_complex(quiver: Quiver, guard: int = DEFAULT_GUARD) -> OrderComplex:
     return OrderComplex(n, tuple(facets), words)
 
 
+@lru_cache(maxsize=1)
 def _specialization(quiver: Quiver) -> tuple[_ClassTable, list[int], CycloPacking]:
     """The class table, c(N) = b(Q) - b(N) for every class state N, and the
-    packing of the sums over chains of proper nonempty arrow sets."""
+    packing of the sums over chains of proper nonempty arrow sets.  The last
+    result is kept: the certificate reads it, then ``hilbert_specialized``."""
     if not quiver.is_two_connected():
         raise ValueError("specialization not convergent")
     table = _class_table(quiver)

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 from . import laurent
 from .oring import DEFAULT_GUARD, _check_prime, check_work, guarded_power
 from .poly import LaurentPoly
-from .quiver import Quiver, ValuedTree, _arrow_classes, _chain_walk_work, _class_table, tree_paths
+from .quiver import Quiver, _arrow_classes, _chain_walk_work, _class_table, tree_paths
 
 
 def _binomial_transform(values: list[int], sizes: Iterable[int]) -> None:
@@ -127,8 +127,9 @@ def toric_kac_chain(quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD) -> L
 
 def tree_stratum_census(
     quiver: Quiver, alpha: int, guard: int = DEFAULT_GUARD
-) -> list[tuple[ValuedTree, int]]:
-    """Valued spanning trees with their stratum exponents n_T.
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Valued spanning trees with their stratum exponents n_T: rows (tree
+    arrows, sorted; the valuation of each; n_T).
 
     Each valuation label ranges over [0, alpha-1], in ``product`` order per
     tree.  A loop adds alpha to n_T (its coordinate ranges over the whole
@@ -173,14 +174,15 @@ def tree_stratum_census(
                 spreads[positions] = [sum([v[i] * w for i, w in weights]) for v in valuations]
             exponents = list(map(add, exponents, map(tables[key].__getitem__, spreads[positions])))
         n_t += exponents
-    # a tree's strata are consecutive, in product order of their valuations
+    # a tree's strata are consecutive, in product order of their valuations;
+    # the rows of one tree share its arrows, those of one valuation its tuple
     arrows = chain.from_iterable(map(repeat, trees, repeat(strata)))
-    return list(zip(ValuedTree.many(arrows, valuations * len(trees)), n_t))
+    return list(zip(arrows, valuations * len(trees), n_t))
 
 
-def census_polynomial(census: Sequence[tuple[ValuedTree, int]]) -> LaurentPoly:
+def census_polynomial(census: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]]) -> LaurentPoly:
     """Sum of q^(n_T) over the strata of a tree census."""
-    return LaurentPoly(Counter(n for _, n in census))
+    return LaurentPoly(Counter(n for _, _, n in census))
 
 
 def toric_kac_trees(quiver: Quiver, alpha: int) -> LaurentPoly:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
-from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree
+from kacdepth import LaurentPoly, Quiver, RatFunc, TSeries
 from kacdepth.oring import ORing
 
 from oracles import OElem, restrict_arrows, tree_path_data
@@ -478,9 +478,11 @@ def euclid_normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly,
 # stratum inequalities
 
 
-def stratum_inequalities_hold(quiver: Quiver, tree: ValuedTree, x: list[OElem]) -> bool:
-    """Membership conditions of the valued-tree stratum, checked literally."""
-    values = dict(tree.items())
+def stratum_inequalities_hold(
+    quiver: Quiver, tree: tuple[tuple[int, ...], tuple[int, ...]], x: list[OElem]
+) -> bool:
+    """Membership conditions of the valued-tree stratum (arrows, valuations), checked literally."""
+    values = dict(zip(*tree))
     for a in range(quiver.narrows):
         val = x[a].valuation()
         if a in values:

@@ -53,7 +53,7 @@ from itertools import combinations, combinations_with_replacement, compress, per
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from kacdepth import (
-    LaurentPoly, Quiver, RatFunc, TSeries, ValuedTree, group_order_gl, toric_kac_chain,
+    LaurentPoly, Quiver, RatFunc, TSeries, group_order_gl, toric_kac_chain,
 )
 from kacdepth.laurent import ONE_MINUS_QINV
 from kacdepth.moment import _check_fiber_work, _reduce
@@ -196,21 +196,22 @@ def spanning_trees_oracle(quiver: Quiver) -> list[tuple[int, ...]]:
 
 
 def tree_path_data(
-    quiver: Quiver, tree: ValuedTree, a: int
+    quiver: Quiver, tree: tuple[tuple[int, ...], tuple[int, ...]], a: int
 ) -> tuple[tuple[int, ...], int, int]:
-    """Path arrows, their largest valuation, and the critical edge for a.
+    """Path arrows, their largest valuation, and the critical edge for a,
+    on a valued tree (arrows, valuations).
 
     The critical edge is the smallest-index path arrow achieving the largest
     valuation (the tie-break that decides the order of contraction).
     """
-    values = dict(tree.items())
-    path = tree_paths(quiver, tree.arrows)[a]
+    values = dict(zip(*tree))
+    path = tree_paths(quiver, tree[0])[a]
     vmax = max(values[e] for e in path)
     critical = min(e for e in path if values[e] == vmax)
     return path, vmax, critical
 
 
-def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedTree, int]]:
+def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The valued-tree census by direct scans, in the library's order.
 
     For every spanning tree (found by restriction) and valuation, each
@@ -219,7 +220,7 @@ def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedT
     critical edge).  Loops add alpha.
     """
     nloops = len(quiver.loops())
-    census: list[tuple[ValuedTree, int]] = []
+    census = []
     for tree in spanning_trees_oracle(quiver):
         pos = {a: i for i, a in enumerate(tree)}
         paths = tree_paths(quiver, tree)
@@ -229,7 +230,7 @@ def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedT
                 vmax = max(values[pos[e]] for e in path)
                 critical = min(e for e in path if values[pos[e]] == vmax)
                 exponent += alpha - vmax - (1 if a > critical else 0)
-            census.append((ValuedTree(tree, values), exponent))
+            census.append((tree, values, exponent))
     return census
 
 
@@ -237,13 +238,14 @@ def tree_stratum_census_oracle(quiver: Quiver, alpha: int) -> list[tuple[ValuedT
 # contraction-deletion on an explicit representation
 
 
-def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
+def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run the contraction-deletion algorithm on a rank-one representation.
 
     Step 1 contracts the largest non-loop arrow carrying a unit, step 2
     deletes the largest loop, step 3 divides every coordinate by t and drops
     the depth.  The result is the valued spanning tree indexing the stratum
-    of x; tree labels are the valuations of the original coordinates.
+    of x, as (sorted tree arrows, their labels); the labels are the
+    valuations of the original coordinates.
 
     Requires the support {a : x_a != 0} to span and connect all vertices
     (the indecomposability criterion in rank one).
@@ -286,7 +288,7 @@ def assign_valued_tree(quiver: Quiver, x: Sequence[OElem]) -> ValuedTree:
         depth_drop += 1
     assert depth_drop < max((e.alpha for e in x), default=1)
     pairs = sorted(zip(tree, labels))
-    return ValuedTree(tuple(a for a, _ in pairs), tuple(v for _, v in pairs))
+    return tuple(a for a, _ in pairs), tuple(v for _, v in pairs)
 
 
 # ----------------------------------------------------------------------

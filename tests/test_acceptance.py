@@ -161,7 +161,7 @@ def test_criterion_8_stratum_positivity(catalog_4v_6a):
     strata = 0
     for quiver in catalog_4v_6a:
         for alpha in (1, 2, 3, 4):
-            for _, exponent in tree_stratum_census(quiver, alpha):
+            for _, _, exponent in tree_stratum_census(quiver, alpha):
                 assert exponent >= 0
                 strata += 1
             assert toric_kac_trees(quiver, alpha).is_nonnegative()

@@ -793,7 +793,8 @@ def test_every_refusal_carries_route_estimate_and_limit(quiver, argv, tmp_path, 
     (exc,) = raised
     assert exc.estimate > exc.limit
     assert str(exc).startswith(f"{exc.route} estimate ")
-    assert err.getvalue() == f"error: {exc}\n"
+    # the library's message names no flag; the CLI adds the one it has
+    assert err.getvalue() == f"error: {exc}; raise --guard\n"
 
 
 def test_deterministic_output(kron_file, capsys):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from kacdepth import Quiver, ValuedTree, toric
+from kacdepth import Quiver, toric
 from kacdepth.quiver import QuiverFormatError, tree_paths
 
 from helpers import dfs_components, matrix_tree_count, random_connected_quiver, random_quiver
@@ -65,15 +65,11 @@ class TestValueClass:
         assert hash(same) == hash(KRON) == hash((2, ((0, 1), (0, 1))))
         assert len({KRON, same, A2}) == 2
         assert KRON != A2 and KRON != Quiver(2, ((1, 0), (0, 1)))
-        tree = ValuedTree(arrows=(0, 1), values=(2, 0))
-        assert tree == ValuedTree((0, 1), (2, 0)) and tree != ValuedTree((0, 1), (0, 2))
-        assert hash(tree) == hash(((0, 1), (2, 0)))
 
     def test_never_equal_to_a_tuple_or_another_class(self):
         assert KRON != (2, ((0, 1), (0, 1)))
         assert KRON.__eq__((2, ((0, 1), (0, 1)))) is NotImplemented
-        assert ValuedTree((0, 1), (0, 1)) != ((0, 1), (0, 1))
-        assert ValuedTree((0, 1), (0, 1)) != Quiver(0, ())
+        assert Quiver(0, ()) != (0, ())
 
     def test_keyword_construction_normalises_arrows(self):
         q = Quiver(arrows=[[0, 1], (True, 0)], nvertices=2)
@@ -81,21 +77,18 @@ class TestValueClass:
         assert all(type(v) is int for a in q.arrows for v in a)
 
     def test_assignment_raises_attribute_error(self):
-        tree = ValuedTree((0,), (0,))
-        for obj, name in ((KRON, "nvertices"), (KRON, "arrows"), (tree, "values"), (KRON, "extra")):
+        for name in ("nvertices", "arrows", "extra"):
             with pytest.raises(AttributeError):
-                setattr(obj, name, ())
+                setattr(KRON, name, ())
         with pytest.raises(AttributeError):
             del KRON.arrows
         assert KRON == Quiver(2, ((0, 1), (0, 1)))
 
     def test_repr(self):
         assert repr(KRON) == "Quiver(nvertices=2, arrows=((0, 1), (0, 1)))"
-        assert repr(ValuedTree((0, 1), (2, 0))) == "ValuedTree(arrows=(0, 1), values=(2, 0))"
 
     def test_copy_and_pickle(self):
-        for obj in (TRIANGLE, ValuedTree((0, 1), (2, 0))):
-            assert copy.copy(obj) == copy.deepcopy(obj) == pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.copy(TRIANGLE) == copy.deepcopy(TRIANGLE) == pickle.loads(pickle.dumps(TRIANGLE)) == TRIANGLE
 
     def test_check_messages_and_order(self):
         def message(*args):
@@ -181,19 +174,16 @@ class TestSpanningTrees:
 
 class TestTreePaths:
     def test_kronecker(self):
-        tree = ValuedTree((0,), (0,))
-        path, vmax, critical = tree_path_data(KRON, tree, 1)
+        path, vmax, critical = tree_path_data(KRON, ((0,), (0,)), 1)
         assert path == (0,) and vmax == 0 and critical == 0
 
     def test_triangle_unique_max(self):
-        tree = ValuedTree((0, 1), (1, 0))
-        path, vmax, critical = tree_path_data(TRIANGLE, tree, 2)
+        path, vmax, critical = tree_path_data(TRIANGLE, ((0, 1), (1, 0)), 2)
         assert set(path) == {0, 1}
         assert vmax == 1 and critical == 0
 
     def test_triangle_tie_break(self):
-        tree = ValuedTree((0, 1), (1, 1))
-        _, vmax, critical = tree_path_data(TRIANGLE, tree, 2)
+        _, vmax, critical = tree_path_data(TRIANGLE, ((0, 1), (1, 1)), 2)
         assert vmax == 1 and critical == 0
 
     def test_skips_tree_arrows_and_loops(self):
