@@ -2,8 +2,9 @@
 the counting machinery: vertex restriction, deletion, Betti numbers, connectivity
 (one union-find, ``vertex_roots``), the rank and connectivity of every edge
 subset at once (``subset_ranks``), spanning trees and tree paths, and the
-table over parallel-arrow classes (``_class_table``) on which the subset
-sums of ``toric`` and the Hilbert series of ``srcomplex`` run.
+table over parallel-arrow class states (``_class_table``, the one owner of
+their layout and of the step to the states above a state) on which the
+subset sums of ``toric`` and the Hilbert series of ``srcomplex`` run.
 
 The arrow order is the list order; restriction and deletion preserve it.
 Loops and parallel arrows are allowed.
@@ -48,39 +49,20 @@ def subset_ranks(nvertices: int, edges: Sequence[tuple[int, int]]) -> tuple[list
 
     The rank of a subset is nvertices minus its number of components, so
     its Betti number is its size minus its rank.  Masks run in increasing
-    order, so rest = mask ^ lowbit comes first: the vertex partition of mask
-    is that of rest with the ends of the lowest edge merged, and the rank
-    rises by one exactly when that merge joins two blocks.  Partitions are
-    interned by their canonical labelling (each vertex labelled by the
-    smallest vertex of its block), and the merge (partition, edge) ->
-    partition is memoised, so a mask costs one dict lookup; a memo miss
-    relabels the block with the larger label of the edge's two ends by the
-    smaller one.
+    order, so rest = mask ^ lowbit comes first.  A vertex partition is a
+    string of one label per vertex, equal exactly within a block: that of mask
+    is that of rest with the label of the lowest edge's head replaced by that
+    of its tail, and the rank rises by one exactly when the two labels differ.
     """
-    m = len(edges)
-    labellings: list[tuple[int, ...]] = [tuple(range(nvertices))]
-    ids = {labellings[0]: 0}
-    ranks = [0]
-    merged: dict[int, int] = {}
-    part = [0] * (1 << m)
-    for mask in range(1, 1 << m):
+    labellings, ranks = ["".join(map(chr, range(nvertices)))], [0]
+    for mask in range(1, 1 << len(edges)):
         low = mask & -mask
-        rest = part[mask ^ low]
-        e = low.bit_length() - 1
-        key = rest * m + e
-        pid = merged.get(key)
-        if pid is None:
-            labelling = labellings[rest]
-            lo, hi = sorted(labelling[v] for v in edges[e])
-            labelling = tuple(lo if x == hi else x for x in labelling)
-            if labelling not in ids:  # a new labelling: the ends were in two blocks
-                ids[labelling] = len(labellings)
-                labellings.append(labelling)
-                ranks.append(ranks[rest] + 1)
-            pid = merged[key] = ids[labelling]
-        part[mask] = pid
-    full = nvertices - 1
-    return [ranks[p] for p in part], [ranks[p] == full for p in part]
+        labelling = labellings[mask ^ low]
+        s, t = edges[low.bit_length() - 1]
+        tail, head = labelling[s], labelling[t]
+        labellings.append(labelling.replace(head, tail))
+        ranks.append(ranks[mask ^ low] + (tail != head))
+    return ranks, [r == nvertices - 1 for r in ranks]
 
 
 class Quiver:
@@ -265,26 +247,39 @@ def _arrow_classes(quiver: Quiver) -> Counter:
 class _ClassTable(NamedTuple):
     """Per state N (class 0 varies fastest in the state index): b(N), whether supp N
     connects every vertex, prod C(c_i, N_i), the arrow sets with counts N, and
-    their size sum N_i.  ``classes`` maps the ends of each class to its size c_i."""
+    their size sum N_i.  ``classes`` maps the ends of each class to its size c_i,
+    ``place`` to the state distance of one of its arrows.  Complementing counts
+    reverses the order: the states below N are full - N' for the N' above full - N."""
 
     classes: Counter
+    place: list[int]
     betti: list[int]
     connected: list[bool]
     sets: list[int]
     size: list[int]
 
+    def above(self, state: int) -> list[tuple[int, int]]:
+        """The states N' > N, each with the prod C(c_i - N_i, N'_i - N_i) arrow
+        sets with counts N' above any one set with counts N."""
+        ups = [(state, 1)]
+        for place, c in zip(self.place, self.classes.values()):
+            n = state // place % (c + 1)
+            ups = [(up + d * place, k * comb(c - n, d)) for d in range(c - n + 1) for up, k in ups]
+        return ups[1:]
+
 
 def _class_table(quiver: Quiver) -> _ClassTable:
     classes = _arrow_classes(quiver)
     ranks, spanning = subset_ranks(quiver.nvertices, list(classes))
-    supp, size, sets = [0], [0], [1]
+    place, supp, size, sets = [], [0], [0], [1]
     for i, c in enumerate(classes.values()):
         bit, row = 1 << i, [comb(c, j) for j in range(1, c + 1)]
+        place.append(len(supp))
         supp += [x | bit for x in supp] * c
         size += [x + j for j in range(1, c + 1) for x in size]
         sets += [x * k for k in row for x in sets]
     betti = [n - ranks[x] for n, x in zip(size, supp)]
-    return _ClassTable(classes, betti, [spanning[x] for x in supp], sets, size)
+    return _ClassTable(classes, place, betti, [spanning[x] for x in supp], sets, size)
 
 
 def _chain_walk_work(quiver: Quiver) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from . import toric
@@ -100,16 +100,12 @@ def hilbert_specialized(quiver: Quiver, guard: int = DEFAULT_GUARD) -> RatFunc:
     table, exponents, pack = _specialization(quiver)
     full = len(exponents) - 1
     # ending[N] = D times the sum over the chains E_1 < ... < E_k = E of the
-    # product of 1/(q^c(E_j) - 1), for any E with counts N; the E' < E with
-    # counts N' number prod C(N_i, N'_i)
+    # product of 1/(q^c(E_j) - 1), for any E with counts N; the E' < E are
+    # counted as the complements of the sets above the complement of E
+    # (``_ClassTable.above``)
     ending = [0] * (full + 1)
     for state in range(1, full + 1):
-        downs, rest, stride = [(state, 1)], state, 1
-        for c in table.classes.values():
-            rest, n = divmod(rest, c + 1)
-            downs = [(down - d * stride, k * comb(n, d)) for d in range(n + 1) for down, k in downs]
-            stride *= c + 1
-        below = pack.den + sum([k * ending[down] for down, k in downs[1:]])
+        below = pack.den + sum([k * ending[full - up] for up, k in table.above(full - state)])
         ending[state] = below if state == full else pack.divide(below, exponents[state])
     return pack.ratfunc(ending[full])
 
@@ -171,9 +167,7 @@ def positivity_certificate(quiver: Quiver, guard: int = DEFAULT_GUARD) -> dict:
     complex_ = order_complex(quiver, guard)
     table, by_state, pack = _specialization(quiver)
     # a mask's class state sums the place values of its arrows' classes
-    place, value = {}, 1
-    for ends, c in table.classes.items():
-        place[ends], value = value, value * (c + 1)
+    place = dict(zip(table.classes, table.place))
     states = [0]
     for arrow in quiver.arrows:
         step = place[tuple(sorted(arrow))]

@@ -284,15 +284,10 @@ def _asymptotic_chain_sum(quiver: Quiver) -> laurent.RatFunc:
     pack = laurent.CycloPacking(zip(exponents[:full], table.size), (m + 1) ** m)
     # weight[N] = D times the sum over chains E < E' < ... < all arrows of the product
     # of 1/(q^c(E_j) - 1) over the proper entries E_j, for any E with counts N;
-    # the E' > E with counts N' number prod C(c_i - N_i, N'_i - N_i)
+    # ``table.above`` counts the E' > E with counts N'
     weight = [0] * full + [pack.den]
     for state in range(full - 1, -1, -1):
-        ups, rest, stride = [(state, 1)], state, 1
-        for c in table.classes.values():
-            rest, n = divmod(rest, c + 1)
-            ups = [(up + d * stride, k * comb(c - n, d)) for d in range(c - n + 1) for up, k in ups]
-            stride *= c + 1
-        weight[state] = pack.divide(sum([k * weight[up] for up, k in ups[1:]]), exponents[state])
+        weight[state] = pack.divide(sum([k * weight[up] for up, k in table.above(state)]), exponents[state])
     return pack.ratfunc(sum(map(mul, table.sets, weight)), laurent.ONE_MINUS_QINV.num**b)
 
 

@@ -120,11 +120,11 @@ def triangle_file(tmp_path):
 
 # the source lines a kac process compiles: cli, oring, poly, quiver, toric
 # and __init__
-KAC_LINES = 1325
+KAC_LINES = 1315
 
 # the source lines of the whole library; like KAC_LINES, a ceiling that may
 # only fall
-LIBRARY_LINES = 2850
+LIBRARY_LINES = 2834
 
 # the kacdepth layers a process has executed: LazyLoader swaps an unexecuted
 # module's class for a subclass of ModuleType until its first attribute access

@@ -130,16 +130,19 @@ class TestChainSum:
 
     def test_class_table_matches_dfs(self):
         # b(N), connectivity, the number of arrow sets with counts N and their
-        # size; and the distinct sizes of the sets of one exponent bound how
-        # often that exponent occurs along a chain of masks
+        # size; the place values, and the counted states above and below the
+        # state of each mask; and the distinct sizes of the sets of one
+        # exponent bound how often that exponent occurs along a chain of masks
         for q in [*quiver_catalog(3, 4, connected=False), *MULTIGRAPHS[:8]]:
             table = _class_table(q)
             found = Counter()
-            exponent, longest = [], []  # per mask: b(Q) - b(E), longest chain of that exponent ending at E
+            # per mask: its state, b(Q) - b(E), longest chain of that exponent ending at E
+            states, exponent, longest = [], [], []
             for mask in range(1 << q.narrows):
                 arrows = [q.arrows[a] for a in range(q.narrows) if mask >> a & 1]
-                state, stride = 0, 1
+                state, stride, strides = 0, 1, []
                 for ends, c in table.classes.items():
+                    strides.append(stride)
                     state += stride * sum(tuple(sorted(e)) == ends for e in arrows)
                     stride *= c + 1
                 ncomp = len(dfs_components(q.nvertices, arrows))
@@ -147,10 +150,19 @@ class TestChainSum:
                 assert table.connected[state] == (ncomp == 1), (q, mask)
                 assert table.size[state] == len(arrows), (q, mask)
                 found[state] += 1
+                states.append(state)
                 exponent.append(q.betti() - table.betti[state])
                 subs = [sub for sub in range(mask) if sub & mask == sub and exponent[sub] == exponent[mask]]
                 longest.append(1 + max((longest[sub] for sub in subs), default=0))
             assert [found[s] for s in range(len(table.sets))] == table.sets, q
+            assert table.place == strides, q
+            full = len(table.sets) - 1
+            for mask, state in enumerate(states):
+                supersets = Counter(states[sup] for sup in range(mask + 1, len(states)) if sup & mask == mask)
+                subsets = Counter(states[sub] for sub in range(mask) if sub & mask == sub)
+                assert sorted(table.above(state)) == sorted(supersets.items()), (q, mask)
+                below = [(full - up, k) for up, k in table.above(full - state)]
+                assert sorted(below) == sorted(subsets.items()), (q, mask)
             mu = CycloPacking(zip([q.betti() - b for b in table.betti], table.size), 1).mu
             for c, length in zip(exponent, longest):
                 assert mu[c] >= length, (q, c)
@@ -173,7 +185,11 @@ class TestChainSum:
             assert values == expected, sizes
 
     def test_mask_tables_match_dfs_catalog(self):
-        for q in quiver_catalog(4, 5, connected=False):
+        # parallel arrows, several loops at one vertex, and a 7-cycle with two
+        # chords, whose masks meet many vertex partitions
+        chorded = Quiver(7, tuple((i, (i + 1) % 7) for i in range(7)) + ((0, 3), (5, 2)))
+        small = [q for q in MULTIGRAPHS if q.narrows <= 8]
+        for q in [*quiver_catalog(4, 5, connected=False), *small, chorded]:
             betti, connected = _mask_betti_tables(q)
             for mask in range(1 << q.narrows):
                 arrows = [q.arrows[a] for a in range(q.narrows) if mask >> a & 1]
